@@ -9,15 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/calibration.hpp"
 #include "core/predictor.hpp"
 #include "exp/experiments.hpp"
+#include "support/golden.hpp"
 
 namespace tir::core {
 namespace {
@@ -85,24 +83,8 @@ std::string compute_rates() {
 }
 
 TEST(CalibrationGolden, RatesAreBitIdentical) {
-  const std::string got = compute_rates();
-
-  const std::string golden_path = std::string(TIR_CORE_GOLDEN_DIR) + "/calibration_rates.txt";
-  if (std::getenv("TIR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream update(golden_path);
-    update << got;
-    ASSERT_TRUE(update.good()) << "could not rewrite " << golden_path;
-    GTEST_SKIP() << "golden regenerated at " << golden_path;
-  }
-
-  std::ifstream in(golden_path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
-                         << " (run once with TIR_UPDATE_GOLDEN=1)";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "calibrated rates drifted from the golden; if intentional, regenerate with "
-         "TIR_UPDATE_GOLDEN=1 and review the diff";
+  test::expect_matches_golden(std::string(TIR_CORE_GOLDEN_DIR) + "/calibration_rates.txt",
+                              compute_rates());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "apps/cg.hpp"
 #include "platform/clusters.hpp"
+#include "support/golden.hpp"
 
 namespace tir::core {
 namespace {
@@ -270,6 +271,24 @@ TEST(McSweep, TornadoRanksTheDominantParameterFirst) {
   options.jobs = 8;
   const McReport again = mc_sweep(trace, scenarios, options);
   EXPECT_EQ(mc_report_json(report), mc_report_json(again));
+}
+
+// The report bytes of one tornado grid, pinned (tests/core/golden/
+// mc_report.txt): seeds, labels, every replicate's %.17g makespan, the
+// quantiles and the tornado bars.  Regenerate after an intentional change:
+//   TIR_UPDATE_GOLDEN=1 ./test_core --gtest_filter='McSweep.ReportMatchesGolden'
+TEST(McSweep, ReportMatchesGolden) {
+  const titio::SharedTrace trace = shared_cg();
+  platform::PerturbationSpec spec;
+  spec.seed = 3;
+  spec.host_speed = {platform::Distribution::Kind::Uniform, 0.2};
+  spec.link_bandwidth = {platform::Distribution::Kind::LogNormal, 0.3};
+  McOptions options;
+  options.replicates = 6;
+  options.tornado = true;
+  const McReport report = mc_sweep(trace, both_backends(cluster(4), spec), options);
+  test::expect_matches_golden(std::string(TIR_CORE_GOLDEN_DIR) + "/mc_report.txt",
+                              mc_report_json(report) + "\n");
 }
 
 }  // namespace

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include "base/error.hpp"
 #include "platform/clusters.hpp"
+#include "support/golden.hpp"
 #include "support/temp_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/protocol.hpp"
@@ -160,6 +162,66 @@ TEST_F(SvcPerturb, McReplicatesExpandAndAggregate) {
   const JobResult again = client.submit(request);
   ASSERT_TRUE(again.done) << again.error;
   EXPECT_EQ(again.epilogue.get("mc").dump(), result.epilogue.get("mc").dump());
+}
+
+/// A response line with its run-to-run timing fields masked.
+std::string without_timings(const Json& line) {
+  static const std::regex timing(
+      R"re("(queue_wait_seconds|decode_seconds|calibrate_seconds|replay_seconds|)re"
+      R"re(wall_clock_seconds|total_queue_wait|total_replay_wall|max_queue_wait)":[^,}\]]+)re");
+  return std::regex_replace(line.dump(), timing, R"("$1":"-")");
+}
+
+// The wire bytes of perturbed jobs, pinned (tests/svc/golden/
+// perturbed_jobs.txt): every started, scenario and done line of a fixed job
+// sequence on one worker, timing fields masked.  Regenerate after an
+// intentional change:
+//   TIR_UPDATE_GOLDEN=1 ./test_svc --gtest_filter='SvcPerturb.GoldenStream*'
+TEST_F(SvcPerturb, GoldenStreamIsByteIdentical) {
+  ServerOptions options;
+  options.endpoint = endpoint("golden.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  // 2 rates x 5 seeds with contention, then the same grid with metrics.
+  JobRequest rated = perturbed_job("seed=3;host.speed=uniform:0.2;link.bw=lognormal:0.3");
+  rated.calibrate = false;
+  rated.scenarios.clear();
+  for (const double rate : {1e9, 2e9}) {
+    ScenarioSpec scenario;
+    scenario.label = rate == 1e9 ? "slow" : "fast";
+    scenario.rates = {rate};
+    scenario.contention = true;
+    rated.scenarios.push_back(scenario);
+  }
+  rated.mc_replicates = 5;
+  JobRequest metrics = rated;
+  metrics.metrics = true;
+  // Cache-aware calibration on the first seed's instance, 3 seeds: the
+  // second submission is the calibration cache hit.
+  JobRequest calibrated = perturbed_job("seed=4;host.speed=uniform:0.3;link.lat=normal:0.1");
+  calibrated.mc_replicates = 3;
+  // One replicate on the MSG back-end.
+  JobRequest msg = rated;
+  msg.scenarios.resize(1);
+  msg.scenarios[0].backend = core::Backend::Msg;
+  msg.mc_replicates = 1;
+  // An inactive spec with no mc_replicates still expands to one seed.
+  JobRequest inactive = rated;
+  inactive.perturb = "seed=9";
+  inactive.mc_replicates = 0;
+
+  std::string got;
+  for (const JobRequest* request : {&rated, &metrics, &calibrated, &calibrated, &msg, &inactive}) {
+    const JobResult result = client.submit(*request);
+    ASSERT_TRUE(result.done) << result.error;
+    got += without_timings(result.started) + "\n";
+    for (const Json& line : result.scenarios) got += without_timings(line) + "\n";
+    got += without_timings(result.epilogue) + "\n";
+  }
+  test::expect_matches_golden(std::string(TIR_SVC_GOLDEN_DIR) + "/perturbed_jobs.txt", got);
 }
 
 TEST(SvcPerturbWire, MalformedSpecAndReplicatesAreRejected) {
