@@ -23,11 +23,11 @@
 // and stray positionals print the usage and exit 2 — a typo must never
 // silently replay the wrong scenario (tests/cli/cli_args_test.cpp).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "base/error.hpp"
+#include "cli_args.hpp"
 #include "core/mc_sweep.hpp"
 #include "core/sweep.hpp"
 #include "platform/clusters.hpp"
@@ -68,36 +68,6 @@ void usage(const char* argv0) {
 /// watchdog kill without parsing stderr.
 int exit_status(tir::ErrorCode code) { return 10 + static_cast<int>(code); }
 
-bool parse_double(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != s && *end == '\0';
-}
-
-bool parse_int(const char* s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_rates(const std::string& spec, std::vector<double>& rates) {
-  rates.clear();
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    const std::size_t comma = spec.find(',', begin);
-    const std::string item =
-        spec.substr(begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    double rate = 0.0;
-    if (item.empty() || !parse_double(item.c_str(), rate)) return false;
-    rates.push_back(rate);
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return !rates.empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,13 +96,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-np" && need(i)) {
-      if (!parse_int(argv[++i], np) || np <= 0) {
+      if (!cli::parse_int(argv[++i], np) || np <= 0) {
         return reject("-np wants a positive integer, got", argv[i]);
       }
     } else if (arg == "-platform" && need(i)) {
       platform_file = argv[++i];
     } else if (arg == "-rate" && need(i)) {
-      if (!parse_rates(argv[++i], rates)) {
+      if (!cli::parse_doubles(argv[++i], rates)) {
         return reject("-rate wants a comma-separated number list, got", argv[i]);
       }
     } else if (arg == "-backend" && need(i)) {
@@ -147,7 +117,7 @@ int main(int argc, char** argv) {
     } else if (arg == "-contention") {
       contention = true;
     } else if (arg == "-jobs" && need(i)) {
-      if (!parse_int(argv[++i], jobs)) {
+      if (!cli::parse_int(argv[++i], jobs)) {
         return reject("-jobs wants an integer, got", argv[i]);
       }
     } else if (arg == "-perturb" && need(i)) {
@@ -158,7 +128,7 @@ int main(int argc, char** argv) {
         return reject(e.what(), perturb_spec.c_str());
       }
     } else if (arg == "-mc-seeds" && need(i)) {
-      if (!parse_int(argv[++i], mc_seeds) || mc_seeds <= 0) {
+      if (!cli::parse_int(argv[++i], mc_seeds) || mc_seeds <= 0) {
         return reject("-mc-seeds wants a positive integer, got", argv[i]);
       }
       mc_seeds_set = true;

@@ -25,13 +25,13 @@
 // sharing model (no -contention).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "base/error.hpp"
 #include "base/units.hpp"
 #include "ckpt/cursor.hpp"
+#include "cli_args.hpp"
 #include "core/replay.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
@@ -53,12 +53,6 @@ void usage(const char* argv0) {
                "          [-from SECONDS -to SECONDS] [-save-ckpt]\n"
                "          TRACE_MANIFEST|TRACE.titb\n",
                argv0);
-}
-
-bool parse_double(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != s && *end == '\0';
 }
 
 void print_rank_table(const obs::MetricsReport& report, const obs::CriticalPath& path) {
@@ -132,11 +126,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-np" && i + 1 < argc) {
-      np = std::atoi(argv[++i]);
+      if (!cli::parse_int(argv[++i], np) || np <= 0) {
+        std::fprintf(stderr, "%s: -np wants a positive integer, got '%s'\n", argv[0], argv[i]);
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "-platform" && i + 1 < argc) {
       platform_file = argv[++i];
     } else if (arg == "-rate" && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
+      if (!cli::parse_double(argv[++i], rate)) {
+        std::fprintf(stderr, "%s: -rate wants a number, got '%s'\n", argv[0], argv[i]);
+        usage(argv[0]);
+        return 2;
+      }
     } else if (arg == "-backend" && i + 1 < argc) {
       const std::string backend = argv[++i];
       if (backend == "msg") {
@@ -154,14 +156,14 @@ int main(int argc, char** argv) {
     } else if (arg == "-o" && i + 1 < argc) {
       out_base = argv[++i];
     } else if ((arg == "-from" || arg == "--from") && i + 1 < argc) {
-      if (!parse_double(argv[++i], from) || from < 0.0) {
+      if (!cli::parse_double(argv[++i], from) || from < 0.0) {
         std::fprintf(stderr, "%s: -from wants a non-negative number of seconds, got '%s'\n",
                      argv[0], argv[i]);
         usage(argv[0]);
         return 2;
       }
     } else if ((arg == "-to" || arg == "--to") && i + 1 < argc) {
-      if (!parse_double(argv[++i], to) || to < 0.0) {
+      if (!cli::parse_double(argv[++i], to) || to < 0.0) {
         std::fprintf(stderr, "%s: -to wants a non-negative number of seconds, got '%s'\n",
                      argv[0], argv[i]);
         usage(argv[0]);

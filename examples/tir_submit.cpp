@@ -1,7 +1,7 @@
 // tir-submit: submit one prediction job to a running tird and print the
 // streamed results (docs/service.md).
 //
-//   $ ./tir-submit -connect unix:/tmp/tird.sock trace.titb
+//   $ ./tir-submit -connect unix:/tmp/tird.sock -rate 1e9 trace.titb
 //   $ ./tir-submit -connect tcp:127.0.0.1:7410 -platform cluster.txt
 //                  -rate 2.5e9,3e9 -backend smpi -metrics trace.manifest
 //   $ ./tir-submit -connect ... -calibrate cache-aware -truth graphene trace.titb
@@ -13,14 +13,12 @@
 // a server verdict; note 11 also happens to be 10+parse-error for job
 // failures — scripts needing the distinction read stderr), 10+code on a
 // failed job or scenario.
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "base/error.hpp"
+#include "cli_args.hpp"
 #include "platform/clusters.hpp"
 #include "platform/model.hpp"
 #include "svc/client.hpp"
@@ -70,27 +68,6 @@ int exit_status(const std::string& code_name) {
   return 10;
 }
 
-bool parse_double(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end != s && *end == '\0';
-}
-
-bool parse_int(const char* s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_uint64(const char* s, std::uint64_t& out) {
-  if (s[0] == '-') return false;
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != s && *end == '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,26 +98,14 @@ int main(int argc, char** argv) {
     } else if (arg == "-ping" || arg == "-stats" || arg == "-flush" || arg == "-shutdown") {
       op = arg.substr(1);
     } else if (arg == "-np" && need(i)) {
-      if (!parse_int(argv[++i], request.nprocs) || request.nprocs <= 0) {
+      if (!cli::parse_int(argv[++i], request.nprocs) || request.nprocs <= 0) {
         return reject("-np wants a positive integer, got", argv[i]);
       }
     } else if (arg == "-platform" && need(i)) {
       request.platform = argv[++i];
     } else if (arg == "-rate" && need(i)) {
-      const std::string spec = argv[++i];
-      rates.clear();
-      std::size_t begin = 0;
-      while (begin <= spec.size()) {
-        const std::size_t comma = spec.find(',', begin);
-        const std::string item =
-            spec.substr(begin, comma == std::string::npos ? std::string::npos : comma - begin);
-        double rate = 0.0;
-        if (item.empty() || !parse_double(item.c_str(), rate)) {
-          return reject("-rate wants a comma-separated number list, got", spec.c_str());
-        }
-        rates.push_back(rate);
-        if (comma == std::string::npos) break;
-        begin = comma + 1;
+      if (!cli::parse_doubles(argv[++i], rates)) {
+        return reject("-rate wants a comma-separated number list, got", argv[i]);
       }
     } else if (arg == "-backend" && need(i)) {
       const std::string backend = argv[++i];
@@ -154,7 +119,7 @@ int main(int argc, char** argv) {
     } else if (arg == "-contention") {
       base.contention = true;
     } else if (arg == "-watchdog" && need(i)) {
-      if (!parse_double(argv[++i], base.watchdog_seconds) || base.watchdog_seconds < 0) {
+      if (!cli::parse_double(argv[++i], base.watchdog_seconds) || base.watchdog_seconds < 0) {
         return reject("-watchdog wants a non-negative number of seconds, got", argv[i]);
       }
     } else if (arg == "-metrics") {
@@ -181,15 +146,15 @@ int main(int argc, char** argv) {
       }
       request.calibration.instance_class = cls[0];
     } else if (arg == "-retries" && need(i)) {
-      if (!parse_int(argv[++i], policy.max_attempts) || policy.max_attempts <= 0) {
+      if (!cli::parse_int(argv[++i], policy.max_attempts) || policy.max_attempts <= 0) {
         return reject("-retries wants a positive integer, got", argv[i]);
       }
     } else if (arg == "-deadline" && need(i)) {
-      if (!parse_double(argv[++i], policy.deadline_seconds) || policy.deadline_seconds < 0) {
+      if (!cli::parse_double(argv[++i], policy.deadline_seconds) || policy.deadline_seconds < 0) {
         return reject("-deadline wants a non-negative number of seconds, got", argv[i]);
       }
     } else if (arg == "-seed" && need(i)) {
-      if (!parse_uint64(argv[++i], policy.seed)) {
+      if (!cli::parse_uint64(argv[++i], policy.seed)) {
         return reject("-seed wants an unsigned integer, got", argv[i]);
       }
     } else if (arg == "-perturb" && need(i)) {
@@ -200,7 +165,7 @@ int main(int argc, char** argv) {
         return reject(e.what(), request.perturb.c_str());
       }
     } else if (arg == "-mc-seeds" && need(i)) {
-      if (!parse_int(argv[++i], request.mc_replicates) || request.mc_replicates <= 0) {
+      if (!cli::parse_int(argv[++i], request.mc_replicates) || request.mc_replicates <= 0) {
         return reject("-mc-seeds wants a positive integer, got", argv[i]);
       }
     } else if (arg == "-json") {
@@ -222,6 +187,13 @@ int main(int argc, char** argv) {
   }
   if (request.mc_replicates > 0 && request.perturb.empty()) {
     std::fprintf(stderr, "%s: -mc-seeds needs a -perturb spec\n", argv[0]);
+    usage(argv[0]);
+    return 2;
+  }
+  if (op.empty() && rates.empty() && !request.calibrate) {
+    // The daemon refuses a scenario without rates in a job without a
+    // calibration; say so here instead of after a round trip.
+    std::fprintf(stderr, "%s: a prediction needs -rate or -calibrate\n", argv[0]);
     usage(argv[0]);
     return 2;
   }

@@ -22,6 +22,7 @@
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
+#include "cli_args.hpp"
 #include "svc/server.hpp"
 
 namespace {
@@ -58,27 +59,53 @@ int main(int argc, char** argv) {
   std::string fault_plan;
   if (const char* env = std::getenv("TIR_FAULT_PLAN")) fault_plan = env;
 
+  // Strict parsing: a malformed number rejects with usage + exit 2 instead of
+  // starting a daemon with capacity 0 or a wrapped-around cache budget.
+  const auto reject = [&](const char* what, const char* got) {
+    std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, got);
+    usage(argv[0]);
+    return 2;
+  };
+  const auto non_negative = [](const char* s, int& out) {
+    return cli::parse_int(s, out) && out >= 0;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-listen" && i + 1 < argc) {
       options.endpoint = argv[++i];
     } else if (arg == "-workers" && i + 1 < argc) {
-      options.workers = std::atoi(argv[++i]);
+      if (!cli::parse_int(argv[++i], options.workers)) {
+        return reject("-workers wants an integer, got", argv[i]);
+      }
     } else if (arg == "-queue" && i + 1 < argc) {
-      options.queue_capacity = static_cast<std::size_t>(std::atoi(argv[++i]));
+      int capacity = 0;
+      if (!cli::parse_int(argv[++i], capacity) || capacity <= 0) {
+        return reject("-queue wants a positive integer, got", argv[i]);
+      }
+      options.queue_capacity = static_cast<std::size_t>(capacity);
     } else if (arg == "-cache-mb" && i + 1 < argc) {
-      options.cache_bytes = static_cast<std::uint64_t>(std::atof(argv[++i]) * (1 << 20));
+      double mb = 0.0;
+      // The upper bound keeps the byte count inside uint64_t.
+      if (!cli::parse_double(argv[++i], mb) || !(mb >= 0.0 && mb < 1e12)) {
+        return reject("-cache-mb wants a number of MiB in [0, 1e12), got", argv[i]);
+      }
+      options.cache_bytes = static_cast<std::uint64_t>(mb * (1 << 20));
     } else if (arg == "-retry-after-ms" && i + 1 < argc) {
-      options.retry_after_ms = std::atoi(argv[++i]);
+      if (!non_negative(argv[++i], options.retry_after_ms)) {
+        return reject("-retry-after-ms wants a non-negative integer, got", argv[i]);
+      }
     } else if (arg == "-read-timeout-ms" && i + 1 < argc) {
-      options.read_timeout_ms = std::atoi(argv[++i]);
+      if (!non_negative(argv[++i], options.read_timeout_ms)) {
+        return reject("-read-timeout-ms wants a non-negative integer, got", argv[i]);
+      }
     } else if (arg == "-write-timeout-ms" && i + 1 < argc) {
-      options.write_timeout_ms = std::atoi(argv[++i]);
+      if (!non_negative(argv[++i], options.write_timeout_ms)) {
+        return reject("-write-timeout-ms wants a non-negative integer, got", argv[i]);
+      }
     } else if ((arg == "-fault-plan" || arg == "--fault-plan") && i + 1 < argc) {
       fault_plan = argv[++i];  // the flag wins over TIR_FAULT_PLAN
     } else {
-      usage(argv[0]);
-      return 2;
+      return reject("unknown or incomplete option", arg.c_str());
     }
   }
 

@@ -15,12 +15,12 @@
 // sanity; docs/robustness.md) and prints the full report. Exit 0 when the
 // trace is replayable, 1 when it has errors.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "base/error.hpp"
+#include "cli_args.hpp"
 #include "base/string_util.hpp"
 #include "base/units.hpp"
 #include "tit/trace.hpp"
@@ -124,13 +124,7 @@ int validate(const std::string& path, int nprocs) {
 /// Strict NPROCS parse: a positive decimal integer or nothing.  atoi-style
 /// leniency ("8x" -> 8, "banana" -> 0) would silently convert the wrong
 /// number of ranks.
-bool parse_nprocs(const char* s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v <= 0) return false;
-  out = static_cast<int>(v);
-  return true;
-}
+bool parse_nprocs(const char* s, int& out) { return tir::cli::parse_int(s, out) && out > 0; }
 
 int main(int argc, char** argv) {
   const std::string usage =

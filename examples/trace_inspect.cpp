@@ -10,11 +10,11 @@
 // a time (never materialized) and every frame CRC is checked.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "base/error.hpp"
+#include "cli_args.hpp"
 #include "base/units.hpp"
 #include "tit/trace.hpp"
 #include "tit/validate.hpp"
@@ -201,16 +201,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   int np = -1;
-  if (positionals.size() == 2) {
-    char* end = nullptr;
-    const long v = std::strtol(positionals[1].c_str(), &end, 10);
-    if (end == positionals[1].c_str() || *end != '\0' || v <= 0) {
-      std::fprintf(stderr, "%s: NPROCS must be a positive integer, got '%s'\n", argv[0],
-                   positionals[1].c_str());
-      usage(argv[0]);
-      return 2;
-    }
-    np = static_cast<int>(v);
+  if (positionals.size() == 2 && (!cli::parse_int(positionals[1].c_str(), np) || np <= 0)) {
+    std::fprintf(stderr, "%s: NPROCS must be a positive integer, got '%s'\n", argv[0],
+                 positionals[1].c_str());
+    usage(argv[0]);
+    return 2;
   }
   try {
     if (titio::is_binary_trace(positionals[0])) return inspect_binary(positionals[0]);

@@ -1,7 +1,8 @@
-// The CLI argument contract: tir-profile, trace_inspect, replay_cli and
-// tit-convert must reject unknown flags, malformed operands and stray
-// positionals with the usage text and exit 2 — a typo must never silently
-// replay the wrong scenario (or convert the wrong number of ranks).
+// The CLI argument contract: tir-profile, trace_inspect, replay_cli,
+// tit-convert, tird and tir-submit must reject unknown flags, malformed or
+// out-of-range operands and stray positionals with the usage text and exit
+// 2 — a typo must never silently replay the wrong scenario (or convert the
+// wrong number of ranks, or start a daemon that rejects every job).
 // Exercised against the real binaries (paths injected by CMake) through
 // std::system.
 #include <gtest/gtest.h>
@@ -128,6 +129,55 @@ TEST_F(CliArgs, ReplayCliRunsPointAndMonteCarlo) {
                 " -mc-seeds 3 -tornado -mc-report -" +
                 trace),
             0);
+}
+
+TEST_F(CliArgs, ProfileRejectsMalformedNumbers) {
+  const std::string profile =
+      std::string(TIR_PROFILE) + " -o " + (dir_ / "profile_out").string();
+  const std::string trace = " " + titb_fixture();
+  EXPECT_EQ(run(profile + " -np banana" + trace), 2);
+  EXPECT_EQ(run(profile + " -np 0" + trace), 2);
+  EXPECT_EQ(run(profile + " -rate fast" + trace), 2);
+}
+
+// The endpoint is unusable on purpose: a flag the daemon wrongly accepts
+// ends in a bind failure (exit 1), never in a listening daemon.
+TEST_F(CliArgs, TirdRejectsMalformedNumbers) {
+  const std::string tird = std::string(TIR_TIRD) + " -listen bogus";
+  EXPECT_EQ(run(tird + " -queue abc"), 2);  // would be capacity 0: every job rejected
+  EXPECT_EQ(run(tird + " -queue -1"), 2);   // would be capacity 2^64-1: no backpressure
+  EXPECT_EQ(run(tird + " -queue 0"), 2);
+  EXPECT_EQ(run(tird + " -cache-mb -1"), 2);
+  EXPECT_EQ(run(tird + " -cache-mb 1e300"), 2);
+  EXPECT_EQ(run(tird + " -workers two"), 2);
+  EXPECT_EQ(run(tird + " -retry-after-ms -5"), 2);
+  EXPECT_EQ(run(tird + " -read-timeout-ms 1.5"), 2);
+  EXPECT_EQ(run(tird + " -write-timeout-ms 4294967296"), 2);
+  EXPECT_EQ(run(tird + " -queue 8 -cache-mb 0.5 -workers 1"), 1);  // well-formed: bind fails
+}
+
+// 2^32 + 1 used to pass through a long -> int cast as 1.
+TEST_F(CliArgs, IntegerOperandsRejectOverflow) {
+  const std::string trace = " " + titb_fixture();
+  const std::string submit =
+      std::string(TIR_SUBMIT) + " -connect unix:" + (dir_ / "none.sock").string();
+  EXPECT_EQ(run(std::string(TIR_REPLAY_CLI) + " -np 4294967297" + trace), 2);
+  EXPECT_EQ(run(std::string(TIR_REPLAY_CLI) + " -jobs 99999999999" + trace), 2);
+  EXPECT_EQ(run(std::string(TIR_TIT_CONVERT) + " validate" + trace + " 4294967297"), 2);
+  EXPECT_EQ(run(std::string(TIR_TRACE_INSPECT) + trace + " 4294967297"), 2);
+  EXPECT_EQ(run(submit + " -np 4294967297 -rate 1e9" + trace), 2);
+  EXPECT_EQ(run(submit + " -seed 18446744073709551616 -rate 1e9" + trace), 2);
+}
+
+TEST_F(CliArgs, SubmitNeedsARateOrACalibration) {
+  const std::string submit =
+      std::string(TIR_SUBMIT) + " -connect unix:" + (dir_ / "none.sock").string();
+  const std::string trace = " " + titb_fixture();
+  EXPECT_EQ(run(submit + trace), 2);  // the daemon would refuse it
+  EXPECT_EQ(run(submit + " -rate 1e9,x" + trace), 2);
+  // Well-formed jobs get as far as dialing, and nothing listens there.
+  EXPECT_EQ(run(submit + " -rate 1e9" + trace), 11);
+  EXPECT_EQ(run(submit + " -calibrate auto" + trace), 11);
 }
 
 TEST_F(CliArgs, TitConvertRejectsBadModesAndNprocs) {
