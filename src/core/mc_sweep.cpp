@@ -9,14 +9,23 @@ namespace tir::core {
 
 namespace {
 
-/// Where one expanded cell folds back to: the main replicate grid, one
-/// tornado parameter's grid, or the single unperturbed baseline cell.
-struct CellOrigin {
-  std::size_t scenario = 0;
-  enum class Kind { Main, Tornado, Baseline } kind = Kind::Main;
-  std::size_t parameter = 0;  ///< index into active parameter list (Tornado)
-  std::size_t replicate = 0;  ///< index into the seed grid (Main/Tornado)
-};
+/// Append scenario `s`'s seed grid sampled from `model` (the scenario's own
+/// model, or one parameter's isolated model), labelled `label[TAGseed=N]`.
+void append_seed_grid(McGrid& grid, std::size_t s, const McScenario& mc,
+                      const platform::PlatformModel& model, const std::string& tag,
+                      McCellOrigin::Kind kind, std::size_t parameter, int nprocs) {
+  const std::vector<std::uint64_t>& seeds = grid.seeds[s];
+  for (std::size_t r = 0; r < seeds.size(); ++r) {
+    Scenario cell;
+    std::shared_ptr<const platform::Platform> instance = model.instantiate(seeds[r]);
+    cell.config = scale_rates_for_instance(mc.config, nprocs, *mc.model.base(), *instance);
+    cell.platform = std::move(instance);
+    cell.backend = mc.backend;
+    cell.label = mc.label + "[" + tag + "seed=" + std::to_string(seeds[r]) + "]";
+    grid.cells.push_back(std::move(cell));
+    grid.origins.push_back({s, kind, parameter, r});
+  }
+}
 
 std::vector<std::string> active_parameters(const platform::PerturbationSpec& spec) {
   std::vector<std::string> out;
@@ -108,97 +117,68 @@ ReplayConfig scale_rates_for_instance(const ReplayConfig& config, int nprocs,
   return out;
 }
 
-McReport mc_sweep(const titio::SharedTrace& trace,
-                  const std::vector<McScenario>& scenarios,
-                  const McOptions& options) {
-  McReport report;
-  report.scenarios.resize(scenarios.size());
-  if (scenarios.empty()) return report;
-
-  // --- expand ------------------------------------------------------------
+McGrid mc_expand(const std::vector<McScenario>& scenarios, int nprocs,
+                 const McOptions& options) {
   // Sampling happens serially here (platform copies are cheap next to a
   // replay); the expensive part — the replays — all go through one sweep.
-  std::vector<Scenario> cells;
-  std::vector<CellOrigin> origins;
-  std::vector<std::vector<std::uint64_t>> grids(scenarios.size());
-  std::vector<std::vector<std::string>> params(scenarios.size());
+  McGrid grid;
+  grid.tornado = options.tornado;
+  grid.seeds.resize(scenarios.size());
+  grid.parameters.resize(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const McScenario& mc = scenarios[s];
     if (mc.model.base() == nullptr) {
       throw ConfigError("mc_sweep scenario '" + mc.label + "' has no base platform");
     }
-    grids[s] = mc_seed_grid(mc.model.spec(), options);
-    for (std::size_t r = 0; r < grids[s].size(); ++r) {
-      Scenario cell;
-      std::shared_ptr<const platform::Platform> instance =
-          mc.model.instantiate(grids[s][r]);
-      cell.config = scale_rates_for_instance(mc.config, trace.nprocs(),
-                                             *mc.model.base(), *instance);
-      cell.platform = std::move(instance);
-      cell.backend = mc.backend;
-      cell.label = mc.label + "[seed=" + std::to_string(grids[s][r]) + "]";
-      cells.push_back(std::move(cell));
-      origins.push_back({s, CellOrigin::Kind::Main, 0, r});
-    }
-    if (options.tornado) {
-      Scenario base;
-      base.platform = mc.model.base();
-      base.config = mc.config;
-      base.backend = mc.backend;
-      base.label = mc.label + "[baseline]";
-      cells.push_back(std::move(base));
-      origins.push_back({s, CellOrigin::Kind::Baseline, 0, 0});
-      params[s] = active_parameters(mc.model.spec());
-      for (std::size_t p = 0; p < params[s].size(); ++p) {
-        const platform::PlatformModel isolated(
-            mc.model.base(), platform::isolate_parameter(mc.model.spec(), params[s][p]));
-        for (std::size_t r = 0; r < grids[s].size(); ++r) {
-          Scenario cell;
-          std::shared_ptr<const platform::Platform> instance =
-              isolated.instantiate(grids[s][r]);
-          cell.config = scale_rates_for_instance(mc.config, trace.nprocs(),
-                                                 *mc.model.base(), *instance);
-          cell.platform = std::move(instance);
-          cell.backend = mc.backend;
-          cell.label = mc.label + "[" + params[s][p] +
-                       ",seed=" + std::to_string(grids[s][r]) + "]";
-          cells.push_back(std::move(cell));
-          origins.push_back({s, CellOrigin::Kind::Tornado, p, r});
-        }
-      }
+    grid.seeds[s] = mc_seed_grid(mc.model.spec(), options);
+    append_seed_grid(grid, s, mc, mc.model, "", McCellOrigin::Kind::Main, 0, nprocs);
+    if (!options.tornado) continue;
+    Scenario base;
+    base.platform = mc.model.base();
+    base.config = mc.config;
+    base.backend = mc.backend;
+    base.label = mc.label + "[baseline]";
+    grid.cells.push_back(std::move(base));
+    grid.origins.push_back({s, McCellOrigin::Kind::Baseline, 0, 0});
+    grid.parameters[s] = active_parameters(mc.model.spec());
+    for (std::size_t p = 0; p < grid.parameters[s].size(); ++p) {
+      const std::string& name = grid.parameters[s][p];
+      const platform::PlatformModel isolated(mc.model.base(),
+                                             platform::isolate_parameter(mc.model.spec(), name));
+      append_seed_grid(grid, s, mc, isolated, name + ",", McCellOrigin::Kind::Tornado, p,
+                       nprocs);
     }
   }
+  return grid;
+}
 
-  // --- one sweep ----------------------------------------------------------
-  SweepOptions sweep_options;
-  sweep_options.jobs = options.jobs;
-  sweep_options.cancel = options.cancel;
-  const std::vector<ScenarioOutcome> outcomes = sweep(trace, cells, sweep_options);
-
-  // --- fold back ----------------------------------------------------------
+McReport mc_fold(const std::vector<McScenario>& scenarios, const McGrid& grid,
+                 const std::vector<ScenarioOutcome>& outcomes) {
   // Outcomes come back in input order, so the fold is order-free by
   // construction and the aggregate never depends on worker scheduling.
+  McReport report;
+  report.scenarios.resize(scenarios.size());
   std::vector<double> baselines(scenarios.size(), 0.0);
   std::vector<std::vector<std::vector<double>>> tornado_samples(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     report.scenarios[s].label = scenarios[s].label;
     report.scenarios[s].backend = scenarios[s].backend;
-    report.scenarios[s].replicates.resize(grids[s].size());
-    tornado_samples[s].resize(params[s].size());
+    report.scenarios[s].replicates.resize(grid.seeds[s].size());
+    tornado_samples[s].resize(grid.parameters[s].size());
   }
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const CellOrigin& o = origins[i];
+    const McCellOrigin& o = grid.origins[i];
     McScenarioReport& sr = report.scenarios[o.scenario];
     switch (o.kind) {
-      case CellOrigin::Kind::Main:
-        sr.replicates[o.replicate].seed = grids[o.scenario][o.replicate];
+      case McCellOrigin::Kind::Main:
+        sr.replicates[o.replicate].seed = grid.seeds[o.scenario][o.replicate];
         sr.replicates[o.replicate].outcome = outcomes[i];
         if (!outcomes[i].ok) ++sr.failures;
         break;
-      case CellOrigin::Kind::Baseline:
+      case McCellOrigin::Kind::Baseline:
         if (outcomes[i].ok) baselines[o.scenario] = outcomes[i].result.simulated_time;
         break;
-      case CellOrigin::Kind::Tornado:
+      case McCellOrigin::Kind::Tornado:
         if (outcomes[i].ok) {
           tornado_samples[o.scenario][o.parameter].push_back(
               outcomes[i].result.simulated_time);
@@ -214,16 +194,27 @@ McReport mc_sweep(const titio::SharedTrace& trace,
       if (r.outcome.ok) times.push_back(r.outcome.result.simulated_time);
     }
     sr.simulated_time = obs::summarize(std::move(times));
-    if (options.tornado) {
+    if (grid.tornado) {
       std::vector<std::pair<std::string, std::vector<double>>> bars;
-      bars.reserve(params[s].size());
-      for (std::size_t p = 0; p < params[s].size(); ++p) {
-        bars.emplace_back(params[s][p], std::move(tornado_samples[s][p]));
+      bars.reserve(grid.parameters[s].size());
+      for (std::size_t p = 0; p < grid.parameters[s].size(); ++p) {
+        bars.emplace_back(grid.parameters[s][p], std::move(tornado_samples[s][p]));
       }
       sr.tornado = obs::tornado(baselines[s], bars);
     }
   }
   return report;
+}
+
+McReport mc_sweep(const titio::SharedTrace& trace,
+                  const std::vector<McScenario>& scenarios,
+                  const McOptions& options) {
+  if (scenarios.empty()) return McReport{};
+  const McGrid grid = mc_expand(scenarios, trace.nprocs(), options);
+  SweepOptions sweep_options;
+  sweep_options.jobs = options.jobs;
+  sweep_options.cancel = options.cancel;
+  return mc_fold(scenarios, grid, sweep(trace, grid.cells, sweep_options));
 }
 
 std::string mc_report_json(const McReport& report) {

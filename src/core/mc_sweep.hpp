@@ -7,8 +7,11 @@
 // scenario × seed grid (plus, when requested, the one-at-a-time tornado
 // sub-grids) into a flat vector of plain Scenarios, each owning its sampled
 // platform instance through platform::PlatformRef, and pushes the whole
-// thing through ONE unchanged core::sweep call.  Every guarantee of the
-// sweep layer is inherited wholesale:
+// thing through ONE unchanged core::sweep call.  The two halves are public
+// (mc_expand, mc_fold) so a caller that runs the sweep itself — the
+// prediction service streams every cell as it finishes — expands and folds
+// exactly the same grid.  Every guarantee of the sweep layer is inherited
+// wholesale:
 //
 //   * Determinism — platform sampling is a pure function of (seed, parameter
 //     identity) and each cell's replay is bit-identical at any worker count,
@@ -97,13 +100,46 @@ std::vector<std::uint64_t> mc_seed_grid(const platform::PerturbationSpec& spec,
 /// rate is scaled by instance.speed / base.speed of that host.  When every
 /// multiplier is exactly 1.0 the config is returned unchanged — including
 /// its rate-vector shape — so unperturbed sweeps are bit-for-bit unaffected.
-/// mc_sweep applies this to every sampled cell; the prediction service
-/// applies it to its own expansion (src/svc/server.cpp).
+/// mc_expand applies this to every sampled cell.
 ReplayConfig scale_rates_for_instance(const ReplayConfig& config, int nprocs,
                                       const platform::Platform& base,
                                       const platform::Platform& instance);
 
-/// Expand scenarios × seeds (and tornado sub-grids) through one core::sweep.
+/// Where one expanded cell folds back to: replicate `replicate` of the main
+/// grid, of tornado parameter `parameter`'s grid, or the scenario's single
+/// unperturbed baseline cell.
+struct McCellOrigin {
+  std::size_t scenario = 0;
+  enum class Kind { Main, Tornado, Baseline } kind = Kind::Main;
+  std::size_t parameter = 0;  ///< index into McGrid::parameters[scenario]
+  std::size_t replicate = 0;  ///< index into McGrid::seeds[scenario]
+};
+
+/// A Monte Carlo grid expanded into plain cells.  Per scenario the cells
+/// are its seed grid in order (labelled `label[seed=N]`), then under
+/// McOptions::tornado the baseline (`label[baseline]`) and one seed grid per
+/// active parameter (`label[PARAM,seed=N]`).  Each cell owns its sampled
+/// platform, with the instance's host speeds folded into its rates.
+struct McGrid {
+  std::vector<Scenario> cells;
+  std::vector<McCellOrigin> origins;                  ///< parallel to cells
+  std::vector<std::vector<std::uint64_t>> seeds;      ///< per scenario
+  std::vector<std::vector<std::string>> parameters;   ///< per scenario, tornado only
+  bool tornado = false;
+};
+
+/// Sample every cell of the grid.  `nprocs` is the trace's rank count (the
+/// rate scaling places rank r on host r % host_count).  Throws ConfigError
+/// for a scenario without a base platform or a grid without a size.
+McGrid mc_expand(const std::vector<McScenario>& scenarios, int nprocs,
+                 const McOptions& options);
+
+/// Fold the outcomes of `grid.cells` (same order) back into per-scenario
+/// replicates, quantiles and tornado bars.
+McReport mc_fold(const std::vector<McScenario>& scenarios, const McGrid& grid,
+                 const std::vector<ScenarioOutcome>& outcomes);
+
+/// mc_expand, one core::sweep over the cells, mc_fold.
 McReport mc_sweep(const titio::SharedTrace& trace,
                   const std::vector<McScenario>& scenarios,
                   const McOptions& options = {});

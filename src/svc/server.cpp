@@ -395,56 +395,42 @@ void Server::run_job(Job& job) {
           });
     }
 
-    // --- perturbation: seeded platform instances, keys fold spec + seed -----
-    // Each replicate's instance is cached under mix(mix(base platform key,
-    // canonical-spec hash), instance seed): two jobs that differ only in the
-    // perturbation spec or seed can never collide to one cached platform —
-    // and because the calibration key below derives from the *effective*
-    // platform key, their calibrations cannot collide either (regression
-    // test: SvcPerturb.TwoSeedsNeverShareCacheEntries).
+    // --- perturbation: a platform family sampled at the seed grid -----------
+    // Instances are not cached: each is a pure function of (base platform,
+    // spec, seed) that costs one Platform copy, and core::mc_expand samples
+    // them below.  A perturbed job calibrates on its first seed's instance,
+    // so the calibration key folds the spec hash and that seed — two jobs
+    // that differ only in perturbation never share a calibration
+    // (SvcPerturb.TwoSeedsNeverShareCacheEntries).
     const bool perturbed = !request.perturb.empty();
-    tir::platform::PerturbationSpec perturb_spec;
-    std::vector<std::uint64_t> mc_seeds;
-    std::vector<std::shared_ptr<const tir::platform::Platform>> instances;
-    std::uint64_t effective_platform_key = platform_key;
+    tir::platform::PlatformModel model;
+    core::McOptions mc_options;
+    mc_options.replicates = std::max(1, request.mc_replicates);
+    std::uint64_t first_seed = 0;
+    std::uint64_t calibration_platform_key = platform_key;
     if (perturbed) {
-      perturb_spec = tir::platform::PerturbationSpec::parse(request.perturb);
-      const std::uint64_t spec_hash = perturb_spec.hash();
-      const int replicates = std::max(1, request.mc_replicates);
-      const tir::platform::PlatformModel model(platform, perturb_spec);
-      for (int r = 0; r < replicates; ++r) {
-        const std::uint64_t seed = perturb_spec.replicate_seed(static_cast<std::uint64_t>(r));
-        mc_seeds.push_back(seed);
-        const std::uint64_t instance_key =
-            binio::mix64(binio::mix64(platform_key, spec_hash), seed);
-        instances.push_back(platforms_.get_or_load(
-            instance_key, [&] { return model.instantiate(seed); },
-            [&](const std::shared_ptr<const tir::platform::Platform>& p) {
-              return 1024 + 128 * static_cast<std::uint64_t>(p->host_count());
-            }));
-      }
-      effective_platform_key = binio::mix64(binio::mix64(platform_key, spec_hash), mc_seeds[0]);
+      model = tir::platform::PlatformModel(
+          platform, tir::platform::PerturbationSpec::parse(request.perturb));
+      first_seed = core::mc_seed_grid(model.spec(), mc_options).front();
+      calibration_platform_key =
+          binio::mix64(binio::mix64(platform_key, model.spec().hash()), first_seed);
     }
 
-    // --- calibration: keyed by effective platform + canonical request -------
-    // A perturbed job calibrates on its first replicate instance — the rate
-    // then reflects the sampled machine, and the key inherits spec + seed
-    // through effective_platform_key.
+    // --- calibration: keyed by the platform + canonical request -------------
     double calibrated_rate = 0.0;
     bool calibration_computed = false;
     double calibrate_seconds = 0.0;
     if (request.calibrate) {
       const auto t_calibrate = std::chrono::steady_clock::now();
       const std::uint64_t calibration_key =
-          hash_bytes(binio::mix64(effective_platform_key, 'C'),
+          hash_bytes(binio::mix64(calibration_platform_key, 'C'),
                      core::calibration_cache_key(request.calibration));
-      const tir::platform::Platform& calibration_platform =
-          perturbed ? *instances[0] : *platform;
       calibrated_rate = calibrations_.get_or_load(
           calibration_key,
           [&] {
             calibration_computed = true;
-            return core::calibrate_rate(calibration_platform, request.calibration);
+            return core::calibrate_rate(perturbed ? *model.instantiate(first_seed) : *platform,
+                                        request.calibration);
           },
           [](const double&) { return 8; });
       calibrate_seconds = seconds_since(t_calibrate);
@@ -466,36 +452,34 @@ void Server::run_job(Job& job) {
     job.client->send(started);
 
     // --- scenarios -----------------------------------------------------------
-    // Perturbed jobs expand every ScenarioSpec over the replicate seeds,
-    // spec-major (replicate r of spec s sits at index s * replicates + r).
-    // Scenarios own their sampled platform through the shared_ptr-backed
-    // PlatformRef, so a cache eviction mid-sweep cannot dangle them.
-    const std::size_t replicates = perturbed ? mc_seeds.size() : 1;
-    std::vector<std::unique_ptr<obs::TimelineSink>> sinks;
-    std::vector<core::Scenario> scenarios;
-    scenarios.reserve(request.scenarios.size() * replicates);
+    // One McScenario per ScenarioSpec; a perturbed job expands them through
+    // core::mc_expand (its cells own their sampled platforms), an
+    // unperturbed one replays each spec once on the base platform.
+    std::vector<core::McScenario> specs;
     for (const ScenarioSpec& spec : request.scenarios) {
-      for (std::size_t r = 0; r < replicates; ++r) {
-        core::Scenario sc;
-        sc.platform = perturbed ? tir::platform::PlatformRef(instances[r])
-                                : tir::platform::PlatformRef(platform);
-        sc.backend = spec.backend;
-        sc.label = perturbed ? spec.label + "[seed=" + std::to_string(mc_seeds[r]) + "]"
-                             : spec.label;
-        sc.config.rates = spec.rates.empty() ? std::vector<double>{calibrated_rate} : spec.rates;
-        if (perturbed) {
-          // host.speed perturbations reach a time-independent replay only
-          // through the calibrated rates (core::scale_rates_for_instance).
-          sc.config = core::scale_rates_for_instance(sc.config, trace->nprocs(),
-                                                     *platform, *instances[r]);
-        }
-        sc.config.sharing = spec.contention ? sim::Sharing::MaxMin : sim::Sharing::Uncontended;
-        sc.config.watchdog_seconds = spec.watchdog_seconds;
-        if (request.metrics) {
-          sinks.push_back(std::make_unique<obs::TimelineSink>());
-          sc.config.sink = sinks.back().get();
-        }
-        scenarios.push_back(std::move(sc));
+      core::McScenario sc;
+      sc.model = model;
+      sc.config.rates = spec.rates.empty() ? std::vector<double>{calibrated_rate} : spec.rates;
+      sc.config.sharing = spec.contention ? sim::Sharing::MaxMin : sim::Sharing::Uncontended;
+      sc.config.watchdog_seconds = spec.watchdog_seconds;
+      sc.backend = spec.backend;
+      sc.label = spec.label;
+      specs.push_back(std::move(sc));
+    }
+    core::McGrid grid;
+    if (perturbed) {
+      grid = core::mc_expand(specs, trace->nprocs(), mc_options);
+    } else {
+      for (const core::McScenario& sc : specs) {
+        grid.cells.push_back({platform, sc.config, sc.backend, sc.label});
+      }
+    }
+    std::vector<core::Scenario>& scenarios = grid.cells;
+    std::vector<std::unique_ptr<obs::TimelineSink>> sinks;
+    if (request.metrics) {
+      for (core::Scenario& sc : scenarios) {
+        sinks.push_back(std::make_unique<obs::TimelineSink>());
+        sc.config.sink = sinks.back().get();
       }
     }
 
@@ -543,26 +527,22 @@ void Server::run_job(Job& job) {
     done.set("replay_seconds", replay_seconds);
 
     if (perturbed) {
-      // Aggregate quantiles per original ScenarioSpec (the expansion is
-      // spec-major, so spec s owns outcomes [s*replicates, (s+1)*replicates)).
-      // Seeds are 64-bit draws: rendered as decimal strings, not JSON
-      // numbers, so they survive double round-tripping bit-exactly.
+      // Aggregate quantiles per original ScenarioSpec.  Seeds are 64-bit
+      // draws: rendered as decimal strings, not JSON numbers, so they
+      // survive double round-tripping bit-exactly.
+      const core::McReport report = core::mc_fold(specs, grid, outcomes);
       Json mc = Json::object();
-      mc.set("spec", perturb_spec.canonical());
+      mc.set("spec", model.spec().canonical());
       Json seeds_json = Json::array();
-      for (const std::uint64_t seed : mc_seeds) seeds_json.push_back(std::to_string(seed));
+      for (const std::uint64_t seed : grid.seeds.front()) {
+        seeds_json.push_back(std::to_string(seed));
+      }
       mc.set("seeds", std::move(seeds_json));
       Json groups = Json::array();
-      for (std::size_t s = 0; s < request.scenarios.size(); ++s) {
-        std::vector<double> times;
-        times.reserve(replicates);
-        for (std::size_t r = 0; r < replicates; ++r) {
-          const core::ScenarioOutcome& o = outcomes[s * replicates + r];
-          if (o.ok) times.push_back(o.result.simulated_time);
-        }
-        const obs::DistributionSummary d = obs::summarize(std::move(times));
+      for (const core::McScenarioReport& sr : report.scenarios) {
+        const obs::DistributionSummary& d = sr.simulated_time;
         Json g = Json::object();
-        g.set("label", request.scenarios[s].label);
+        g.set("label", sr.label);
         g.set("n", d.n);
         g.set("mean", d.mean);
         g.set("stddev", d.stddev);
