@@ -9,6 +9,32 @@ namespace tir::core {
 
 namespace {
 
+/// Fold `instance`'s host-speed multipliers into the per-rank rates (the
+/// rule is documented on McGrid).
+ReplayConfig scale_rates_for_instance(const ReplayConfig& config, int nprocs,
+                                      const platform::Platform& base,
+                                      const platform::Platform& instance) {
+  ReplayConfig out = config;
+  if (out.rates.empty() || nprocs <= 0) return out;
+  const std::size_t hosts = base.host_count();
+  if (hosts == 0 || instance.host_count() != hosts) return out;
+  std::vector<double> mult(hosts);
+  bool any = false;
+  for (std::size_t h = 0; h < hosts; ++h) {
+    const platform::HostId id = static_cast<platform::HostId>(h);
+    mult[h] = instance.host(id).speed / base.host(id).speed;
+    if (mult[h] != 1.0) any = true;
+  }
+  if (!any) return out;
+  if (out.rates.size() == 1 && nprocs > 1) {
+    out.rates.assign(static_cast<std::size_t>(nprocs), out.rates[0]);
+  }
+  const std::size_t ranks =
+      std::min(out.rates.size(), static_cast<std::size_t>(nprocs));
+  for (std::size_t r = 0; r < ranks; ++r) out.rates[r] *= mult[r % hosts];
+  return out;
+}
+
 /// Append scenario `s`'s seed grid sampled from `model` (the scenario's own
 /// model, or one parameter's isolated model), labelled `label[TAGseed=N]`.
 void append_seed_grid(McGrid& grid, std::size_t s, const McScenario& mc,
@@ -91,30 +117,6 @@ std::vector<std::uint64_t> mc_seed_grid(const platform::PerturbationSpec& spec,
     seeds.push_back(spec.replicate_seed(static_cast<std::uint64_t>(i)));
   }
   return seeds;
-}
-
-ReplayConfig scale_rates_for_instance(const ReplayConfig& config, int nprocs,
-                                      const platform::Platform& base,
-                                      const platform::Platform& instance) {
-  ReplayConfig out = config;
-  if (out.rates.empty() || nprocs <= 0) return out;
-  const std::size_t hosts = base.host_count();
-  if (hosts == 0 || instance.host_count() != hosts) return out;
-  std::vector<double> mult(hosts);
-  bool any = false;
-  for (std::size_t h = 0; h < hosts; ++h) {
-    const platform::HostId id = static_cast<platform::HostId>(h);
-    mult[h] = instance.host(id).speed / base.host(id).speed;
-    if (mult[h] != 1.0) any = true;
-  }
-  if (!any) return out;
-  if (out.rates.size() == 1 && nprocs > 1) {
-    out.rates.assign(static_cast<std::size_t>(nprocs), out.rates[0]);
-  }
-  const std::size_t ranks =
-      std::min(out.rates.size(), static_cast<std::size_t>(nprocs));
-  for (std::size_t r = 0; r < ranks; ++r) out.rates[r] *= mult[r % hosts];
-  return out;
 }
 
 McGrid mc_expand(const std::vector<McScenario>& scenarios, int nprocs,
@@ -209,7 +211,6 @@ McReport mc_fold(const std::vector<McScenario>& scenarios, const McGrid& grid,
 McReport mc_sweep(const titio::SharedTrace& trace,
                   const std::vector<McScenario>& scenarios,
                   const McOptions& options) {
-  if (scenarios.empty()) return McReport{};
   const McGrid grid = mc_expand(scenarios, trace.nprocs(), options);
   SweepOptions sweep_options;
   sweep_options.jobs = options.jobs;

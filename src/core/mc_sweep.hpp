@@ -92,22 +92,8 @@ struct McReport {
 std::vector<std::uint64_t> mc_seed_grid(const platform::PerturbationSpec& spec,
                                         const McOptions& options);
 
-/// Fold a sampled instance's host-speed multipliers into a replay config.
-/// Time-independent replay computes at the *calibrated* per-rank rate
-/// (ReplayConfig::rates), not at Platform::Host::speed, so a host.speed
-/// perturbation reaches the prediction only through the rates: rank r runs
-/// on host r % host_count (both back-ends place ranks that way), and its
-/// rate is scaled by instance.speed / base.speed of that host.  When every
-/// multiplier is exactly 1.0 the config is returned unchanged — including
-/// its rate-vector shape — so unperturbed sweeps are bit-for-bit unaffected.
-/// mc_expand applies this to every sampled cell.
-ReplayConfig scale_rates_for_instance(const ReplayConfig& config, int nprocs,
-                                      const platform::Platform& base,
-                                      const platform::Platform& instance);
-
 /// Where one expanded cell folds back to: replicate `replicate` of the main
-/// grid, of tornado parameter `parameter`'s grid, or the scenario's single
-/// unperturbed baseline cell.
+/// grid or of tornado parameter `parameter`'s grid, or the baseline cell.
 struct McCellOrigin {
   std::size_t scenario = 0;
   enum class Kind { Main, Tornado, Baseline } kind = Kind::Main;
@@ -119,7 +105,12 @@ struct McCellOrigin {
 /// are its seed grid in order (labelled `label[seed=N]`), then under
 /// McOptions::tornado the baseline (`label[baseline]`) and one seed grid per
 /// active parameter (`label[PARAM,seed=N]`).  Each cell owns its sampled
-/// platform, with the instance's host speeds folded into its rates.
+/// platform.  Time-independent replay computes at the calibrated per-rank
+/// rates, not at Host::speed, so a sampled host.speed multiplier reaches the
+/// prediction through the cell's rates: rank r runs on host r % host_count
+/// (both back-ends place ranks that way) and its rate is scaled by that
+/// host's instance/base speed ratio.  A cell whose multipliers are all 1.0
+/// keeps the scenario's config bit for bit, rate-vector shape included.
 struct McGrid {
   std::vector<Scenario> cells;
   std::vector<McCellOrigin> origins;                  ///< parallel to cells
@@ -128,9 +119,9 @@ struct McGrid {
   bool tornado = false;
 };
 
-/// Sample every cell of the grid.  `nprocs` is the trace's rank count (the
-/// rate scaling places rank r on host r % host_count).  Throws ConfigError
-/// for a scenario without a base platform or a grid without a size.
+/// Sample every cell of the grid; `nprocs` is the trace's rank count.
+/// Throws ConfigError for a scenario without a base platform or a grid
+/// without a size.
 McGrid mc_expand(const std::vector<McScenario>& scenarios, int nprocs,
                  const McOptions& options);
 

@@ -396,11 +396,9 @@ void Server::run_job(Job& job) {
     }
 
     // --- perturbation: a platform family sampled at the seed grid -----------
-    // Instances are not cached: each is a pure function of (base platform,
-    // spec, seed) that costs one Platform copy, and core::mc_expand samples
-    // them below.  A perturbed job calibrates on its first seed's instance,
-    // so the calibration key folds the spec hash and that seed — two jobs
-    // that differ only in perturbation never share a calibration
+    // Instances are not cached (each is one Platform copy; mc_expand samples
+    // them below).  A perturbed job calibrates on its first seed's instance,
+    // so the calibration key folds the spec hash and that seed
     // (SvcPerturb.TwoSeedsNeverShareCacheEntries).
     const bool perturbed = !request.perturb.empty();
     tir::platform::PlatformModel model;
@@ -544,17 +542,11 @@ void Server::run_job(Job& job) {
         Json g = Json::object();
         g.set("label", sr.label);
         g.set("n", d.n);
-        g.set("mean", d.mean);
-        g.set("stddev", d.stddev);
-        g.set("min", d.min);
-        g.set("max", d.max);
-        g.set("p5", d.p5);
-        g.set("p25", d.p25);
-        g.set("p50", d.p50);
-        g.set("p75", d.p75);
-        g.set("p95", d.p95);
-        g.set("ci95_lo", d.ci95_lo);
-        g.set("ci95_hi", d.ci95_hi);
+        const std::pair<const char*, double> fields[] = {
+            {"mean", d.mean}, {"stddev", d.stddev}, {"min", d.min}, {"max", d.max},
+            {"p5", d.p5},     {"p25", d.p25},       {"p50", d.p50}, {"p75", d.p75},
+            {"p95", d.p95},   {"ci95_lo", d.ci95_lo}, {"ci95_hi", d.ci95_hi}};
+        for (const auto& [name, value] : fields) g.set(name, value);
         groups.push_back(std::move(g));
       }
       mc.set("scenarios", std::move(groups));

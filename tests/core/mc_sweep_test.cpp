@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "apps/cg.hpp"
 #include "platform/clusters.hpp"
@@ -181,23 +182,52 @@ TEST(McSweep, HostSpeedPerturbationReachesThePrediction) {
 
   // The scaling itself: a scalar rate broadcasts to per-rank before the
   // per-host multipliers land; ranks wrap onto hosts modulo host_count.
-  const auto instance = platform::PlatformModel(p, spec).instantiate(1);
-  ReplayConfig config;
-  config.rates = {2e9};
-  const ReplayConfig scaled = scale_rates_for_instance(config, 6, *p, *instance);
-  ASSERT_EQ(scaled.rates.size(), 6u);
+  McScenario sc;
+  sc.model = platform::PlatformModel(p, spec);
+  sc.config.rates = {2e9};
+  McOptions one_seed;
+  one_seed.seeds = {1};
+  const Scenario scaled = mc_expand({sc}, 6, one_seed).cells.at(0);
+  ASSERT_EQ(scaled.config.rates.size(), 6u);
   for (int r = 0; r < 6; ++r) {
     const platform::HostId h = static_cast<platform::HostId>(r % 4);
-    const double mult = instance->host(h).speed / p->host(h).speed;
-    EXPECT_EQ(scaled.rates[static_cast<std::size_t>(r)], 2e9 * mult) << "rank " << r;
+    const double mult = scaled.platform->host(h).speed / p->host(h).speed;
+    EXPECT_EQ(scaled.config.rates[static_cast<std::size_t>(r)], 2e9 * mult) << "rank " << r;
     EXPECT_NE(mult, 1.0) << "host " << h;  // the spread is real, not vacuous
   }
 
   // No perturbation -> the config comes back bit-for-bit unchanged,
   // scalar shape included.
-  const ReplayConfig same = scale_rates_for_instance(config, 6, *p, *p);
-  ASSERT_EQ(same.rates.size(), 1u);
-  EXPECT_EQ(same.rates[0], 2e9);
+  sc.model = platform::PlatformModel(p, platform::PerturbationSpec{});
+  const Scenario same = mc_expand({sc}, 6, one_seed).cells.at(0);
+  ASSERT_EQ(same.config.rates.size(), 1u);
+  EXPECT_EQ(same.config.rates[0], 2e9);
+}
+
+// The grid layout callers that run their own sweep rely on: per scenario
+// the seed grid, then the baseline and one seed grid per active parameter,
+// and mc_fold of those cells' outcomes is exactly mc_sweep's report.
+TEST(McSweep, ExpandThenFoldIsTheSweep) {
+  const titio::SharedTrace trace = shared_cg();
+  platform::PerturbationSpec spec;
+  spec.host_speed = {platform::Distribution::Kind::Uniform, 0.2};
+  spec.link_latency = {platform::Distribution::Kind::Normal, 0.1};
+  const std::vector<McScenario> scenarios = both_backends(cluster(4), spec);
+  McOptions options;
+  options.seeds = {11, 12};
+  options.tornado = true;
+  const McGrid grid = mc_expand(scenarios, trace.nprocs(), options);
+  ASSERT_EQ(grid.cells.size(), 2u * (2 + 1 + 2 * 2));
+  ASSERT_EQ(grid.origins.size(), grid.cells.size());
+  const char* labels[] = {"smpi[seed=11]",            "smpi[seed=12]",
+                          "smpi[baseline]",           "smpi[host.speed,seed=11]",
+                          "smpi[host.speed,seed=12]", "smpi[link.lat,seed=11]",
+                          "smpi[link.lat,seed=12]",   "msg[seed=11]"};
+  for (std::size_t i = 0; i < std::size(labels); ++i) EXPECT_EQ(grid.cells[i].label, labels[i]);
+  EXPECT_EQ(grid.origins[7].scenario, 1u);
+
+  const McReport folded = mc_fold(scenarios, grid, sweep(trace, grid.cells));
+  EXPECT_EQ(mc_report_json(folded), mc_report_json(mc_sweep(trace, scenarios, options)));
 }
 
 TEST(McSweep, FailedReplicatesAreIsolatedAndCounted) {
