@@ -123,66 +123,46 @@ int main(int argc, char** argv) {
   double to = -1.0;
   bool save_ckpt = false;
 
+  const auto reject = [&](const char* what, const char* got) {
+    std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, got);
+    usage(argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-np" && i + 1 < argc) {
       if (!cli::parse_int(argv[++i], np) || np <= 0) {
-        std::fprintf(stderr, "%s: -np wants a positive integer, got '%s'\n", argv[0], argv[i]);
-        usage(argv[0]);
-        return 2;
+        return reject("-np wants a positive integer, got", argv[i]);
       }
     } else if (arg == "-platform" && i + 1 < argc) {
       platform_file = argv[++i];
     } else if (arg == "-rate" && i + 1 < argc) {
-      if (!cli::parse_double(argv[++i], rate)) {
-        std::fprintf(stderr, "%s: -rate wants a number, got '%s'\n", argv[0], argv[i]);
-        usage(argv[0]);
-        return 2;
-      }
+      if (!cli::parse_double(argv[++i], rate)) return reject("-rate wants a number, got", argv[i]);
     } else if (arg == "-backend" && i + 1 < argc) {
       const std::string backend = argv[++i];
-      if (backend == "msg") {
-        use_msg = true;
-      } else if (backend == "smpi") {
-        use_msg = false;
-      } else {
-        std::fprintf(stderr, "%s: unknown backend '%s' (expected smpi or msg)\n", argv[0],
-                     backend.c_str());
-        usage(argv[0]);
-        return 2;
+      if (backend != "msg" && backend != "smpi") {
+        return reject("unknown backend (expected smpi or msg)", argv[i]);
       }
+      use_msg = backend == "msg";
     } else if (arg == "-contention") {
       contention = true;
     } else if (arg == "-o" && i + 1 < argc) {
       out_base = argv[++i];
     } else if ((arg == "-from" || arg == "--from") && i + 1 < argc) {
       if (!cli::parse_double(argv[++i], from) || from < 0.0) {
-        std::fprintf(stderr, "%s: -from wants a non-negative number of seconds, got '%s'\n",
-                     argv[0], argv[i]);
-        usage(argv[0]);
-        return 2;
+        return reject("-from wants a non-negative number of seconds, got", argv[i]);
       }
     } else if ((arg == "-to" || arg == "--to") && i + 1 < argc) {
       if (!cli::parse_double(argv[++i], to) || to < 0.0) {
-        std::fprintf(stderr, "%s: -to wants a non-negative number of seconds, got '%s'\n",
-                     argv[0], argv[i]);
-        usage(argv[0]);
-        return 2;
+        return reject("-to wants a non-negative number of seconds, got", argv[i]);
       }
     } else if (arg == "-save-ckpt" || arg == "--save-ckpt") {
       save_ckpt = true;
     } else if (!arg.empty() && arg[0] != '-') {
-      if (!trace_path.empty()) {
-        std::fprintf(stderr, "%s: unexpected extra argument '%s' (trace already given: %s)\n",
-                     argv[0], arg.c_str(), trace_path.c_str());
-        usage(argv[0]);
-        return 2;
-      }
+      if (!trace_path.empty()) return reject("unexpected extra argument", arg.c_str());
       trace_path = arg;
     } else {
-      std::fprintf(stderr, "%s: unknown or incomplete option '%s'\n", argv[0], arg.c_str());
-      usage(argv[0]);
-      return 2;
+      return reject("unknown or incomplete option", arg.c_str());
     }
   }
   if (trace_path.empty()) {

@@ -59,55 +59,45 @@ int main(int argc, char** argv) {
   std::string fault_plan;
   if (const char* env = std::getenv("TIR_FAULT_PLAN")) fault_plan = env;
 
-  // Strict parsing: a malformed number rejects with usage + exit 2 instead of
-  // starting a daemon with capacity 0 or a wrapped-around cache budget.
-  const auto reject = [&](const char* what, const char* got) {
-    std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, got);
-    usage(argv[0]);
-    return 2;
-  };
-  const auto non_negative = [](const char* s, int& out) {
-    return cli::parse_int(s, out) && out >= 0;
-  };
+  // Every flag takes a value.  Strict parsing: a malformed or out-of-range
+  // number prints the usage and exits 2 instead of starting a daemon with
+  // capacity 0 or 2^64-1.
+  int queue = static_cast<int>(options.queue_capacity);
+  double cache_mb = static_cast<double>(options.cache_bytes) / (1 << 20);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "-listen" && i + 1 < argc) {
-      options.endpoint = argv[++i];
-    } else if (arg == "-workers" && i + 1 < argc) {
-      if (!cli::parse_int(argv[++i], options.workers)) {
-        return reject("-workers wants an integer, got", argv[i]);
-      }
-    } else if (arg == "-queue" && i + 1 < argc) {
-      int capacity = 0;
-      if (!cli::parse_int(argv[++i], capacity) || capacity <= 0) {
-        return reject("-queue wants a positive integer, got", argv[i]);
-      }
-      options.queue_capacity = static_cast<std::size_t>(capacity);
-    } else if (arg == "-cache-mb" && i + 1 < argc) {
-      double mb = 0.0;
+    const char* value = i + 1 < argc ? argv[++i] : nullptr;
+    bool ok = true;
+    if (value == nullptr) {
+      ok = false;
+    } else if (arg == "-listen") {
+      options.endpoint = value;
+    } else if (arg == "-workers") {
+      ok = cli::parse_int(value, options.workers);
+    } else if (arg == "-queue") {
+      ok = cli::parse_int(value, queue) && queue > 0;
+    } else if (arg == "-cache-mb") {
       // The upper bound keeps the byte count inside uint64_t.
-      if (!cli::parse_double(argv[++i], mb) || !(mb >= 0.0 && mb < 1e12)) {
-        return reject("-cache-mb wants a number of MiB in [0, 1e12), got", argv[i]);
-      }
-      options.cache_bytes = static_cast<std::uint64_t>(mb * (1 << 20));
-    } else if (arg == "-retry-after-ms" && i + 1 < argc) {
-      if (!non_negative(argv[++i], options.retry_after_ms)) {
-        return reject("-retry-after-ms wants a non-negative integer, got", argv[i]);
-      }
-    } else if (arg == "-read-timeout-ms" && i + 1 < argc) {
-      if (!non_negative(argv[++i], options.read_timeout_ms)) {
-        return reject("-read-timeout-ms wants a non-negative integer, got", argv[i]);
-      }
-    } else if (arg == "-write-timeout-ms" && i + 1 < argc) {
-      if (!non_negative(argv[++i], options.write_timeout_ms)) {
-        return reject("-write-timeout-ms wants a non-negative integer, got", argv[i]);
-      }
-    } else if ((arg == "-fault-plan" || arg == "--fault-plan") && i + 1 < argc) {
-      fault_plan = argv[++i];  // the flag wins over TIR_FAULT_PLAN
+      ok = cli::parse_double(value, cache_mb) && cache_mb >= 0 && cache_mb < 1e12;
+    } else if (arg == "-retry-after-ms") {
+      ok = cli::parse_int(value, options.retry_after_ms) && options.retry_after_ms >= 0;
+    } else if (arg == "-read-timeout-ms") {
+      ok = cli::parse_int(value, options.read_timeout_ms) && options.read_timeout_ms >= 0;
+    } else if (arg == "-write-timeout-ms") {
+      ok = cli::parse_int(value, options.write_timeout_ms) && options.write_timeout_ms >= 0;
+    } else if (arg == "-fault-plan" || arg == "--fault-plan") {
+      fault_plan = value;  // the flag wins over TIR_FAULT_PLAN
     } else {
-      return reject("unknown or incomplete option", arg.c_str());
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "%s: bad option '%s %s'\n", argv[0], arg.c_str(), value ? value : "");
+      usage(argv[0]);
+      return 2;
     }
   }
+  options.queue_capacity = static_cast<std::size_t>(queue);
+  options.cache_bytes = static_cast<std::uint64_t>(cache_mb * (1 << 20));
 
   // MSG_NOSIGNAL covers socket sends, but belt and braces: a write to any
   // broken pipe must surface as an error return, never kill the daemon.
