@@ -20,6 +20,7 @@
 #include "core/sweep.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/ckpt_records.hpp"
 #include "titio/reader.hpp"
@@ -32,7 +33,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_file(const std::string& name) {
-  return fs::temp_directory_path() / ("ckpt_" + name + ".titb");
+  return test::unique_temp_path("ckpt_" + name, ".titb");
 }
 
 platform::Platform cluster(int n) {
@@ -292,6 +293,7 @@ TEST(CkptRecords, AppendReadRoundTripAndMergeByFingerprint) {
   // The appended records do not disturb the action stream.
   const tit::Trace reread = titio::read_binary_trace(path.string());
   EXPECT_EQ(reread.total_actions(), pingpong(4).total_actions());
+  fs::remove(path);
 }
 
 TEST(CkptRecords, ContentHashIsInvariantUnderCheckpointAppend) {
@@ -301,6 +303,7 @@ TEST(CkptRecords, ContentHashIsInvariantUnderCheckpointAppend) {
   titio::append_checkpoints(path.string(), {synthetic_block(0xCAFE, 2)});
   EXPECT_EQ(titio::Reader(path.string()).content_hash(), before)
       << "the service cache key must not depend on checkpoint records";
+  fs::remove(path);
 }
 
 TEST(CkptRecords, V1FilesStayReadableAndCarryNoCheckpoints) {
@@ -326,6 +329,7 @@ TEST(CkptRecords, V1FilesStayReadableAndCarryNoCheckpoints) {
   EXPECT_EQ(titio::Reader(path.string()).version(), titio::kVersion);
   EXPECT_EQ(titio::read_checkpoints(path.string()).size(), 1u);
   EXPECT_EQ(titio::read_binary_trace(path.string()).total_actions(), trace.total_actions());
+  fs::remove(path);
 }
 
 TEST(CkptRecords, CorruptCheckpointFrameDegradesToEmptyNotFatal) {
@@ -347,6 +351,7 @@ TEST(CkptRecords, CorruptCheckpointFrameDegradesToEmptyNotFatal) {
   EXPECT_EQ(titio::read_binary_trace(path.string()).total_actions(),
             pingpong(5).total_actions());
   EXPECT_TRUE(titio::read_checkpoints(path.string()).empty());
+  fs::remove(path);
 }
 
 // --- adoption after a tail append ------------------------------------------
@@ -433,6 +438,7 @@ TEST(CkptAdopt, SaveAndAdoptFileRoundTrip) {
   other.rates = {7e8};
   ReplayCursor stranger(trace, p, other, core::Backend::Smpi);
   EXPECT_EQ(stranger.adopt_file(path.string()), 0u);
+  fs::remove(path);
 }
 
 // --- window_sweep ----------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "base/rng.hpp"
 #include "core/replay.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/reader.hpp"
 #include "titio/writer.hpp"
@@ -89,8 +90,7 @@ void inject_fault(std::vector<char>& bytes, rng::Sequence& rand) {
 class FaultInjection : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FaultInjection, ReaderNeverHangsOrServesGarbage) {
-  const fs::path path =
-      fs::temp_directory_path() / ("titio_fault_" + std::to_string(GetParam()) + ".titb");
+  const fs::path path = test::unique_temp_path("titio_fault", ".titb");
   write_binary_trace(sample_trace(), path.string(), WriterOptions{96});
   std::vector<char> bytes = slurp(path);
   rng::Sequence rand(GetParam());
@@ -122,8 +122,7 @@ TEST_P(FaultInjection, ReaderNeverHangsOrServesGarbage) {
 }
 
 TEST_P(FaultInjection, ReplayOfDamagedTraceTerminatesWithTypedError) {
-  const fs::path path =
-      fs::temp_directory_path() / ("titio_fault_rp_" + std::to_string(GetParam()) + ".titb");
+  const fs::path path = test::unique_temp_path("titio_fault_rp", ".titb");
   write_binary_trace(sample_trace(), path.string(), WriterOptions{96});
   std::vector<char> bytes = slurp(path);
   rng::Sequence rand(rng::mix64(GetParam()));

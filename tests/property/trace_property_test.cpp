@@ -9,6 +9,7 @@
 #include "apps/jacobi.hpp"
 #include "apps/lu.hpp"
 #include "base/rng.hpp"
+#include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 
 namespace tir::tit {
@@ -74,14 +75,12 @@ TEST_P(TraceRoundTrip, FileRoundTripIsLossless) {
   Trace trace(nprocs);
   for (int i = 0; i < 300; ++i) trace.push(random_action(rand, nprocs));
 
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / ("tit_prop_" + std::to_string(GetParam()));
+  const std::filesystem::path dir = test::unique_temp_dir("tit_prop");
   const std::string manifest = write_trace(trace, dir.string(), "t");
   const Trace back = load_trace(manifest);
   ASSERT_EQ(back.nprocs(), nprocs);
   for (int p = 0; p < nprocs; ++p) EXPECT_EQ(back.actions(p), trace.actions(p));
-  fs::remove_all(dir);
+  std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceRoundTrip, ::testing::Range<std::uint64_t>(1, 17));

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "base/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace tir::tit {
 namespace {
@@ -160,7 +161,7 @@ TEST(TitIo, WriteAndLoadRoundTrip) {
   t.push({ActionType::Recv, 1, 0, 1240, 0});
   t.push({ActionType::Finalize, 1, -1, 0, 0});
 
-  const std::string dir = std::filesystem::temp_directory_path() / "tit_roundtrip";
+  const std::string dir = test::unique_temp_dir("tit_roundtrip");
   const std::string manifest = write_trace(t, dir, "lu_test");
   const Trace back = load_trace(manifest);
   ASSERT_EQ(back.nprocs(), 2);
@@ -171,8 +172,7 @@ TEST(TitIo, WriteAndLoadRoundTrip) {
 
 TEST(TitIo, SingleFileManifestNeedsProcessCount) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "tit_shared";
-  fs::create_directories(dir);
+  const fs::path dir = test::unique_temp_dir("tit_shared");
   {
     std::FILE* f = std::fopen((dir / "shared.tit").c_str(), "w");
     std::fputs("p0 compute 10\np1 compute 20\n", f);

@@ -13,6 +13,7 @@
 
 #include "base/binio.hpp"
 #include "base/error.hpp"
+#include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/reader.hpp"
 #include "titio/writer.hpp"
@@ -23,7 +24,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_file(const std::string& name) {
-  return fs::temp_directory_path() / ("titio_batch_" + name + ".titb");
+  return test::unique_temp_path("titio_batch_" + name, ".titb");
 }
 
 std::vector<char> slurp(const fs::path& path) {

@@ -10,6 +10,7 @@
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
+#include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/reader.hpp"
 #include "titio/writer.hpp"
@@ -20,7 +21,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_file(const std::string& name) {
-  return fs::temp_directory_path() / ("titio_" + name + ".titb");
+  return test::unique_temp_path("titio_" + name, ".titb");
 }
 
 tit::Action random_action(rng::Sequence& rand, int nprocs) {

@@ -12,6 +12,7 @@
 #include "base/error.hpp"
 #include "core/replay.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/reader.hpp"
 #include "titio/writer.hpp"
@@ -22,7 +23,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path temp_file(const std::string& name) {
-  return fs::temp_directory_path() / ("titio_rec_" + name + ".titb");
+  return test::unique_temp_path("titio_rec_" + name, ".titb");
 }
 
 std::vector<char> slurp(const fs::path& path) {

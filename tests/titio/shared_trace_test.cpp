@@ -13,6 +13,7 @@
 #include "apps/cg.hpp"
 #include "core/replay.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
 #include "titio/reader.hpp"
 #include "titio/writer.hpp"
 
@@ -137,7 +138,7 @@ TEST(SharedTrace, ConcurrentCursorReplaysAreBitIdentical) {
 TEST(SharedTrace, LoadDecodesTitbOnce) {
   const apps::CgConfig cg{/*nprocs=*/4, /*iterations=*/6};
   const tit::Trace trace = apps::cg_trace(cg);
-  const fs::path path = fs::temp_directory_path() / "shared_trace_load.titb";
+  const fs::path path = test::unique_temp_path("shared_trace_load", ".titb");
   write_binary_trace(trace, path.string());
 
   const SharedTrace shared = SharedTrace::load(path.string());
@@ -174,7 +175,7 @@ TEST(SourceReuse, MemorySourceSecondReplayYieldsSameResult) {
 
 TEST(SourceReuse, SinglePassReaderSecondReplayThrowsConfigError) {
   const tit::Trace trace = two_rank_trace();
-  const fs::path path = fs::temp_directory_path() / "shared_trace_reuse.titb";
+  const fs::path path = test::unique_temp_path("shared_trace_reuse", ".titb");
   write_binary_trace(trace, path.string());
 
   Reader reader(path.string());

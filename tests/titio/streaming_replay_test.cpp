@@ -10,6 +10,7 @@
 #include "apps/jacobi.hpp"
 #include "core/replay.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
 #include "titio/reader.hpp"
 #include "titio/writer.hpp"
 
@@ -38,7 +39,7 @@ core::ReplayConfig config() {
 }
 
 void expect_stream_matches_memory(const tit::Trace& trace, const std::string& tag) {
-  const fs::path path = fs::temp_directory_path() / ("titio_equiv_" + tag + ".titb");
+  const fs::path path = test::unique_temp_path("titio_equiv_" + tag, ".titb");
   write_binary_trace(trace, path.string(), WriterOptions{256});
   const platform::Platform p = cluster(trace.nprocs());
   const core::ReplayConfig cfg = config();
@@ -73,7 +74,7 @@ TEST(StreamingReplay, FiveMillionActionsWithinAFewMegabytes) {
   // iterations so the rank cursors genuinely interleave.
   const int nprocs = 8;
   const int per_rank = 640000;
-  const fs::path path = fs::temp_directory_path() / "titio_5m.titb";
+  const fs::path path = test::unique_temp_path("titio_5m", ".titb");
   std::uint64_t expected = 0;
   {
     Writer writer(path.string(), nprocs);
