@@ -20,9 +20,9 @@
 #include <string>
 
 #include "base/error.hpp"
-#include "cli_args.hpp"
 #include "base/string_util.hpp"
 #include "base/units.hpp"
+#include "cli_args.hpp"
 #include "tit/trace.hpp"
 #include "tit/validate.hpp"
 #include "titio/reader.hpp"
