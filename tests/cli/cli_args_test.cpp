@@ -9,8 +9,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <regex>
+#include <sstream>
 #include <string>
 
+#include "support/golden.hpp"
 #include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/writer.hpp"
@@ -23,6 +27,19 @@ int run(const std::string& command) {
   // Quiet: these invocations are EXPECTED to complain on stderr.
   const int status = std::system((command + " >/dev/null 2>&1").c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Wall-clock figures differ from run to run; the simulated ones must not.
+std::string mask_wall_clock(std::string text) {
+  text = std::regex_replace(text, std::regex("wall-clock: [^\n]*"), "wall-clock: <masked>");
+  return std::regex_replace(text, std::regex("\\(wall [0-9.]+ s\\)"), "(wall <masked>)");
 }
 
 /// Each test gets its own copy of the trace fixture: tir-profile -save-ckpt
@@ -43,6 +60,29 @@ class CliArgs : public ::testing::Test {
   }
 
   std::string titb_fixture() const { return (dir_ / "fixture.titb").string(); }
+
+  /// One golden section: the command line after the binary, its exit
+  /// status, then its stdout with wall-clock figures masked and the scratch
+  /// directory spelled <dir>.
+  std::string golden_run(const std::string& binary, const std::string& args) {
+    const fs::path out = dir_ / "stdout.txt";
+    const int status = run_to(binary + " " + args, out);
+    return "### " + scrub(args) + "\nexit " + std::to_string(status) + "\n" +
+           scrub(mask_wall_clock(read_file(out)));
+  }
+
+  std::string scrub(std::string text) const {
+    const std::string dir = dir_.string();
+    for (std::size_t at = text.find(dir); at != std::string::npos; at = text.find(dir, at)) {
+      text.replace(at, dir.size(), "<dir>");
+    }
+    return text;
+  }
+
+  static int run_to(const std::string& command, const fs::path& out) {
+    const int status = std::system((command + " >" + out.string() + " 2>/dev/null").c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
 
   fs::path dir_;
 };
@@ -178,6 +218,27 @@ TEST_F(CliArgs, SubmitNeedsARateOrACalibration) {
   // Well-formed jobs get as far as dialing, and nothing listens there.
   EXPECT_EQ(run(submit + " -rate 1e9" + trace), 11);
   EXPECT_EQ(run(submit + " -calibrate auto" + trace), 11);
+}
+
+// The stdout of four replay_cli runs on the fixture, pinned byte for byte
+// (wall-clock masked): a point run, a contended two-rate sweep, the MSG
+// back-end and a Monte Carlo tornado grid with its JSON report.
+TEST_F(CliArgs, ReplayCliOutputMatchesGolden) {
+  std::string got;
+  for (const char* args : {"", "-rate 1e9,2e9 -contention ", "-backend msg ",
+                           "-perturb 'seed=3;host.speed=uniform:0.2;link.bw=lognormal:0.1'"
+                           " -mc-seeds 3 -tornado -mc-report - "}) {
+    got += golden_run(TIR_REPLAY_CLI, args + titb_fixture());
+  }
+  tir::test::expect_matches_golden(std::string(TIR_CLI_GOLDEN_DIR) + "/replay_cli.txt", got);
+}
+
+// tir-profile's stdout and the metrics JSON it writes next to the .paje.
+TEST_F(CliArgs, ProfileOutputMatchesGolden) {
+  const fs::path base = dir_ / "profile";
+  std::string got = golden_run(TIR_PROFILE, "-o " + base.string() + " " + titb_fixture());
+  got += "### " + scrub(base.string()) + ".json\n" + read_file(base.string() + ".json");
+  tir::test::expect_matches_golden(std::string(TIR_CLI_GOLDEN_DIR) + "/tir_profile.txt", got);
 }
 
 TEST_F(CliArgs, TitConvertRejectsBadModesAndNprocs) {
