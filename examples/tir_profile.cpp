@@ -23,9 +23,7 @@
 // Simulated time before the snapshot appears as idle in the .paje —
 // it was skipped, not simulated.  Windowed mode requires the uncontended
 // sharing model (no -contention).
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "base/error.hpp"
@@ -37,8 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/paje.hpp"
 #include "obs/timeline.hpp"
-#include "platform/clusters.hpp"
-#include "platform/parse.hpp"
 #include "tit/trace.hpp"
 #include "titio/reader.hpp"
 
@@ -112,68 +108,27 @@ void print_window_table(const std::vector<std::vector<obs::Interval>>& timelines
 }  // namespace
 
 int main(int argc, char** argv) {
-  int np = -1;
-  std::string platform_file;
+  cli::JobFlags job;
+  job.rates = {1e9};
   std::string trace_path;
   std::string out_base = "tir-profile";
-  double rate = 1e9;
-  bool use_msg = false;
-  bool contention = false;
   double from = -1.0;
   double to = -1.0;
   bool save_ckpt = false;
 
-  const auto reject = [&](const char* what, const char* got) {
-    std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, got);
-    usage(argv[0]);
-    return 2;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-np" && i + 1 < argc) {
-      if (!cli::parse_int(argv[++i], np) || np <= 0) {
-        return reject("-np wants a positive integer, got", argv[i]);
-      }
-    } else if (arg == "-platform" && i + 1 < argc) {
-      platform_file = argv[++i];
-    } else if (arg == "-rate" && i + 1 < argc) {
-      if (!cli::parse_double(argv[++i], rate)) return reject("-rate wants a number, got", argv[i]);
-    } else if (arg == "-backend" && i + 1 < argc) {
-      const std::string backend = argv[++i];
-      if (backend != "msg" && backend != "smpi") {
-        return reject("unknown backend (expected smpi or msg)", argv[i]);
-      }
-      use_msg = backend == "msg";
-    } else if (arg == "-contention") {
-      contention = true;
-    } else if (arg == "-o" && i + 1 < argc) {
-      out_base = argv[++i];
-    } else if ((arg == "-from" || arg == "--from") && i + 1 < argc) {
-      if (!cli::parse_double(argv[++i], from) || from < 0.0) {
-        return reject("-from wants a non-negative number of seconds, got", argv[i]);
-      }
-    } else if ((arg == "-to" || arg == "--to") && i + 1 < argc) {
-      if (!cli::parse_double(argv[++i], to) || to < 0.0) {
-        return reject("-to wants a non-negative number of seconds, got", argv[i]);
-      }
-    } else if (arg == "-save-ckpt" || arg == "--save-ckpt") {
-      save_ckpt = true;
-    } else if (!arg.empty() && arg[0] != '-') {
-      if (!trace_path.empty()) return reject("unexpected extra argument", arg.c_str());
-      trace_path = arg;
-    } else {
-      return reject("unknown or incomplete option", arg.c_str());
-    }
-  }
-  if (trace_path.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  cli::Args args(usage);
+  job.declare_replay(args, /*rate_list=*/false);
+  args.option({"-o"}, out_base);
+  args.option({"-from", "--from"}, "a non-negative number of seconds",
+              cli::number(from, cli::non_negative));
+  args.option({"-to", "--to"}, "a non-negative number of seconds",
+              cli::number(to, cli::non_negative));
+  args.flag({"-save-ckpt", "--save-ckpt"}, save_ckpt);
+  args.positional("TRACE", true, trace_path);
+  if (!args.parse(argc, argv)) return cli::kUsageExit;
   const bool windowed = from >= 0.0 || to >= 0.0;
   if (windowed && (from < 0.0 || to < 0.0 || to <= from)) {
-    std::fprintf(stderr, "%s: -from and -to must be given together with from < to\n", argv[0]);
-    usage(argv[0]);
-    return 2;
+    return args.fail("-from and -to must be given together with from < to");
   }
 
   try {
@@ -181,30 +136,15 @@ int main(int argc, char** argv) {
     // front to build the default platform.
     tit::Trace trace = titio::is_binary_trace(trace_path)
                            ? titio::read_binary_trace(trace_path)
-                           : tit::load_trace(trace_path, np);
+                           : tit::load_trace(trace_path, job.np);
     const int nprocs = trace.nprocs();
     const std::size_t total_actions = trace.total_actions();
-
-    platform::Platform platform;
-    if (platform_file.empty()) {
-      platform::ClusterSpec spec;
-      spec.prefix = "node";
-      spec.nodes = trace.nprocs();
-      spec.core_speed = rate;
-      spec.link_bandwidth = 1.25e8;
-      spec.link_latency = 3e-5;
-      platform::build_flat_cluster(platform, spec);
-      std::fprintf(stderr,
-                   "[tir-profile] no -platform given: using a default %d-node 1GbE cluster\n",
-                   trace.nprocs());
-    } else {
-      platform = platform::load_platform(platform_file);
-    }
+    const platform::Platform platform = job.make_platform(nprocs, "tir-profile");
 
     obs::TimelineSink timeline;
     core::ReplayConfig cfg;
-    cfg.rates = {rate};
-    cfg.sharing = contention ? sim::Sharing::MaxMin : sim::Sharing::Uncontended;
+    cfg.rates = job.rates;
+    cfg.sharing = job.sharing();
     cfg.sink = &timeline;
 
     core::ReplayResult result;
@@ -219,7 +159,7 @@ int main(int argc, char** argv) {
       core::ReplayConfig recording_cfg = cfg;
       recording_cfg.sink = nullptr;
       ckpt::ReplayCursor cursor(titio::SharedTrace(std::move(trace)), platform, recording_cfg,
-                                use_msg ? core::Backend::Msg : core::Backend::Smpi);
+                                job.backend);
       const std::size_t adopted = is_titb ? cursor.adopt_file(trace_path) : 0;
       if (adopted == 0) {
         cursor.record();
@@ -247,8 +187,7 @@ int main(int argc, char** argv) {
       }
     } else {
       try {
-        result = use_msg ? core::replay_msg(trace, platform, cfg)
-                         : core::replay_smpi(trace, platform, cfg);
+        result = core::replay(job.backend, trace, platform, cfg);
       } catch (const SimError& e) {
         // Wedged replay: the timeline up to the wedge point plus the per-rank
         // diagnosis is exactly what the profile is for.  Finish the profile,
@@ -266,8 +205,7 @@ int main(int argc, char** argv) {
 
     std::printf("trace            : %s (%d processes, %zu actions)\n", trace_path.c_str(),
                 nprocs, total_actions);
-    std::printf("backend          : %s%s\n", use_msg ? "msg (old)" : "smpi (new)",
-                contention ? " + contention" : "");
+    std::printf("backend          : %s\n", job.describe().c_str());
     if (windowed) {
       std::printf("window           : [%.6f, %.6f] s (%s)\n", from, to, window_note.c_str());
     }

@@ -20,7 +20,6 @@
 #include "base/error.hpp"
 #include "cli_args.hpp"
 #include "platform/clusters.hpp"
-#include "platform/model.hpp"
 #include "svc/client.hpp"
 
 namespace {
@@ -61,17 +60,11 @@ void usage(const char* argv0) {
                argv0, argv0);
 }
 
-int exit_status(const std::string& code_name) {
-  for (int c = 0; c <= static_cast<int>(tir::kLastErrorCode); ++c) {
-    if (code_name == tir::error_code_name(static_cast<tir::ErrorCode>(c))) return 10 + c;
-  }
-  return 10;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace tir;
+  cli::JobFlags job;
   std::string endpoint;
   std::string op;
   bool json_output = false;
@@ -79,124 +72,59 @@ int main(int argc, char** argv) {
   svc::RetryPolicy policy;
   svc::JobRequest request;
   request.op = "predict";
-  std::vector<double> rates;
   svc::ScenarioSpec base;
 
-  // Strict parsing: unknown flags, flags missing their value and malformed
-  // numbers reject with usage + exit 2 (tests/cli/cli_args_test.cpp) — a
-  // typo must never submit the wrong job to a live daemon.
-  const auto need = [&](int i) { return i + 1 < argc; };
-  const auto reject = [&](const char* what, const char* got) {
-    std::fprintf(stderr, "%s: %s '%s'\n", argv[0], what, got);
-    usage(argv[0]);
-    return 2;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-connect" && need(i)) {
-      endpoint = argv[++i];
-    } else if (arg == "-ping" || arg == "-stats" || arg == "-flush" || arg == "-shutdown") {
-      op = arg.substr(1);
-    } else if (arg == "-np" && need(i)) {
-      if (!cli::parse_int(argv[++i], request.nprocs) || request.nprocs <= 0) {
-        return reject("-np wants a positive integer, got", argv[i]);
-      }
-    } else if (arg == "-platform" && need(i)) {
-      request.platform = argv[++i];
-    } else if (arg == "-rate" && need(i)) {
-      if (!cli::parse_doubles(argv[++i], rates)) {
-        return reject("-rate wants a comma-separated number list, got", argv[i]);
-      }
-    } else if (arg == "-backend" && need(i)) {
-      const std::string backend = argv[++i];
-      if (backend == "msg") {
-        base.backend = core::Backend::Msg;
-      } else if (backend == "smpi") {
-        base.backend = core::Backend::Smpi;
-      } else {
-        return reject("unknown backend (expected smpi or msg)", backend.c_str());
-      }
-    } else if (arg == "-contention") {
-      base.contention = true;
-    } else if (arg == "-watchdog" && need(i)) {
-      if (!cli::parse_double(argv[++i], base.watchdog_seconds) || base.watchdog_seconds < 0) {
-        return reject("-watchdog wants a non-negative number of seconds, got", argv[i]);
-      }
-    } else if (arg == "-metrics") {
-      request.metrics = true;
-    } else if (arg == "-calibrate" && need(i)) {
-      const std::string procedure = argv[++i];
-      if (procedure != "classic" && procedure != "cache-aware" && procedure != "auto") {
-        return reject("unknown calibration procedure", procedure.c_str());
-      }
-      request.calibrate = true;
-      request.calibration.procedure = procedure;
-    } else if (arg == "-truth" && need(i)) {
-      const std::string name = argv[++i];
-      if (name != "bordereau" && name != "graphene") {
-        return reject("unknown truth machine (expected bordereau or graphene)", name.c_str());
-      }
-      request.calibrate = true;
-      request.calibration.truth = name == "bordereau" ? platform::bordereau_truth()
-                                                      : platform::graphene_truth();
-    } else if (arg == "-class" && need(i)) {
-      const std::string cls = argv[++i];
-      if (cls.size() != 1 || cls[0] < 'A' || cls[0] > 'H') {
-        return reject("-class wants a single letter A-H, got", cls.c_str());
-      }
-      request.calibration.instance_class = cls[0];
-    } else if (arg == "-retries" && need(i)) {
-      if (!cli::parse_int(argv[++i], policy.max_attempts) || policy.max_attempts <= 0) {
-        return reject("-retries wants a positive integer, got", argv[i]);
-      }
-    } else if (arg == "-deadline" && need(i)) {
-      if (!cli::parse_double(argv[++i], policy.deadline_seconds) || policy.deadline_seconds < 0) {
-        return reject("-deadline wants a non-negative number of seconds, got", argv[i]);
-      }
-    } else if (arg == "-seed" && need(i)) {
-      if (!cli::parse_uint64(argv[++i], policy.seed)) {
-        return reject("-seed wants an unsigned integer, got", argv[i]);
-      }
-    } else if (arg == "-perturb" && need(i)) {
-      request.perturb = argv[++i];
-      try {
-        (void)platform::PerturbationSpec::parse(request.perturb);
-      } catch (const Error& e) {
-        return reject(e.what(), request.perturb.c_str());
-      }
-    } else if (arg == "-mc-seeds" && need(i)) {
-      if (!cli::parse_int(argv[++i], request.mc_replicates) || request.mc_replicates <= 0) {
-        return reject("-mc-seeds wants a positive integer, got", argv[i]);
-      }
-    } else if (arg == "-json") {
-      json_output = true;
-    } else if (arg == "-v") {
-      verbose = true;
-    } else if (!arg.empty() && arg[0] != '-') {
-      if (!request.trace.empty()) {
-        return reject("unexpected extra argument", arg.c_str());
-      }
-      request.trace = arg;
-    } else {
-      return reject("unknown or incomplete option", arg.c_str());
-    }
+  cli::Args args(usage);
+  args.option({"-connect"}, endpoint);
+  for (const char* name : {"-ping", "-stats", "-flush", "-shutdown"}) {
+    args.flag({name}, [&op, name] { op = name + 1; });
   }
+  job.declare_replay(args, /*rate_list=*/true);
+  job.declare_monte_carlo(args);
+  args.option({"-watchdog"}, "a non-negative number of seconds",
+              cli::number(base.watchdog_seconds, cli::non_negative));
+  args.flag({"-metrics"}, request.metrics);
+  args.option({"-calibrate"}, "classic, cache-aware or auto", [&](const std::string& v) {
+    if (v != "classic" && v != "cache-aware" && v != "auto") return false;
+    request.calibrate = true;
+    request.calibration.procedure = v;
+    return true;
+  });
+  args.option({"-truth"}, "bordereau or graphene", [&](const std::string& v) {
+    if (v != "bordereau" && v != "graphene") return false;
+    request.calibrate = true;
+    request.calibration.truth =
+        v == "bordereau" ? platform::bordereau_truth() : platform::graphene_truth();
+    return true;
+  });
+  args.option({"-class"}, "a single letter A-H", [&](const std::string& v) {
+    if (v.size() != 1 || v[0] < 'A' || v[0] > 'H') return false;
+    request.calibration.instance_class = v[0];
+    return true;
+  });
+  args.option({"-retries"}, "a positive integer", cli::number(policy.max_attempts, cli::positive));
+  args.option({"-deadline"}, "a non-negative number of seconds",
+              cli::number(policy.deadline_seconds, cli::non_negative));
+  args.option({"-seed"}, "an unsigned integer", cli::number(policy.seed, cli::any));
+  args.flag({"-json"}, json_output);
+  args.flag({"-v"}, verbose);
+  args.positional("TRACE", false, request.trace);
+  if (!args.parse(argc, argv)) return cli::kUsageExit;
   if (endpoint.empty() || (op.empty() && request.trace.empty())) {
-    usage(argv[0]);
-    return 2;
+    return args.fail("needs -connect and a TRACE or an op");
   }
-  if (request.mc_replicates > 0 && request.perturb.empty()) {
-    std::fprintf(stderr, "%s: -mc-seeds needs a -perturb spec\n", argv[0]);
-    usage(argv[0]);
-    return 2;
-  }
-  if (op.empty() && rates.empty() && !request.calibrate) {
+  if (job.mc_seeds > 0 && job.perturb.empty()) return args.fail("-mc-seeds needs a -perturb spec");
+  if (op.empty() && job.rates.empty() && !request.calibrate) {
     // The daemon refuses a scenario without rates in a job without a
     // calibration; say so here instead of after a round trip.
-    std::fprintf(stderr, "%s: a prediction needs -rate or -calibrate\n", argv[0]);
-    usage(argv[0]);
-    return 2;
+    return args.fail("a prediction needs -rate or -calibrate");
   }
+  request.nprocs = job.np;
+  request.platform = job.platform;
+  request.perturb = job.perturb;
+  request.mc_replicates = job.mc_seeds;
+  base.backend = job.backend;
+  base.contention = job.contention;
 
   try {
     if (!op.empty()) {
@@ -214,16 +142,14 @@ int main(int argc, char** argv) {
       return client.shutdown_server() ? 0 : 1;
     }
 
-    if (rates.empty()) {
+    if (job.rates.empty()) {
       base.label = request.calibrate ? "calibrated" : "default";
       request.scenarios.push_back(base);
     } else {
-      for (const double rate : rates) {
+      for (const double rate : job.rates) {
         svc::ScenarioSpec spec = base;
         spec.rates = {rate};
-        char label[64];
-        std::snprintf(label, sizeof label, "rate=%g", rate);
-        spec.label = label;
+        spec.label = cli::rate_label(rate);
         request.scenarios.push_back(std::move(spec));
       }
     }
@@ -261,7 +187,7 @@ int main(int argc, char** argv) {
                    result.error_code.c_str(), result.error.c_str());
       // Transport failures never got a server verdict: distinct exit code so
       // scripts can retry the whole submit instead of blaming the job.
-      return result.transport ? 11 : exit_status(result.error_code);
+      return result.transport ? 11 : cli::exit_status(error_code_from_name(result.error_code));
     }
 
     int failures = 0;
@@ -305,7 +231,7 @@ int main(int argc, char** argv) {
                   1e3 * result.epilogue.num_or("calibrate_seconds", 0.0),
                   1e3 * result.epilogue.num_or("replay_seconds", 0.0));
     }
-    return failures == 0 ? 0 : exit_status(first_code);
+    return failures == 0 ? 0 : cli::exit_status(error_code_from_name(first_code));
   } catch (const Error& e) {
     // Anything escaping here is transport-shaped (dial failure, endpoint
     // config): the daemon never saw the job.

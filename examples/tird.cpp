@@ -59,43 +59,25 @@ int main(int argc, char** argv) {
   std::string fault_plan;
   if (const char* env = std::getenv("TIR_FAULT_PLAN")) fault_plan = env;
 
-  // Every flag takes a value.  Strict parsing: a malformed or out-of-range
-  // number prints the usage and exits 2 instead of starting a daemon with
-  // capacity 0 or 2^64-1.
+  // Strict parsing: a malformed or out-of-range number prints the usage and
+  // exits 2 instead of starting a daemon with capacity 0 or 2^64-1.
   int queue = static_cast<int>(options.queue_capacity);
   double cache_mb = static_cast<double>(options.cache_bytes) / (1 << 20);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const char* value = i + 1 < argc ? argv[++i] : nullptr;
-    bool ok = true;
-    if (value == nullptr) {
-      ok = false;
-    } else if (arg == "-listen") {
-      options.endpoint = value;
-    } else if (arg == "-workers") {
-      ok = cli::parse_int(value, options.workers);
-    } else if (arg == "-queue") {
-      ok = cli::parse_int(value, queue) && queue > 0;
-    } else if (arg == "-cache-mb") {
-      // The upper bound keeps the byte count inside uint64_t.
-      ok = cli::parse_double(value, cache_mb) && cache_mb >= 0 && cache_mb < 1e12;
-    } else if (arg == "-retry-after-ms") {
-      ok = cli::parse_int(value, options.retry_after_ms) && options.retry_after_ms >= 0;
-    } else if (arg == "-read-timeout-ms") {
-      ok = cli::parse_int(value, options.read_timeout_ms) && options.read_timeout_ms >= 0;
-    } else if (arg == "-write-timeout-ms") {
-      ok = cli::parse_int(value, options.write_timeout_ms) && options.write_timeout_ms >= 0;
-    } else if (arg == "-fault-plan" || arg == "--fault-plan") {
-      fault_plan = value;  // the flag wins over TIR_FAULT_PLAN
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "%s: bad option '%s %s'\n", argv[0], arg.c_str(), value ? value : "");
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  cli::Args args(usage);
+  args.option({"-listen"}, options.endpoint);
+  args.option({"-workers"}, "an integer", cli::number(options.workers, cli::any));
+  args.option({"-queue"}, "a positive integer", cli::number(queue, cli::positive));
+  // The upper bound keeps the byte count inside uint64_t.
+  args.option({"-cache-mb"}, "a number of MiB in [0, 1e12)",
+              cli::number(cache_mb, [](double mb) { return mb >= 0 && mb < 1e12; }));
+  args.option({"-retry-after-ms"}, "a non-negative integer",
+              cli::number(options.retry_after_ms, cli::non_negative));
+  args.option({"-read-timeout-ms"}, "a non-negative integer",
+              cli::number(options.read_timeout_ms, cli::non_negative));
+  args.option({"-write-timeout-ms"}, "a non-negative integer",
+              cli::number(options.write_timeout_ms, cli::non_negative));
+  args.option({"-fault-plan", "--fault-plan"}, fault_plan);  // the flag wins over TIR_FAULT_PLAN
+  if (!args.parse(argc, argv)) return cli::kUsageExit;
   options.queue_capacity = static_cast<std::size_t>(queue);
   options.cache_bytes = static_cast<std::uint64_t>(cache_mb * (1 << 20));
 

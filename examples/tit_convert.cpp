@@ -124,7 +124,7 @@ int validate(const std::string& path, int nprocs) {
 /// Strict NPROCS parse: a positive decimal integer or nothing.  atoi-style
 /// leniency ("8x" -> 8, "banana" -> 0) would silently convert the wrong
 /// number of ranks.
-bool parse_nprocs(const char* s, int& out) { return tir::cli::parse_int(s, out) && out > 0; }
+bool parse_nprocs(const char* s, int& out) { return tir::cli::parse_number(s, out) && out > 0; }
 
 int main(int argc, char** argv) {
   const std::string usage =

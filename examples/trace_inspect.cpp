@@ -182,34 +182,15 @@ int inspect_text(const std::string& path, int np) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> positionals;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-    positionals.push_back(arg);
-  }
-  if (positionals.empty() || positionals.size() > 2) {
-    if (positionals.size() > 2) {
-      std::fprintf(stderr, "%s: unexpected extra argument '%s'\n", argv[0],
-                   positionals[2].c_str());
-    }
-    usage(argv[0]);
-    return 2;
-  }
+  std::string path;
   int np = -1;
-  if (positionals.size() == 2 && (!cli::parse_int(positionals[1].c_str(), np) || np <= 0)) {
-    std::fprintf(stderr, "%s: NPROCS must be a positive integer, got '%s'\n", argv[0],
-                 positionals[1].c_str());
-    usage(argv[0]);
-    return 2;
-  }
+  cli::Args args(usage);
+  args.positional("TRACE", true, path);
+  args.positional("NPROCS", false, "a positive integer", cli::number(np, cli::positive));
+  if (!args.parse(argc, argv)) return cli::kUsageExit;
   try {
-    if (titio::is_binary_trace(positionals[0])) return inspect_binary(positionals[0]);
-    return inspect_text(positionals[0], np);
+    if (titio::is_binary_trace(path)) return inspect_binary(path);
+    return inspect_text(path, np);
   } catch (const Error& e) {
     std::fprintf(stderr, "trace_inspect: %s\n", e.what());
     return 1;

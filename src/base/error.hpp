@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tir {
@@ -35,23 +37,25 @@ enum class ErrorCode : std::uint8_t {
   Cancelled,       ///< cooperative cancellation (deadline expiry, shutdown)
 };
 
-/// The last enumerator, for loops that map code <-> name exhaustively.
-inline constexpr ErrorCode kLastErrorCode = ErrorCode::Cancelled;
+/// Wire and stderr names of the codes, indexed by ErrorCode value.
+inline constexpr std::string_view kErrorCodeNames[] = {
+    "error",          "parse-error",      "config-error", "malformed-trace",
+    "corrupt-frame",  "simulation-error", "deadlock",     "watchdog",
+    "internal-error", "cancelled",
+};
+static_assert(std::size(kErrorCodeNames) == static_cast<std::size_t>(ErrorCode::Cancelled) + 1);
 
 inline const char* error_code_name(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::Generic: return "error";
-    case ErrorCode::Parse: return "parse-error";
-    case ErrorCode::Config: return "config-error";
-    case ErrorCode::MalformedTrace: return "malformed-trace";
-    case ErrorCode::CorruptFrame: return "corrupt-frame";
-    case ErrorCode::Sim: return "simulation-error";
-    case ErrorCode::Deadlock: return "deadlock";
-    case ErrorCode::Watchdog: return "watchdog";
-    case ErrorCode::Internal: return "internal-error";
-    case ErrorCode::Cancelled: return "cancelled";
+  const auto index = static_cast<std::size_t>(code);
+  return index < std::size(kErrorCodeNames) ? kErrorCodeNames[index].data() : "?";
+}
+
+/// The inverse of error_code_name; Generic for a name it never returns.
+inline ErrorCode error_code_from_name(std::string_view name) {
+  for (std::size_t index = 0; index < std::size(kErrorCodeNames); ++index) {
+    if (kErrorCodeNames[index] == name) return static_cast<ErrorCode>(index);
   }
-  return "?";
+  return ErrorCode::Generic;
 }
 
 /// Base class of every exception thrown by the TiR libraries.

@@ -108,12 +108,13 @@ struct ReplayConfig {
   WarningDedupe* warning_dedupe = nullptr;
 
   /// Cross-check the config against the trace before spawning anything:
-  /// a per-rank rate vector must cover every rank (throws ConfigError
-  /// naming the mismatch), and a vector *longer* than the rank count is
-  /// reported as a warning through the log and the attached sink — extra
-  /// entries are silently unreachable by rate_for(), which usually means a
-  /// miswired heterogeneous calibration.  Both replay engines call this
-  /// first (via core::ReplaySession).
+  /// every rate must be finite and > 0 and a per-rank rate vector must
+  /// cover every rank (throws ConfigError naming the mismatch), and a
+  /// vector *longer* than the rank count is reported as a warning through
+  /// the log and the attached sink — extra entries are silently
+  /// unreachable by rate_for(), which usually means a miswired
+  /// heterogeneous calibration.  Both replay engines call this first (via
+  /// core::ReplaySession).
   void check(int nprocs) const;
 
   double rate_for(int rank) const {

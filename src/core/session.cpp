@@ -1,5 +1,7 @@
 #include "core/session.hpp"
 
+#include <cmath>
+
 #include "base/log.hpp"
 
 namespace tir::core {
@@ -12,9 +14,9 @@ void ReplayConfig::check(int nprocs) const {
                       " calibrated rates (need 1 or >= nprocs)");
   }
   for (std::size_t r = 0; r < rates.size(); ++r) {
-    if (!(rates[r] > 0.0)) {
+    if (!(rates[r] > 0.0) || !std::isfinite(rates[r])) {
       throw ConfigError("calibrated rate for rank p" + std::to_string(r) +
-                        " is not positive: " + std::to_string(rates[r]));
+                        " is not positive and finite: " + std::to_string(rates[r]));
     }
   }
   if (nprocs > 0 && rates.size() > 1 && rates.size() > static_cast<std::size_t>(nprocs)) {

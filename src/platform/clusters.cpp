@@ -11,6 +11,16 @@ void build_flat_cluster(Platform& p, const ClusterSpec& spec) {
   }
 }
 
+Platform default_cluster(int nodes, double core_speed) {
+  Platform p;
+  ClusterSpec spec;
+  spec.nodes = nodes;
+  spec.core_speed = core_speed;
+  spec.link_latency = 3e-5;
+  build_flat_cluster(p, spec);
+  return p;
+}
+
 void build_cabinet_cluster(Platform& p, const ClusterSpec& spec, int cabinets,
                            double uplink_bandwidth, double uplink_latency) {
   TIR_ASSERT(cabinets >= 1);

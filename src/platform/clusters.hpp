@@ -26,6 +26,11 @@ struct ClusterSpec {
 /// One switch, every node attached to it.
 void build_flat_cluster(Platform& p, const ClusterSpec& spec);
 
+/// The platform the tools fall back on without a platform file: `nodes`
+/// single-core hosts at `core_speed` instructions/s on one switch, each on
+/// a gigabit link (1.25e8 B/s, 30 us).
+Platform default_cluster(int nodes, double core_speed);
+
 /// `cabinets` leaf switches under one root switch; nodes spread round-robin.
 void build_cabinet_cluster(Platform& p, const ClusterSpec& spec, int cabinets,
                            double uplink_bandwidth, double uplink_latency);

@@ -1,8 +1,10 @@
 #include "svc/json.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace tir::svc {
 
@@ -142,13 +144,48 @@ struct Parser {
     if (consume("true")) return Json(true);
     if (consume("false")) return Json(false);
     if (consume("null")) return Json(nullptr);
-    // Number: let strtod do the work, then validate it consumed something.
-    const std::string slice(text.substr(pos, 64));
-    char* end = nullptr;
-    const double v = std::strtod(slice.c_str(), &end);
-    if (end == slice.c_str()) fail("unexpected character");
-    pos += static_cast<std::size_t>(end - slice.c_str());
-    return Json(v);
+    return Json(parse_number());
+  }
+
+  /// RFC 8259 numbers only, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+  /// and finite: strtod alone would also take inf, nan, hex and 1e999 (as
+  /// inf).  A rejected token is reported at the offset where it starts.
+  double parse_number() {
+    const std::size_t start = pos;
+    const auto at = [&](const char* set) {
+      return pos < text.size() && text[pos] != '\0' && std::strchr(set, text[pos]) != nullptr;
+    };
+    const auto digits = [&] {
+      const std::size_t from = pos;
+      while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+      return pos > from;
+    };
+    if (at("-")) ++pos;
+    bool ok = true;
+    if (at("0")) {
+      ++pos;
+    } else {
+      ok = digits();
+    }
+    if (ok && at(".")) {
+      ++pos;
+      ok = digits();
+    }
+    if (ok && at("eE")) {
+      ++pos;
+      if (at("+-")) ++pos;
+      ok = digits();
+    }
+    // A number ends at a delimiter: this rejects "01", "0x1p30" and "1.5.2".
+    ok = ok && !at(".+-") &&
+         (pos == text.size() || !std::isalnum(static_cast<unsigned char>(text[pos])));
+    const double v =
+        ok ? std::strtod(std::string(text.substr(start, pos - start)).c_str(), nullptr) : 0.0;
+    if (!ok || !std::isfinite(v)) {
+      pos = start;
+      fail(ok ? "number out of range" : "malformed number");
+    }
+    return v;
   }
 };
 

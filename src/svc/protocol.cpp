@@ -252,13 +252,7 @@ core::ScenarioOutcome parse_scenario(const Json& response) {
         static_cast<std::uint64_t>(response.num_or("skipped_actions", 0));
   } else {
     outcome.error = response.str_or("error", "");
-    const std::string code = response.str_or("error_code", "error");
-    for (int c = 0; c <= static_cast<int>(kLastErrorCode); ++c) {
-      if (code == error_code_name(static_cast<ErrorCode>(c))) {
-        outcome.error_code = static_cast<ErrorCode>(c);
-        break;
-      }
-    }
+    outcome.error_code = error_code_from_name(response.str_or("error_code", "error"));
   }
   return outcome;
 }

@@ -362,21 +362,16 @@ void Server::run_job(Job& job) {
     std::shared_ptr<const platform::Platform> platform;
     std::uint64_t platform_key = 0;
     if (request.platform.empty()) {
-      // Default: one gigabit node per rank (same shape replay_cli falls
-      // back to), keyed by rank count.
+      // Default: the tools' default cluster at 1e9 instr/s, keyed by rank
+      // count.
       platform_key = binio::mix64(binio::mix64(binio::kHashSeed, 'D'),
                                   static_cast<std::uint64_t>(trace->nprocs()));
       const int nprocs = trace->nprocs();
       platform = platforms_.get_or_load(
           platform_key,
           [&] {
-            auto p = std::make_shared<platform::Platform>();
-            platform::ClusterSpec spec;
-            spec.nodes = nprocs;
-            spec.link_bandwidth = 1.25e8;
-            spec.link_latency = 3e-5;
-            platform::build_flat_cluster(*p, spec);
-            return std::shared_ptr<const platform::Platform>(std::move(p));
+            return std::make_shared<const platform::Platform>(
+                platform::default_cluster(nprocs, 1e9));
           },
           [&](const std::shared_ptr<const platform::Platform>&) {
             return 1024 + 128 * static_cast<std::uint64_t>(nprocs);

@@ -1,16 +1,15 @@
 // SharedTrace: one immutable decoded trace, many independent replay cursors.
 //
 // A scenario sweep (core/sweep.hpp) replays the *same* trace under N
-// different platform/configuration scenarios, possibly concurrently.  The
-// single-owner sources (MemorySource over a caller-owned Trace, the
-// streaming Reader with its per-rank file cursors) cannot be shared: each
-// holds mutable per-rank positions, and a Reader would re-read and re-decode
-// the file once per session.  SharedTrace fixes the cost model: the trace is
-// loaded and decoded exactly once into an immutable tit::Trace held by
-// shared_ptr, and cursor() hands out cheap cursor-only ActionSources — one
-// per session — that carry nothing but per-rank indices into the shared
-// action vectors.  N concurrent sessions share one decoded copy of the
-// frames; no re-decoding, no per-session payload copies.
+// different platform/configuration scenarios, possibly concurrently.  A
+// source cannot be shared: each holds mutable per-rank positions, and a
+// streaming Reader would re-read and re-decode the file once per session.
+// SharedTrace fixes the cost model: the trace is loaded and decoded exactly
+// once into an immutable tit::Trace held by shared_ptr, and cursor() hands
+// out one MemorySource per session that shares ownership of it and carries
+// nothing but per-rank indices into the shared action vectors.  N
+// concurrent sessions share one decoded copy of the frames; no re-decoding,
+// no per-session payload copies.
 //
 // Thread-safety contract: after construction a SharedTrace is immutable.
 // cursor() is const and safe to call from any thread; each Cursor is then
@@ -36,49 +35,10 @@ std::uint64_t hash_actions(const tit::Trace& trace);
 
 class SharedTrace {
  public:
-  /// Cursor-only view: per-rank indices into the shared immutable trace.
-  /// Rewindable, so one cursor can also feed several sequential replays.
-  class Cursor final : public ActionSource {
-   public:
-    Cursor(std::shared_ptr<const tit::Trace> trace, std::uint64_t load_skipped)
-        : trace_(std::move(trace)),
-          load_skipped_(load_skipped),
-          pos_(static_cast<std::size_t>(trace_->nprocs()), 0) {}
-
-    int nprocs() const override { return trace_->nprocs(); }
-
-    bool next(int rank, tit::Action& out) override {
-      const std::vector<tit::Action>& seq = trace_->actions(rank);
-      std::size_t& i = pos_[static_cast<std::size_t>(rank)];
-      if (i >= seq.size()) return false;
-      out = seq[i++];
-      return true;
-    }
-
-    /// Actions the shared load dropped to corrupt-frame recovery; every
-    /// cursor reports them so each session's ReplayResult::degraded flag
-    /// reflects the state of the one decoded copy.
-    std::uint64_t skipped_actions() const override { return load_skipped_; }
-
-    void rewind() override { pos_.assign(pos_.size(), 0); }
-
-   protected:
-    void do_seek(const std::vector<std::uint64_t>& positions) override {
-      std::vector<std::size_t> limits(pos_.size());
-      for (std::size_t r = 0; r < limits.size(); ++r) {
-        limits[r] = trace_->actions(static_cast<int>(r)).size();
-      }
-      check_seek(positions, nprocs(), limits);
-      for (std::size_t r = 0; r < pos_.size(); ++r) {
-        pos_[r] = static_cast<std::size_t>(positions[r]);
-      }
-    }
-
-   private:
-    std::shared_ptr<const tit::Trace> trace_;
-    std::uint64_t load_skipped_;
-    std::vector<std::size_t> pos_;
-  };
+  /// Cursor-only view: per-rank indices into the shared immutable trace,
+  /// which it keeps alive.  Rewindable, so one cursor can also feed several
+  /// sequential replays.
+  using Cursor = MemorySource;
 
   /// Adopt an in-memory trace (moved in; no further copies are made).
   explicit SharedTrace(tit::Trace trace)

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "base/error.hpp"
@@ -90,20 +92,21 @@ class ActionSource {
   bool session_started_ = false;
 };
 
-/// Adapter over a fully materialized Trace: the existing in-memory API,
-/// unchanged semantics, zero copies.
+/// The in-memory cursor: per-rank indices into a fully materialized Trace,
+/// rewindable and seekable.  It either borrows the trace (which must then
+/// outlive it, unmodified) or shares ownership of it (SharedTrace::cursor);
+/// a shared one also reports the actions the trace's load dropped to
+/// corrupt-frame recovery, so each session's ReplayResult::degraded flag
+/// reflects the state of the one decoded copy.
 class MemorySource final : public ActionSource {
  public:
-  explicit MemorySource(const tit::Trace& trace)
-      : trace_(trace), pos_(static_cast<std::size_t>(trace.nprocs()), 0) {
-    // Per-rank sequences resolved once: next() is called once per replayed
-    // action, and the trace is fully materialized (and must not be mutated
-    // while this source reads it), so the lookup would be pure overhead.
-    seqs_.reserve(pos_.size());
-    for (int r = 0; r < trace.nprocs(); ++r) seqs_.push_back(&trace.actions(r));
+  explicit MemorySource(const tit::Trace& trace) { index(trace); }
+  MemorySource(std::shared_ptr<const tit::Trace> trace, std::uint64_t load_skipped)
+      : owner_(std::move(trace)), load_skipped_(load_skipped) {
+    index(*owner_);
   }
 
-  int nprocs() const override { return trace_.nprocs(); }
+  int nprocs() const override { return static_cast<int>(seqs_.size()); }
 
   bool next(int rank, tit::Action& out) override {
     const std::vector<tit::Action>& seq = *seqs_[static_cast<std::size_t>(rank)];
@@ -113,14 +116,14 @@ class MemorySource final : public ActionSource {
     return true;
   }
 
+  std::uint64_t skipped_actions() const override { return load_skipped_; }
+
   void rewind() override { pos_.assign(pos_.size(), 0); }
 
  protected:
   void do_seek(const std::vector<std::uint64_t>& positions) override {
-    std::vector<std::size_t> limits(pos_.size());
-    for (std::size_t r = 0; r < limits.size(); ++r) {
-      limits[r] = trace_.actions(static_cast<int>(r)).size();
-    }
+    std::vector<std::size_t> limits(seqs_.size());
+    for (std::size_t r = 0; r < limits.size(); ++r) limits[r] = seqs_[r]->size();
     check_seek(positions, nprocs(), limits);
     for (std::size_t r = 0; r < pos_.size(); ++r) {
       pos_[r] = static_cast<std::size_t>(positions[r]);
@@ -128,8 +131,16 @@ class MemorySource final : public ActionSource {
   }
 
  private:
-  const tit::Trace& trace_;
-  std::vector<const std::vector<tit::Action>*> seqs_;  // per-rank sequences
+  /// Per-rank sequences resolved once: next() runs once per replayed
+  /// action, so an out-of-line Trace::actions lookup there is pure overhead.
+  void index(const tit::Trace& trace) {
+    for (int r = 0; r < trace.nprocs(); ++r) seqs_.push_back(&trace.actions(r));
+    pos_.assign(seqs_.size(), 0);
+  }
+
+  std::shared_ptr<const tit::Trace> owner_;  ///< null when borrowing
+  std::uint64_t load_skipped_ = 0;
+  std::vector<const std::vector<tit::Action>*> seqs_;
   std::vector<std::size_t> pos_;
 };
 

@@ -180,6 +180,35 @@ TEST_F(CliArgs, ProfileRejectsMalformedNumbers) {
   EXPECT_EQ(run(profile + " -rate fast" + trace), 2);
 }
 
+// -rate inf used to price every compute at zero and exit 0; -rate 0 and
+// nan tripped an assertion in the default cluster instead of a usage error.
+TEST_F(CliArgs, RatesMustBeFiniteAndPositive) {
+  const std::string trace = " " + titb_fixture();
+  const std::string profile =
+      std::string(TIR_PROFILE) + " -o " + (dir_ / "profile_out").string();
+  const std::string submit =
+      std::string(TIR_SUBMIT) + " -connect unix:" + (dir_ / "none.sock").string();
+  for (const char* rate : {"inf", "-inf", "nan", "0", "-1e9", "1e999"}) {
+    EXPECT_EQ(run(std::string(TIR_REPLAY_CLI) + " -rate " + rate + trace), 2) << rate;
+    EXPECT_EQ(run(std::string(TIR_REPLAY_CLI) + " -rate 1e9," + rate + trace), 2) << rate;
+    EXPECT_EQ(run(profile + " -rate " + rate + trace), 2) << rate;
+    EXPECT_EQ(run(submit + " -rate " + rate + trace), 2) << rate;
+  }
+  EXPECT_EQ(run(profile + " -rate 1e9,2e9" + trace), 2);  // tir-profile takes one rate
+  EXPECT_EQ(run(std::string(TIR_REPLAY_CLI) + " -rate 2e9" + trace), 0);
+  EXPECT_EQ(run(profile + " -rate 2e9" + trace), 0);
+}
+
+// Every spelling a tool documents still parses: the double-dash aliases of
+// tir-profile's window flags, and tird's --fault-plan.
+TEST_F(CliArgs, AliasSpellingsAreAccepted) {
+  const std::string profile =
+      std::string(TIR_PROFILE) + " -o " + (dir_ / "profile_out").string();
+  EXPECT_EQ(run(profile + " --from 0 --to 0.001 --save-ckpt " + titb_fixture()), 0);
+  EXPECT_EQ(run(std::string(TIR_TIRD) + " -listen bogus --fault-plan 'seed=1'"), 1);
+  EXPECT_EQ(run(std::string(TIR_TIRD) + " -listen bogus --fault-plan"), 2);  // missing value
+}
+
 // The endpoint is unusable on purpose: a flag the daemon wrongly accepts
 // ends in a bind failure (exit 1), never in a listening daemon.
 TEST_F(CliArgs, TirdRejectsMalformedNumbers) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "apps/cg.hpp"
 #include "platform/clusters.hpp"
 
@@ -36,6 +39,22 @@ TEST(Replay, ComputePricedAtCalibratedRate) {
   ReplayConfig cfg = identity_config(1.5e9);
   EXPECT_NEAR(replay_smpi(t, p, cfg).simulated_time, 2.0, 1e-9);
   EXPECT_NEAR(replay_msg(t, p, cfg).simulated_time, 2.0, 1e-9);
+}
+
+// An infinite rate prices every compute at zero seconds; it must never
+// become a prediction on either back-end, alone or in a per-rank vector.
+TEST(Replay, NonFiniteRateIsAConfigError) {
+  const tit::Trace t = tit::parse_trace_string("p0 compute 3e9\np1 compute 3e9\n", 2);
+  const platform::Platform p = cluster(2);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& rates :
+       {std::vector<double>{inf}, std::vector<double>{1e9, inf},
+        std::vector<double>{std::numeric_limits<double>::quiet_NaN()}}) {
+    ReplayConfig cfg = identity_config();
+    cfg.rates = rates;
+    EXPECT_THROW(replay_smpi(t, p, cfg), ConfigError);
+    EXPECT_THROW(replay_msg(t, p, cfg), ConfigError);
+  }
 }
 
 TEST(Replay, PerRankRatesApply)

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <iterator>
+#include <string>
 
 #include "svc/json.hpp"
 
@@ -33,6 +36,16 @@ TEST(SvcJson, RejectsMalformedDocuments) {
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), ParseError);
   EXPECT_THROW(Json::parse("nul"), ParseError);
   EXPECT_THROW(Json::parse(""), ParseError);
+}
+
+TEST(SvcJson, NumbersFollowTheJsonGrammar) {
+  for (const char* ok : {"0", "-0", "0.5", "-1.5e-3", "1E+2", "2e9", "123456789012345678901"}) {
+    EXPECT_EQ(Json::parse(ok).as_number(), std::strtod(ok, nullptr)) << ok;
+  }
+  for (const char* bad : {"inf", "-inf", "nan", "Infinity", "0x1p30", "01", "+1", ".5", "1.",
+                          "1e", "1e+", "-", "1.5.2", "1e999", "-1e999"}) {
+    EXPECT_THROW(Json::parse(bad), ParseError) << bad;
+  }
 }
 
 TEST(SvcJson, DumpParseRoundTripsDoublesExactly) {
@@ -77,6 +90,23 @@ TEST(SvcProtocol, ParseRequestValidates) {
   // Calibration requires machine truth.
   EXPECT_THROW(svc::parse_request(R"({"op":"predict","trace":"t","calibration":{}})"),
                ConfigError);
+}
+
+// strtod takes inf and hex floats and turns 1e999 into inf; a wire job
+// with an infinite rate would predict compute for free.  Each token fails
+// with the byte offset where it starts.
+TEST(SvcProtocol, NonJsonNumbersAreParseErrorsWithTheirOffset) {
+  for (const std::string token : {"inf", "0x1p30", "1e999"}) {
+    const std::string request =
+        R"({"op":"predict","trace":"t","scenarios":[{"rates":[)" + token + "]}]}";
+    try {
+      (void)svc::parse_request(request);
+      ADD_FAILURE() << token << " parsed";
+    } catch (const ParseError& e) {
+      const std::string offset = "at offset " + std::to_string(request.find(token));
+      EXPECT_NE(std::string(e.what()).find(offset), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(SvcProtocol, RenderParseRoundTripsARequest) {
@@ -150,6 +180,14 @@ TEST(SvcProtocol, FailedScenarioCarriesErrorCodeName) {
   EXPECT_FALSE(back.ok);
   EXPECT_EQ(back.error_code, ErrorCode::Deadlock);
   EXPECT_EQ(back.error, "deadlock detected");
+}
+
+TEST(SvcProtocol, ErrorCodeNamesMapBothWays) {
+  for (std::size_t c = 0; c < std::size(kErrorCodeNames); ++c) {
+    const auto code = static_cast<ErrorCode>(c);
+    EXPECT_EQ(error_code_from_name(error_code_name(code)), code);
+  }
+  EXPECT_EQ(error_code_from_name("no-such-code"), ErrorCode::Generic);
 }
 
 TEST(SvcProtocol, BackpressureResponsesCarryTheContract) {
