@@ -8,17 +8,32 @@ namespace tir::binio {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// kCrcTables[0] is the bytewise table of the reflected polynomial;
+/// kCrcTables[k][n] is the CRC state after feeding byte n followed by k
+/// zero bytes, which lets crc32() fold eight input bytes per step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[n] = c;
+    t[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t n = 0; n < 256; ++n) {
+      t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_u32_le(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
@@ -35,11 +50,13 @@ void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t v) {
   put_varint(out, (u << 1) ^ static_cast<std::uint64_t>(v >> 63));
 }
 
-std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (pos >= size) throw ParseError("truncated varint");
     const std::uint8_t byte = data[pos++];
+    // The tenth byte carries bit 63 only; anything more would be dropped.
+    if (shift == 63 && (byte & 0x7Fu) > 1) throw ParseError("varint overflows 64 bits");
     v |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
     if (!(byte & 0x80u)) return v;
   }
@@ -53,8 +70,15 @@ std::int64_t get_varint_signed(const std::uint8_t* data, std::size_t size, std::
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* p = static_cast<const std::uint8_t*>(data);
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) c = kCrcTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = load_u32_le(p) ^ c;
+    const std::uint32_t hi = load_u32_le(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

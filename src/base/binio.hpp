@@ -17,15 +17,28 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
 /// (-1 -> 1, 1 -> 2, -2 -> 3, ...), then varint-encode it.
 void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t v);
 
+/// The multi-byte path of get_varint (out of line; see below).
+std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::size_t& pos);
+
 /// Decode one varint from data[pos...). Advances pos past the varint.
-/// Throws tir::ParseError on truncation or a >10-byte (overlong) encoding.
-std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos);
+/// Throws tir::ParseError on truncation, on a >10-byte (overlong) encoding
+/// and on a 10-byte encoding whose value does not fit 64 bits.  A one-byte
+/// varint (< 128: ranks, action types, most counts) decodes inline; every
+/// longer one, and every error, goes through get_varint_long.
+inline std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+  if (pos < size && data[pos] < 0x80u) [[likely]] {
+    return data[pos++];
+  }
+  return get_varint_long(data, size, pos);
+}
 
 /// Decode a zigzag-folded signed varint.
 std::int64_t get_varint_signed(const std::uint8_t* data, std::size_t size, std::size_t& pos);
 
 /// CRC-32 of `size` bytes, optionally continuing from a previous value
 /// (pass the previous return value as `seed` to checksum in chunks).
+/// Slicing-by-8: eight bytes per step through eight derived tables; the
+/// values are those of the bytewise table-driven CRC.
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
 /// 64-bit content-fingerprint mixing (hash_combine-style): fold `v` into the

@@ -40,10 +40,12 @@
 // fractional/huge value and elide absent fields entirely.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "base/binio.hpp"
 #include "tit/action.hpp"
 
 namespace tir::titio {
@@ -84,9 +86,54 @@ struct FrameRef {
 /// Append one action (proc implied by the enclosing frame's rank).
 void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a);
 
+/// decode_action's error paths, out of line so the decoder inlines small.
+[[noreturn]] void throw_bad_action(const char* what);
+[[noreturn]] void throw_unknown_action_type(std::uint8_t type);
+
+inline double decode_f64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+  if (pos + 8 > size) throw_bad_action("truncated double in action payload");
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
+  pos += 8;
+  return std::bit_cast<double>(bits);
+}
+
 /// Decode one action from payload[pos...), advancing pos. The issuing rank
-/// comes from the frame. Throws tir::ParseError on malformed bytes.
-tit::Action decode_action(const std::uint8_t* payload, std::size_t size, std::size_t& pos,
-                          std::int32_t rank);
+/// comes from the frame. Throws tir::ParseError on malformed bytes.  Inline:
+/// Reader::fill_batch runs it once per action in a tight loop.
+inline tit::Action decode_action(const std::uint8_t* payload, std::size_t size,
+                                 std::size_t& pos, std::int32_t rank) {
+  if (pos + 2 > size) throw_bad_action("truncated action header in frame payload");
+  const std::uint8_t type = payload[pos];
+  const std::uint8_t flags = payload[pos + 1];
+  pos += 2;
+  if (type > static_cast<std::uint8_t>(tit::ActionType::Scatter)) {
+    throw_unknown_action_type(type);
+  }
+  if ((flags & kVolumeNone) && (flags & kHasVolume)) {
+    throw_bad_action("contradictory volume flags in binary trace");
+  }
+  tit::Action a;
+  a.type = static_cast<tit::ActionType>(type);
+  a.proc = rank;
+  if (flags & kHasPartner) {
+    const std::uint64_t partner = binio::get_varint(payload, size, pos);
+    if (partner > 0x7FFFFFFFull) throw_bad_action("partner rank out of range in binary trace");
+    a.partner = static_cast<std::int32_t>(partner);
+  }
+  if (flags & kVolumeNone) {
+    a.volume = tit::kNoVolume;
+  } else if (flags & kHasVolume) {
+    a.volume = (flags & kVolumeF64)
+                   ? decode_f64(payload, size, pos)
+                   : static_cast<double>(binio::get_varint(payload, size, pos));
+  }
+  if (flags & kHasVolume2) {
+    a.volume2 = (flags & kVolume2F64)
+                    ? decode_f64(payload, size, pos)
+                    : static_cast<double>(binio::get_varint(payload, size, pos));
+  }
+  return a;
+}
 
 }  // namespace tir::titio

@@ -319,15 +319,21 @@ void Reader::fill_batch(int rank, Cursor& cursor) {
   if (cursor.remaining == 0) return;
   const std::uint64_t want = std::min<std::uint64_t>(
       cursor.remaining, std::max<std::size_t>(options_.decode_batch, 1));
+  // The payload cursor lives in locals for the loop: an Action's one-byte
+  // type field may alias anything, so a store to it would otherwise force
+  // cursor.pos and the payload bounds to be reloaded for every action.
+  const std::uint8_t* const data = cursor.payload.data();
+  const std::size_t size = cursor.payload.size();
+  std::size_t pos = cursor.pos;
   try {
     for (std::uint64_t i = 0; i < want; ++i) {
-      cursor.batch.push_back(decode_action(cursor.payload.data(), cursor.payload.size(),
-                                           cursor.pos, static_cast<std::int32_t>(rank)));
+      cursor.batch.push_back(decode_action(data, size, pos, static_cast<std::int32_t>(rank)));
     }
   } catch (const Error&) {
     // Keep the cleanly decoded prefix; the error surfaces once it is served.
     cursor.defer = std::current_exception();
   }
+  cursor.pos = pos;
   // Decoded the frame's final action with bytes left over: flag it so the
   // trailing-bytes diagnostic fires at that action's delivery, exactly where
   // unbatched decoding reported it.
