@@ -2,15 +2,26 @@
 // primitives everything else is built on.  These guard the "efficiency"
 // half of the paper's title at the engine level.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "apps/jacobi.hpp"
+#include "apps/run.hpp"
 #include "core/replay.hpp"
+#include "exp/experiments.hpp"
 #include "msg/msg.hpp"
 #include "platform/clusters.hpp"
 #include "sim/engine.hpp"
 #include "sim/maxmin.hpp"
+#include "sim/timeheap.hpp"
 #include "smpi/world.hpp"
 #include "tit/trace.hpp"
+#include "titio/reader.hpp"
+#include "titio/writer.hpp"
 
 namespace {
 
@@ -188,5 +199,74 @@ void BM_ReplayJacobi(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(trace.total_actions()));
 }
 BENCHMARK(BM_ReplayJacobi)->Arg(8)->Arg(32);
+
+// The engine's time heap in its steady state: pop the earliest activity and
+// re-insert it further ahead (the hold model), with one re-key of another
+// member per pop, as a rate change does.  Arg = heap size (an LU B-64
+// replay holds about 74 entries).
+void BM_TimeHeapChurn(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::Activity> acts(n);
+  sim::TimeHeap heap;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  auto next_delay = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    acts[i].seq = i;
+    acts[i].heap_key = next_delay();
+    heap.insert(&acts[i]);
+  }
+  std::size_t victim = 0;
+  for (auto _ : state) {
+    sim::Activity* const a = heap.top();
+    const double now = heap.top_key();
+    heap.pop();
+    a->heap_key = now + next_delay();
+    heap.insert(a);
+    sim::Activity& b = acts[victim];
+    victim = victim + 1 == n ? 0 : victim + 1;
+    b.heap_key = now + next_delay();
+    heap.update(&b);
+  }
+  benchmark::DoNotOptimize(heap.top_key());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimeHeapChurn)->Arg(74)->Arg(1024);
+
+// TITB decode alone: open a Reader on an LU B-8 trace (10 iterations,
+// ~58 k actions) and drain every rank, with no replay behind it.
+void BM_TitbDecode(benchmark::State& state) {
+  const exp::ClusterSetup bd = exp::bordereau_setup();
+  apps::LuConfig lu;
+  lu.cls = apps::nas_class('B');
+  lu.nprocs = 8;
+  lu.iterations_override = 10;
+  apps::AcquisitionConfig acq;
+  acq.granularity = hwc::Granularity::Minimal;
+  acq.compiler = hwc::kO3;
+  acq.emit_trace = true;
+  const tit::Trace trace =
+      apps::run_lu(lu, bd.platform, apps::MachineModel(bd.truth), acq).trace;
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("kernel_microbench_decode_" + std::to_string(::getpid()) + ".titb"))
+                               .string();
+  titio::write_binary_trace(trace, path);
+  for (auto _ : state) {
+    titio::Reader reader(path);
+    tit::Action a;
+    std::uint64_t n = 0;
+    for (int rank = 0; rank < reader.nprocs(); ++rank) {
+      while (reader.next(rank, a)) ++n;
+    }
+    benchmark::DoNotOptimize(n);
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(trace.total_actions()));
+}
+BENCHMARK(BM_TitbDecode);
 
 }  // namespace

@@ -19,11 +19,13 @@
 // buffer (holes are reclaimed by shrink_to_fit), and slot ids are stable so
 // they can be keyed by the caller's own id-recycling scheme.
 //
-// Lifetime: PoolAllocator holds a shared_ptr to the resource, and
-// std::allocate_shared stores a copy of the allocator inside each control
-// block — so an ActivityPtr that outlives the Engine keeps the resource
-// alive until the last reference drops.  Deallocation back into a pool the
-// engine has abandoned is therefore safe.
+// Lifetime: the engine's PoolResource lives inside an ActivityArena
+// (sim/activity.hpp) that also counts the activities still allocated from
+// it, and every Activity points back at its arena.  When the engine is
+// destroyed with activities still referenced from outside, the arena is
+// marked orphaned instead of freed, and the last ActivityPtr release deletes
+// it.  Deallocation back into a pool the engine has abandoned is therefore
+// safe.
 //
 // Single-threaded by design, like the engine itself.
 #pragma once
@@ -31,10 +33,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tir::sim {
@@ -83,29 +85,6 @@ class PoolResource {
 
   std::vector<Bin> bins_;
   std::uint64_t fresh_ = 0;
-};
-
-template <class T>
-class PoolAllocator {
- public:
-  using value_type = T;
-
-  explicit PoolAllocator(std::shared_ptr<PoolResource> res) : res_(std::move(res)) {}
-  template <class U>
-  PoolAllocator(const PoolAllocator<U>& other) : res_(other.resource()) {}  // NOLINT
-
-  T* allocate(std::size_t n) { return static_cast<T*>(res_->allocate(n * sizeof(T))); }
-  void deallocate(T* p, std::size_t n) { res_->deallocate(p, n * sizeof(T)); }
-
-  const std::shared_ptr<PoolResource>& resource() const { return res_; }
-
-  template <class U>
-  bool operator==(const PoolAllocator<U>& other) const {
-    return res_ == other.resource();
-  }
-
- private:
-  std::shared_ptr<PoolResource> res_;
 };
 
 /// Many small arrays in one flat buffer; see the header comment.
