@@ -318,7 +318,7 @@ void Engine::begin_transfer(Activity* a) {
     a->anchor = now_;
     a->heap_key = kInf;
   }
-  heap_.insert(a);
+  heap_.insert_or_update(a);
 }
 
 void Engine::start_activity(const ActivityPtr& act) {
@@ -510,14 +510,17 @@ void Engine::advance_to(double t) {
                              ? now_ + time_slack
                              : now_ + kWorkEps / a->rate;
     if (a->heap_key > limit) break;
-    heap_.pop();
     if (a->in_latency_phase()) {
       // Latency fully paid: the byte transfer starts now.  Under max-min
-      // the new flow gets its rate at the next refresh.
+      // the new flow gets its rate at the next refresh.  The activity stays
+      // in the heap and is re-keyed in place (one sift from the root rather
+      // than a pop and a push); the pop order is the same (heap_key, seq)
+      // order either way.
       a->latency_left = 0.0;
       begin_transfer(a);
       continue;
     }
+    heap_.pop();
     a->remaining = 0.0;
     finished_.push_back(a);
   }
