@@ -130,10 +130,11 @@ class World {
     /// Removes `*it`, keeping the order of the rest.
     void erase(T* it) {
       std::move_backward(begin(), it, it + 1);
-      items_[head_] = T{};
       if (++head_ == items_.size()) {
         items_.clear();
         head_ = 0;
+      } else {
+        items_[head_ - 1] = T{};  // release what the dead slot still holds
       }
     }
 
