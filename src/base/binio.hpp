@@ -22,12 +22,22 @@ std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::s
 
 /// Decode one varint from data[pos...). Advances pos past the varint.
 /// Throws tir::ParseError on truncation, on a >10-byte (overlong) encoding
-/// and on a 10-byte encoding whose value does not fit 64 bits.  A one-byte
-/// varint (< 128: ranks, action types, most counts) decodes inline; every
-/// longer one, and every error, goes through get_varint_long.
+/// and on a 10-byte encoding whose value does not fit 64 bits.  One- and
+/// two-byte varints (< 16384: ranks, counts, the message sizes of most
+/// point-to-point actions) decode inline; every longer one, and every
+/// error, goes through get_varint_long.
 inline std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  if (pos < size && data[pos] < 0x80u) [[likely]] {
-    return data[pos++];
+  if (pos < size) [[likely]] {
+    const std::uint8_t b0 = data[pos];
+    if (b0 < 0x80u) {
+      ++pos;
+      return b0;
+    }
+    if (size - pos >= 2 && data[pos + 1] < 0x80u) {
+      const std::uint64_t v = (b0 & 0x7Fu) | static_cast<std::uint64_t>(data[pos + 1]) << 7;
+      pos += 2;
+      return v;
+    }
   }
   return get_varint_long(data, size, pos);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -115,6 +116,11 @@ TEST(BinIo, MalformedVarintsThrow) {
   std::size_t pos = 0;
   EXPECT_THROW(get_varint(nullptr, 0, pos), ParseError);
 
+  // Truncated after the first and after the second byte (the inline
+  // two-byte path must hand both to the checked decoder).
+  const std::array<std::uint8_t, 1> cut_one{0x80};
+  pos = 0;
+  EXPECT_THROW(get_varint(cut_one.data(), cut_one.size(), pos), ParseError);
   const std::array<std::uint8_t, 2> truncated{0x80, 0x80};
   pos = 0;
   EXPECT_THROW(get_varint(truncated.data(), truncated.size(), pos), ParseError);
