@@ -104,7 +104,7 @@ class TimeHeap {
       i = child;
     }
     heap_.pop_back();
-    if (i == n) return;  // the popped entry was the last one
+    if (n == 0) return;  // the popped entry was the only one
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
       if (!less(last, heap_[parent])) break;
