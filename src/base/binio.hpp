@@ -17,7 +17,8 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
 /// (-1 -> 1, 1 -> 2, -2 -> 3, ...), then varint-encode it.
 void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t v);
 
-/// The multi-byte path of get_varint (out of line; see below).
+/// get_varint's out-of-line path: varints of three or more bytes, and every
+/// error.  Decodes and checks any varint on its own.
 std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::size_t& pos);
 
 /// Decode one varint from data[pos...). Advances pos past the varint.

@@ -90,6 +90,7 @@ void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a);
 [[noreturn]] void throw_bad_action(const char* what);
 [[noreturn]] void throw_unknown_action_type(std::uint8_t type);
 
+/// A raw little-endian double from data[pos...), advancing pos.
 inline double decode_f64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
   if (pos + 8 > size) throw_bad_action("truncated double in action payload");
   std::uint64_t bits = 0;
