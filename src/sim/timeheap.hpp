@@ -88,33 +88,8 @@ class TimeHeap {
     if (!sift_up(i)) sift_down(i);
   }
 
-  /// Remove the minimum-key activity.  The root's hole walks down to a leaf
-  /// along the smaller children (one comparison per level, no early exit to
-  /// mispredict), then the last entry fills it and sifts up — it came from
-  /// the bottom, so it rarely climbs.
-  void pop() {
-    heap_.front().act->heap_slot = -1;
-    const std::size_t n = heap_.size() - 1;  // entries left after the pop
-    const Entry last = heap_[n];
-    std::size_t i = 0;
-    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
-      if (child + 1 < n) child += static_cast<std::size_t>(less(heap_[child + 1], heap_[child]));
-      heap_[i] = heap_[child];
-      heap_[i].act->heap_slot = static_cast<std::int32_t>(i);
-      i = child;
-    }
-    heap_.pop_back();
-    if (n == 0) return;  // the popped entry was the only one
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!less(last, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      heap_[i].act->heap_slot = static_cast<std::int32_t>(i);
-      i = parent;
-    }
-    heap_[i] = last;
-    last.act->heap_slot = static_cast<std::int32_t>(i);
-  }
+  /// Remove the minimum-key activity.
+  void pop() { remove(heap_.front().act); }
 
   void clear() {
     for (const Entry& e : heap_) e.act->heap_slot = -1;

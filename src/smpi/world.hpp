@@ -15,10 +15,7 @@
 // (World::spawn_ranks sets it up for the common case).
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -108,44 +105,9 @@ class World {
     int tag = kAnyTag;
     Request request;  ///< completed when the matched transfer completes
   };
-  /// A matching queue: FIFO in one contiguous vector.  Matching scans from
-  /// the front and nearly always takes the first entry, so erase() shifts
-  /// the entries ahead of the match back by one and advances the head; the
-  /// vector is reset whenever it drains and compacted on push once the dead
-  /// prefix is at least half of it.
-  template <class T>
-  class MatchQueue {
-   public:
-    T* begin() { return items_.data() + head_; }
-    T* end() { return items_.data() + items_.size(); }
-
-    void push_back(T v) {
-      if (head_ >= 16 && 2 * head_ >= items_.size()) {
-        items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
-      items_.push_back(std::move(v));
-    }
-
-    /// Removes `*it`, keeping the order of the rest.
-    void erase(T* it) {
-      std::move_backward(begin(), it, it + 1);
-      if (++head_ == items_.size()) {
-        items_.clear();
-        head_ = 0;
-      } else {
-        items_[head_ - 1] = T{};  // release what the dead slot still holds
-      }
-    }
-
-   private:
-    std::vector<T> items_;
-    std::size_t head_ = 0;  ///< items_[0, head_) are erased
-  };
-
   struct RankState {
-    MatchQueue<Message> unexpected;
-    MatchQueue<PostedRecv> posted;
+    std::vector<Message> unexpected;  ///< FIFO: matching takes the earliest entry
+    std::vector<PostedRecv> posted;
   };
 
   bool is_eager(double bytes) const { return bytes < config_.eager_threshold; }
