@@ -332,6 +332,11 @@ void Reader::fill_batch(int rank, Cursor& cursor) {
   } catch (const Error&) {
     // Keep the cleanly decoded prefix; the error surfaces once it is served.
     cursor.defer = std::current_exception();
+  } catch (...) {
+    // Anything else (bad_alloc from the batch) propagates, but the payload
+    // cursor must still sit past the actions already in the batch.
+    cursor.pos = pos;
+    throw;
   }
   cursor.pos = pos;
   // Decoded the frame's final action with bytes left over: flag it so the
