@@ -13,10 +13,10 @@
 //
 // Everything printed is also written to BENCH_replay_speed.json so the CI
 // can track throughput across commits.  The final section guards the
-// observability hooks (src/obs): replay with no sink attached must stay
-// within 1% of the throughput of replay with a NullSink attached removed —
-// i.e. the guarded `if (sink)` checks on the hot paths must be free.  The
-// bench exits nonzero when that budget is exceeded.
+// observability hooks (src/obs): replay with a NullSink attached must stay
+// within 5% of the throughput of replay with no sink (SinkRecord::budget),
+// i.e. the guarded `if (sink)` checks on the hot paths must be close to
+// free.  The bench exits nonzero when that budget is exceeded.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,6 +37,7 @@
 #include "ckpt/cursor.hpp"
 #include "core/mc_sweep.hpp"
 #include "core/replay.hpp"
+#include "core/session.hpp"
 #include "core/sweep.hpp"
 #include "platform/model.hpp"
 #include "exp/experiments.hpp"
@@ -151,8 +152,10 @@ void run_case(const exp::ClusterSetup& cluster, char cls, int np, int iters,
 
   core::ReplayConfig cfg;
   cfg.rates = {cluster.truth.rate_in_cache};
-  const core::ReplayResult smpi = core::replay_smpi(traced.trace, cluster.platform, cfg);
-  const core::ReplayResult msg = core::replay_msg(traced.trace, cluster.platform, cfg);
+  const core::ReplayResult smpi =
+      core::replay(core::Backend::Smpi, traced.trace, cluster.platform, cfg);
+  const core::ReplayResult msg =
+      core::replay(core::Backend::Msg, traced.trace, cluster.platform, cfg);
 
   const double actions = static_cast<double>(traced.trace.total_actions());
   std::printf("%-6s %5d %6d | %9.0f | %8.3fs %10.0f | %8.3fs %10.0f | %8.1fx %s\n",
@@ -267,12 +270,12 @@ void run_streaming_case(const exp::ClusterSetup& cluster, char cls, int np, int 
   // Text path: parse the whole manifest into memory, then replay.
   const Phase text = run_phase([&] {
     const tit::Trace loaded = tit::load_trace(manifest);
-    return core::replay_msg(loaded, cluster.platform, cfg).simulated_time;
+    return core::replay(core::Backend::Msg, loaded, cluster.platform, cfg).simulated_time;
   });
   // Binary path: stream frames through a bounded 4 MiB buffer.
   const Phase bin = run_phase([&] {
     titio::Reader reader(binary.string(), titio::ReaderOptions{4u << 20});
-    return core::replay_msg(reader, cluster.platform, cfg).simulated_time;
+    return core::replay(core::Backend::Msg, reader, cluster.platform, cfg).simulated_time;
   });
 
   // TITB preserves exact volume bits while the text renderer rounds
@@ -365,10 +368,10 @@ void run_kernel_case(int n, double required) {
 
   core::ReplayConfig cfg;
   cfg.sharing = sim::Sharing::MaxMin;
-  cfg.resolve = sim::Resolve::Full;
-  const core::ReplayResult full = core::replay_msg(trace, p, cfg);
-  cfg.resolve = sim::Resolve::Incremental;
-  const core::ReplayResult inc = core::replay_msg(trace, p, cfg);
+  titio::MemorySource source(trace);
+  const core::ReplayResult full =
+      core::replay_full_resolve(core::Backend::Msg, source, p, cfg);
+  const core::ReplayResult inc = core::replay(core::Backend::Msg, trace, p, cfg);
 
   KernelRecord rec;
   rec.flows = n;
@@ -428,12 +431,12 @@ SinkRecord run_sink_overhead(const exp::ClusterSetup& cluster) {
   rec.repetitions = 7;
   double best_none = 1e300, best_null = 1e300;
   for (int i = 0; i < rec.repetitions; ++i) {
-    best_none = std::min(
-        best_none,
-        core::replay_smpi(traced.trace, cluster.platform, no_sink_cfg).wall_clock_seconds);
-    best_null = std::min(
-        best_null,
-        core::replay_smpi(traced.trace, cluster.platform, null_sink_cfg).wall_clock_seconds);
+    best_none = std::min(best_none, core::replay(core::Backend::Smpi, traced.trace,
+                                                 cluster.platform, no_sink_cfg)
+                                        .wall_clock_seconds);
+    best_null = std::min(best_null, core::replay(core::Backend::Smpi, traced.trace,
+                                                 cluster.platform, null_sink_cfg)
+                                        .wall_clock_seconds);
   }
   rec.no_sink_wall = best_none;
   rec.no_sink_rate = rec.actions / std::max(best_none, 1e-9);

@@ -164,7 +164,7 @@ void BM_Allreduce(benchmark::State& state) {
   const platform::Platform p = flat(n);
   for (auto _ : state) {
     sim::Engine eng(p);
-    smpi::World w(eng, smpi::Config{}, smpi::World::scatter_hosts(p, n),
+    smpi::World w(eng, smpi::Config{}, platform::place_ranks(p, n),
                   std::vector<int>(static_cast<std::size_t>(n), 0));
     w.spawn_ranks([&w](sim::Ctx& ctx, int me) -> sim::Coro {
       for (int i = 0; i < 10; ++i) co_await w.allreduce(ctx, me, 64, 100);
@@ -194,7 +194,7 @@ void BM_ReplayJacobi(benchmark::State& state) {
   core::ReplayConfig cfg;
   cfg.rates = {2e9};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::replay_smpi(trace, p, cfg).simulated_time);
+    benchmark::DoNotOptimize(core::replay(core::Backend::Smpi, trace, p, cfg).simulated_time);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(trace.total_actions()));
 }

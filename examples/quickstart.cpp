@@ -5,7 +5,7 @@
 // Demonstrates the three core objects in under a minute of reading:
 //   tit::Trace            - the time-independent trace (volumes only)
 //   platform::Platform    - the simulated machine
-//   core::replay_smpi     - the replay engine producing a predicted time
+//   core::replay          - the replay engine producing a predicted time
 #include <cstdio>
 
 #include "core/replay.hpp"
@@ -44,7 +44,7 @@ int main() {
   // communications go through the full SMPI protocol model.
   core::ReplayConfig config;
   config.rates = {2e9};  // instructions/second (from calibration)
-  const core::ReplayResult result = core::replay_smpi(trace, cluster, config);
+  const core::ReplayResult result = core::replay(core::Backend::Smpi, trace, cluster, config);
 
   std::printf("predicted execution time : %.6f s\n", result.simulated_time);
   std::printf("actions replayed         : %llu\n",
@@ -54,7 +54,7 @@ int main() {
   // The same trace on a machine twice as fast, without re-tracing anything:
   // that decoupling is the whole point of time-independent traces.
   config.rates = {4e9};
-  const core::ReplayResult faster = core::replay_smpi(trace, cluster, config);
+  const core::ReplayResult faster = core::replay(core::Backend::Smpi, trace, cluster, config);
   std::printf("on a 2x faster machine   : %.6f s\n", faster.simulated_time);
   return 0;
 }

@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
   const tit::Trace reloaded = tit::load_trace(manifest);
   core::ReplayConfig cfg;
   cfg.rates = {cluster.truth.rate_in_cache};
-  const core::ReplayResult replay = core::replay_smpi(reloaded, cluster.platform, cfg);
+  const core::ReplayResult replay =
+      core::replay(core::Backend::Smpi, reloaded, cluster.platform, cfg);
   std::printf("  replayed prediction   : %.3f s (real was %.3f s)\n", replay.simulated_time,
               run.wall_time);
   return 0;

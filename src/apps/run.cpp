@@ -112,7 +112,7 @@ RunResult run_lu(const LuConfig& lu, const platform::Platform& platform,
   mpi_cfg.model_copy_time = true;
   mpi_cfg.copy_rate = machine.truth().copy_rate;
   mpi_cfg.per_message_cpu_seconds = machine.truth().per_message_overhead;
-  smpi::World world(engine, mpi_cfg, smpi::World::scatter_hosts(platform, lu.nprocs),
+  smpi::World world(engine, mpi_cfg, platform::place_ranks(platform, lu.nprocs),
                     std::vector<int>(static_cast<std::size_t>(lu.nprocs), 0));
 
   RunResult result;

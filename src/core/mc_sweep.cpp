@@ -17,7 +17,7 @@ ReplayConfig scale_rates_for_instance(const ReplayConfig& config, int nprocs,
   ReplayConfig out = config;
   if (out.rates.empty() || nprocs <= 0) return out;
   const std::size_t hosts = base.host_count();
-  if (hosts == 0 || instance.host_count() != hosts) return out;
+  if (instance.host_count() != hosts) return out;
   std::vector<double> mult(hosts);
   bool any = false;
   for (std::size_t h = 0; h < hosts; ++h) {
@@ -29,9 +29,12 @@ ReplayConfig scale_rates_for_instance(const ReplayConfig& config, int nprocs,
   if (out.rates.size() == 1 && nprocs > 1) {
     out.rates.assign(static_cast<std::size_t>(nprocs), out.rates[0]);
   }
+  const std::vector<platform::HostId> placement = platform::place_ranks(base, nprocs);
   const std::size_t ranks =
       std::min(out.rates.size(), static_cast<std::size_t>(nprocs));
-  for (std::size_t r = 0; r < ranks; ++r) out.rates[r] *= mult[r % hosts];
+  for (std::size_t r = 0; r < ranks; ++r) {
+    out.rates[r] *= mult[static_cast<std::size_t>(placement[r])];
+  }
   return out;
 }
 

@@ -107,9 +107,9 @@ struct McCellOrigin {
 /// active parameter (`label[PARAM,seed=N]`).  Each cell owns its sampled
 /// platform.  Time-independent replay computes at the calibrated per-rank
 /// rates, not at Host::speed, so a sampled host.speed multiplier reaches the
-/// prediction through the cell's rates: rank r runs on host r % host_count
-/// (both back-ends place ranks that way) and its rate is scaled by that
-/// host's instance/base speed ratio.  A cell whose multipliers are all 1.0
+/// prediction through the cell's rates: rank r runs on the host
+/// platform::place_ranks gives it (as in both back-ends) and its rate is
+/// scaled by that host's instance/base speed ratio.  A cell whose multipliers are all 1.0
 /// keeps the scenario's config bit for bit, rate-vector shape included.
 struct McGrid {
   std::vector<Scenario> cells;

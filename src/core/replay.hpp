@@ -1,20 +1,21 @@
-// Time-Independent Trace replay engines.
+// Time-Independent Trace replay: core::replay is the one entry point.
 //
 // Two back-ends, matching the paper's before/after:
 //
-//   replay_msg  - the FIRST implementation ([5], paper §2.4/§3.3): built on
-//                 the MSG-style CSP layer.  Small (<64 KiB) sends become
-//                 fire-and-forget isends into a "<src>_<dst>" mailbox, large
-//                 sends block; either way the transfer starts only at match
-//                 time, the network model has no piecewise corrections, and
-//                 collectives are monolithic analytic delays.
+//   Backend::Msg  - the FIRST implementation ([5], paper §2.4/§3.3): built
+//                   on the MSG-style CSP layer.  Small (<64 KiB) sends become
+//                   fire-and-forget isends into a "<src>_<dst>" mailbox,
+//                   large sends block; either way the transfer starts only
+//                   at match time, the network model has no piecewise
+//                   corrections, and collectives are monolithic analytic
+//                   delays.
 //
-//   replay_smpi - the NEW implementation (paper §3.3): actions are handed to
-//                 the simulated MPI runtime, inheriting the detached eager
-//                 mode, the rendezvous protocol, the piecewise-linear
-//                 network model and point-to-point collective algorithms.
-//                 This is the `smpi_replay` program of the paper: load the
-//                 trace, run the actions, report the simulated time.
+//   Backend::Smpi - the NEW implementation (paper §3.3): actions are handed
+//                   to the simulated MPI runtime, inheriting the detached
+//                   eager mode, the rendezvous protocol, the piecewise-linear
+//                   network model and point-to-point collective algorithms.
+//                   This is the `smpi_replay` program of the paper: load the
+//                   trace, run the actions, report the simulated time.
 //
 // Both engines price `compute` actions at a calibrated instruction rate
 // (see calibration.hpp) rather than the platform's nominal speed.
@@ -33,6 +34,7 @@
 #include "sim/engine.hpp"
 #include "smpi/config.hpp"
 #include "tit/trace.hpp"
+#include "titio/shared.hpp"
 #include "titio/source.hpp"
 
 namespace tir::core {
@@ -84,12 +86,6 @@ struct ReplayConfig {
   /// record the per-rank schedule, then feed it to obs::aggregate /
   /// obs::write_paje / obs::critical_path (see docs/observability.md).
   obs::Sink* sink = nullptr;
-  /// Simulation-kernel solver strategy (docs/simulation_kernel.md).  The
-  /// default incremental path re-solves only the sharing-graph components a
-  /// step actually dirtied; Resolve::Full re-solves everything every step
-  /// and exists as the reference for differential tests and benchmarks —
-  /// both produce bit-identical predictions.
-  sim::Resolve resolve = sim::Resolve::Incremental;
 
   /// Resume from a checkpoint instead of replaying from action 0 (src/ckpt
   /// produces these; null replays cold).  Not owned, must outlive the call.
@@ -144,35 +140,35 @@ struct ReplayResult {
 };
 
 /// The two replay back-ends as a runtime-selectable value: what a sweep
-/// Scenario carries and what the generic replay() dispatches on.
+/// Scenario carries and what replay() dispatches on.
 enum class Backend {
-  Smpi,  ///< the paper's improved framework (replay_smpi)
-  Msg,   ///< the paper's first prototype, kept as the baseline (replay_msg)
+  Smpi,  ///< the paper's improved framework (replay_smpi.cpp)
+  Msg,   ///< the paper's first prototype, kept as the baseline (replay_msg.cpp)
 };
 
 inline const char* backend_name(Backend b) { return b == Backend::Msg ? "msg" : "smpi"; }
 
-/// New SMPI-based replay (the paper's improved framework). The engines pull
-/// actions on demand through an ActionSource, so replay memory is bounded
-/// by the source (a streaming titio::Reader never materializes the trace).
-ReplayResult replay_smpi(titio::ActionSource& source, const platform::Platform& platform,
-                         const ReplayConfig& config);
-
-/// Old MSG-based replay (the paper's first prototype, kept as the baseline).
-ReplayResult replay_msg(titio::ActionSource& source, const platform::Platform& platform,
-                        const ReplayConfig& config);
-
-/// Backend-dispatching replay (the sweep layer's entry point).
+/// Replay a trace and predict its simulated time: the one entry point of
+/// both back-ends.  The engines pull actions on demand through the source,
+/// so replay memory is bounded by the source (a streaming titio::Reader
+/// never materializes the trace).  Rank r runs on host r % host_count
+/// (platform::place_ranks); a platform without hosts is a ConfigError.
 ReplayResult replay(Backend backend, titio::ActionSource& source,
                     const platform::Platform& platform, const ReplayConfig& config);
 
-/// Materialized-trace convenience overloads (the original API): wrap the
-/// trace in a MemorySource and stream from RAM.
-ReplayResult replay_smpi(const tit::Trace& trace, const platform::Platform& platform,
-                         const ReplayConfig& config);
-ReplayResult replay_msg(const tit::Trace& trace, const platform::Platform& platform,
-                        const ReplayConfig& config);
-ReplayResult replay(Backend backend, const tit::Trace& trace,
-                    const platform::Platform& platform, const ReplayConfig& config);
+/// replay() from a materialized trace, streamed from RAM.
+inline ReplayResult replay(Backend backend, const tit::Trace& trace,
+                           const platform::Platform& platform, const ReplayConfig& config) {
+  titio::MemorySource source(trace);
+  return replay(backend, source, platform, config);
+}
+
+/// replay() from a shared decoded trace (one fresh cursor): what a service
+/// calls after a cache hit, with no re-decode.
+inline ReplayResult replay(Backend backend, const titio::SharedTrace& trace,
+                           const platform::Platform& platform, const ReplayConfig& config) {
+  titio::SharedTrace::Cursor cursor = trace.cursor();
+  return replay(backend, cursor, platform, config);
+}
 
 }  // namespace tir::core

@@ -110,16 +110,6 @@ std::string describe_rank(const RankDiag& diag) {
   return s;
 }
 
-void check_p2p_partner(int me, int nprocs, const tit::Action& a) {
-  if (a.partner < 0 || a.partner >= nprocs) {
-    throw MalformedTraceError("p" + std::to_string(me) +
-                              ": partner out of range: " + tit::to_line(a));
-  }
-  if (a.partner == me) {
-    throw MalformedTraceError("p" + std::to_string(me) + ": self-message: " + tit::to_line(a));
-  }
-}
-
 sim::Coro replay_rank_msg(sim::Ctx& ctx, int me, titio::ActionSource& source,
                           OldReplayShared& shared, const ReplayConfig& config,
                           std::uint64_t& actions) {
@@ -276,8 +266,8 @@ sim::Coro replay_rank_msg(sim::Ctx& ctx, int me, titio::ActionSource& source,
 }  // namespace
 
 ReplayResult replay_msg(titio::ActionSource& source, const platform::Platform& platform,
-                        const ReplayConfig& config) {
-  ReplaySession session(source, platform, config);
+                        const ReplayConfig& config, sim::Resolve resolve) {
+  ReplaySession session(source, platform, config, resolve);
   OldReplayShared shared(session.engine(), session.nprocs());
 
   // Analytic model parameters from a representative host pair.
@@ -293,21 +283,14 @@ ReplayResult replay_msg(titio::ActionSource& source, const platform::Platform& p
   }
 
   for (int r = 0; r < session.nprocs(); ++r) {
-    const platform::HostId host =
-        static_cast<platform::HostId>(r % static_cast<int>(platform.host_count()));
-    session.engine().spawn("rank" + std::to_string(r), host, 0,
+    session.engine().spawn("rank" + std::to_string(r),
+                           session.rank_hosts()[static_cast<std::size_t>(r)], 0,
                            [&session, &source, &shared, &config, r](sim::Ctx& ctx) -> sim::Coro {
                              return replay_rank_msg(ctx, r, source, shared, config,
                                                     session.actions_replayed());
                            });
   }
   return session.finish();
-}
-
-ReplayResult replay_msg(const tit::Trace& trace, const platform::Platform& platform,
-                        const ReplayConfig& config) {
-  titio::MemorySource source(trace);
-  return replay_msg(source, platform, config);
 }
 
 }  // namespace tir::core

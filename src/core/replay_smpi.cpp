@@ -63,19 +63,6 @@ std::string describe_rank(const RankDiag& diag) {
   return s;
 }
 
-/// Spot checks on streamed actions that static validation cannot cover
-/// (a streaming source is never materialized, so replay is the first place
-/// the whole action is visible).
-void check_p2p_partner(int me, int nprocs, const tit::Action& a) {
-  if (a.partner < 0 || a.partner >= nprocs) {
-    throw MalformedTraceError("p" + std::to_string(me) +
-                              ": partner out of range: " + tit::to_line(a));
-  }
-  if (a.partner == me) {
-    throw MalformedTraceError("p" + std::to_string(me) + ": self-message: " + tit::to_line(a));
-  }
-}
-
 sim::Coro replay_rank_smpi(sim::Ctx& ctx, int me, titio::ActionSource& source,
                            smpi::World& world, const ReplayConfig& config,
                            std::uint64_t& actions) {
@@ -217,21 +204,14 @@ sim::Coro replay_rank_smpi(sim::Ctx& ctx, int me, titio::ActionSource& source,
 }  // namespace
 
 ReplayResult replay_smpi(titio::ActionSource& source, const platform::Platform& platform,
-                         const ReplayConfig& config) {
-  ReplaySession session(source, platform, config);
-  smpi::World world(session.engine(), config.mpi,
-                    smpi::World::scatter_hosts(platform, session.nprocs()),
+                         const ReplayConfig& config, sim::Resolve resolve) {
+  ReplaySession session(source, platform, config, resolve);
+  smpi::World world(session.engine(), config.mpi, session.rank_hosts(),
                     std::vector<int>(static_cast<std::size_t>(session.nprocs()), 0));
   world.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro {
     return replay_rank_smpi(ctx, me, source, world, config, session.actions_replayed());
   });
   return session.finish();
-}
-
-ReplayResult replay_smpi(const tit::Trace& trace, const platform::Platform& platform,
-                         const ReplayConfig& config) {
-  titio::MemorySource source(trace);
-  return replay_smpi(source, platform, config);
 }
 
 }  // namespace tir::core

@@ -33,12 +33,13 @@ void ReplayConfig::check(int nprocs) const {
 }
 
 ReplaySession::ReplaySession(titio::ActionSource& source, const platform::Platform& platform,
-                             const ReplayConfig& config)
+                             const ReplayConfig& config, sim::Resolve resolve)
     : source_(source),
       config_(config),
       t0_(std::chrono::steady_clock::now()),
       nprocs_(source.nprocs()) {
   config_.check(nprocs_);
+  rank_hosts_ = platform::place_ranks(platform, nprocs_);
   if (config_.resume != nullptr) {
     const ResumeState& r = *config_.resume;
     if (r.positions.size() != static_cast<std::size_t>(nprocs_) ||
@@ -54,8 +55,7 @@ ReplaySession::ReplaySession(titio::ActionSource& source, const platform::Platfo
   source_.begin_session();
   engine_ = std::make_unique<sim::Engine>(
       platform,
-      sim::EngineConfig{config_.sharing, config_.watchdog_seconds, config_.sink,
-                        config_.resolve});
+      sim::EngineConfig{config_.sharing, config_.watchdog_seconds, config_.sink, resolve});
 }
 
 ReplayResult ReplaySession::finish() {
@@ -71,16 +71,35 @@ ReplayResult ReplaySession::finish() {
   return result;
 }
 
-ReplayResult replay(Backend backend, titio::ActionSource& source,
-                    const platform::Platform& platform, const ReplayConfig& config) {
-  return backend == Backend::Msg ? replay_msg(source, platform, config)
-                                 : replay_smpi(source, platform, config);
+void check_p2p_partner(int me, int nprocs, const tit::Action& a) {
+  if (a.partner < 0 || a.partner >= nprocs) {
+    throw MalformedTraceError("p" + std::to_string(me) +
+                              ": partner out of range: " + tit::to_line(a));
+  }
+  if (a.partner == me) {
+    throw MalformedTraceError("p" + std::to_string(me) + ": self-message: " + tit::to_line(a));
+  }
 }
 
-ReplayResult replay(Backend backend, const tit::Trace& trace,
+namespace {
+
+ReplayResult dispatch(Backend backend, titio::ActionSource& source,
+                      const platform::Platform& platform, const ReplayConfig& config,
+                      sim::Resolve resolve) {
+  return backend == Backend::Msg ? replay_msg(source, platform, config, resolve)
+                                 : replay_smpi(source, platform, config, resolve);
+}
+
+}  // namespace
+
+ReplayResult replay(Backend backend, titio::ActionSource& source,
                     const platform::Platform& platform, const ReplayConfig& config) {
-  titio::MemorySource source(trace);
-  return replay(backend, source, platform, config);
+  return dispatch(backend, source, platform, config, sim::Resolve::Incremental);
+}
+
+ReplayResult replay_full_resolve(Backend backend, titio::ActionSource& source,
+                                 const platform::Platform& platform, const ReplayConfig& config) {
+  return dispatch(backend, source, platform, config, sim::Resolve::Full);
 }
 
 }  // namespace tir::core

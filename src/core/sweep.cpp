@@ -12,12 +12,6 @@ int resolve_jobs(int jobs) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-ReplayResult replay(Backend backend, const titio::SharedTrace& trace,
-                    const platform::Platform& platform, const ReplayConfig& config) {
-  titio::SharedTrace::Cursor cursor = trace.cursor();
-  return replay(backend, cursor, platform, config);
-}
-
 namespace {
 
 /// Run one scenario to a finished outcome.  Every failure mode of a session

@@ -117,13 +117,6 @@ struct SweepOptions {
 /// Resolve a jobs request: values <= 0 become hardware concurrency (>= 1).
 int resolve_jobs(int jobs);
 
-/// Cache-aware session entry point: replay straight from a shared decoded
-/// trace (mints one cursor internally).  This is what a service hot path
-/// calls after a cache hit — no re-decode, no source plumbing, just the
-/// session.  Exactly equivalent to replay(backend, trace.cursor(), ...).
-ReplayResult replay(Backend backend, const titio::SharedTrace& trace,
-                    const platform::Platform& platform, const ReplayConfig& config);
-
 /// Replay `trace` under every scenario; outcomes in input order.
 std::vector<ScenarioOutcome> sweep(const titio::SharedTrace& trace,
                                    const std::vector<Scenario>& scenarios,

@@ -107,16 +107,6 @@ SweepAggregator::Summary SweepAggregator::summary() const {
   return s;
 }
 
-DistributionSummary SweepAggregator::simulated_time_distribution() const {
-  std::vector<double> samples;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    samples.reserve(entries_.size());
-    for (const Entry& e : entries_) samples.push_back(e.report.simulated_time);
-  }
-  return summarize(std::move(samples));
-}
-
 std::size_t SweepAggregator::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();

@@ -118,10 +118,6 @@ class SweepAggregator {
   /// Thread-safe roll-up over the recorded reports.
   Summary summary() const;
 
-  /// Distribution of per-scenario simulated times (the Monte Carlo output
-  /// metric).  Thread-safe; order-free like summarize().
-  DistributionSummary simulated_time_distribution() const;
-
   std::size_t size() const;
 
  private:

@@ -65,12 +65,6 @@ void TimelineSink::on_message(int src, int dst, double bytes, bool eager, bool c
   }
 }
 
-void TimelineSink::on_mailbox_match(std::string_view mailbox, double bytes) {
-  MailboxStats& u = mailboxes_[std::string(mailbox)];
-  ++u.matches;
-  u.bytes += bytes;
-}
-
 void TimelineSink::on_phase_begin(const PhaseEvent& e, double now) {
   RankRec& r = rank_rec(e.rank);
   TIR_ASSERT(!r.open);

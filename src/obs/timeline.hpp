@@ -5,8 +5,7 @@
 // level streams the aggregator needs: per-link busy time and traffic (from
 // the per-step communication progress events, i.e. the rates the max-min
 // solver assigned), message protocol classification from the SMPI layer,
-// mailbox match counts from the MSG layer, and the wait-for diagnosis lines
-// of a wedged replay.
+// and the wait-for diagnosis lines of a wedged replay.
 //
 // Invariants on the recorded timeline (tested in tests/obs/timeline_test):
 //   * per rank, interval begin/end times are monotone non-decreasing;
@@ -19,7 +18,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/sink.hpp"
@@ -67,7 +65,6 @@ class TimelineSink : public Sink {
                         double dt) override;
   void on_sim_end(double now) override;
   void on_message(int src, int dst, double bytes, bool eager, bool collective) override;
-  void on_mailbox_match(std::string_view mailbox, double bytes) override;
   void on_phase_begin(const PhaseEvent& e, double now) override;
   void on_phase_end(int rank, double now) override;
   void on_warning(std::string_view text) override;
@@ -89,15 +86,6 @@ class TimelineSink : public Sink {
   const std::vector<Diagnosis>& diagnoses() const { return diagnoses_; }
   /// Non-fatal warnings emitted during the run (config checks, ...).
   const std::vector<std::string>& warnings() const { return warnings_; }
-
-  /// MSG-layer mailbox traffic (empty for the SMPI back-end).
-  struct MailboxStats {
-    std::uint64_t matches = 0;
-    double bytes = 0.0;
-  };
-  const std::unordered_map<std::string, MailboxStats>& mailbox_traffic() const {
-    return mailboxes_;
-  }
 
   /// Protocol-classified p2p traffic from the SMPI layer (empty for the MSG
   /// back-end, which has no protocol split).
@@ -127,7 +115,6 @@ class TimelineSink : public Sink {
   std::vector<RankRec> ranks_;
   std::vector<LinkUsage> links_;
   std::vector<std::uint64_t> link_stamp_;  ///< last step a link was seen busy
-  std::unordered_map<std::string, MailboxStats> mailboxes_;
   std::vector<Diagnosis> diagnoses_;
   std::vector<std::string> warnings_;
   MessageStats messages_;

@@ -1,6 +1,8 @@
 #include "platform/parse.hpp"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -54,11 +56,15 @@ class Fields {
   double bytes(const std::string& key) const {
     return static_cast<double>(units::parse_bytes(get(key)));
   }
-  long integer(const std::string& key) const {
-    return static_cast<long>(str::to_u64(get(key), key));
+  int integer(const std::string& key) const {
+    const std::uint64_t v = str::to_u64(get(key), key);
+    if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      semantic(key, "count does not fit in int");
+    }
+    return static_cast<int>(v);
   }
-  long count(const std::string& key) const {
-    const long v = integer(key);
+  int count(const std::string& key) const {
+    const int v = integer(key);
     if (v < 1) semantic(key, "count must be at least 1");
     return v;
   }
@@ -126,7 +132,7 @@ Platform parse_platform(std::istream& in) {
       }
       const Fields f(tokens, 2, line);
       const HostId h =
-          p.add_host(name, static_cast<int>(f.count("cores")), f.speed("speed"), f.bytes("l2"));
+          p.add_host(name, f.count("cores"), f.speed("speed"), f.bytes("l2"));
       if (f.has("switch")) {
         const auto it = switch_names.find(f.get("switch"));
         if (it == switch_names.end()) {
@@ -166,13 +172,13 @@ Platform parse_platform(std::istream& in) {
       const Fields f(tokens, 1, line);
       ClusterSpec spec;
       spec.prefix = f.get_or("prefix", "node");
-      spec.nodes = static_cast<int>(f.count("nodes"));
-      spec.cores_per_node = static_cast<int>(f.count("cores"));
+      spec.nodes = f.count("nodes");
+      spec.cores_per_node = f.count("cores");
       spec.core_speed = f.speed("speed");
       spec.l2_bytes = f.bytes("l2");
       spec.link_bandwidth = f.bandwidth("bw");
       spec.link_latency = f.duration("lat");
-      const int cabinets = f.has("cabinets") ? static_cast<int>(f.integer("cabinets")) : 1;
+      const int cabinets = f.has("cabinets") ? f.integer("cabinets") : 1;
       if (cabinets <= 1) {
         build_flat_cluster(p, spec);
       } else {

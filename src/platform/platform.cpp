@@ -157,4 +157,16 @@ Route Platform::tree_route(HostId src, HostId dst) const {
   return r;
 }
 
+std::vector<HostId> place_ranks(const Platform& p, int nprocs) {
+  if (p.host_count() == 0) {
+    throw ConfigError("platform has no hosts to place " + std::to_string(nprocs) + " rank(s) on");
+  }
+  const int hosts = static_cast<int>(p.host_count());
+  std::vector<HostId> placement(static_cast<std::size_t>(std::max(nprocs, 0)));
+  for (int r = 0; r < nprocs; ++r) {
+    placement[static_cast<std::size_t>(r)] = static_cast<HostId>(r % hosts);
+  }
+  return placement;
+}
+
 }  // namespace tir::platform

@@ -126,4 +126,11 @@ class Platform {
   double loopback_lat_ = 2e-7;
 };
 
+/// Where `nprocs` MPI ranks run: rank r on host r % host_count, one rank
+/// per node until the nodes run out (as the paper's experiments place them).
+/// The one placement rule of both replay back-ends, the machine runs in
+/// src/apps and the Monte Carlo rate scaling.  Throws ConfigError when the
+/// platform has no hosts.
+std::vector<HostId> place_ranks(const Platform& p, int nprocs);
+
 }  // namespace tir::platform

@@ -51,7 +51,7 @@ struct Activity;
 /// or orphans it, in which case the last ActivityPtr release deletes it.
 /// Confined to the engine's thread like everything else here.
 struct ActivityArena {
-  PoolResource pool;
+  PoolResource<Activity> pool;
   std::uint64_t live = 0;  ///< activities allocated and not yet released
   bool orphaned = false;   ///< engine destroyed; last release deletes this
 };
@@ -199,7 +199,7 @@ inline void ActivityPtr::reset() {
   if (p != nullptr && --p->refs == 0) {
     ActivityArena* const arena = p->arena;
     p->~Activity();
-    arena->pool.deallocate(p, sizeof(Activity));
+    arena->pool.deallocate(p);
     if (--arena->live == 0 && arena->orphaned) delete arena;
   }
 }

@@ -171,7 +171,7 @@ void Engine::drain_ready() {
 
 ActivityPtr Engine::make_activity() {
   ActivityArena* const arena = arena_.arena;
-  void* const mem = arena->pool.allocate(sizeof(Activity));
+  void* const mem = arena->pool.allocate();
   Activity* const act = new (mem) Activity();
   act->arena = arena;
   ++arena->live;

@@ -1,14 +1,12 @@
 // Flat allocation infrastructure for the simulation kernel's hot path.
 //
-// PoolResource: size-binned recycling pool for activity allocations.  The
-// engine churns through one Activity per simulated event; with the default
-// allocator every make_comm/start_exec is a malloc and the matching
-// completion a free, right on the hot loop.  PoolResource keeps freed blocks
-// on per-size free lists instead, so steady-state replay reuses a small
-// working set of blocks and performs no allocator calls at all.  Only a
-// handful of distinct sizes ever pass through (the Activity control block,
-// occasionally a WaitAnyState), so the bins live in a flat vector scanned
-// linearly — no hashing on the allocation path.
+// PoolResource<T>: recycling free list for the engine's Activity blocks.
+// The engine churns through one Activity per simulated event; with the
+// default allocator every make_comm/start_exec is a malloc and the matching
+// completion a free, right on the hot loop.  PoolResource keeps freed
+// blocks on one free list instead, so steady-state replay reuses a small
+// working set of blocks and performs no allocator calls at all.  Its one
+// caller is Engine::make_activity, so every block is sizeof(T).
 //
 // SpanArena: slotted storage for many small arrays backed by one flat
 // buffer.  The max-min solver keeps a route (a few LinkIds) per flow and a
@@ -41,49 +39,36 @@
 
 namespace tir::sim {
 
+template <class T>
 class PoolResource {
  public:
   PoolResource() = default;
   PoolResource(const PoolResource&) = delete;
   PoolResource& operator=(const PoolResource&) = delete;
   ~PoolResource() {
-    for (Bin& bin : bins_) {
-      for (void* p : bin.blocks) ::operator delete(p);
-    }
+    for (void* p : free_) ::operator delete(p);
   }
 
-  void* allocate(std::size_t bytes) {
-    Bin& bin = bin_for(bytes);
-    if (!bin.blocks.empty()) {
-      void* const p = bin.blocks.back();
-      bin.blocks.pop_back();
+  /// Raw storage for one T; construct it with placement new.
+  void* allocate() {
+    if (!free_.empty()) {
+      void* const p = free_.back();
+      free_.pop_back();
       return p;
     }
     ++fresh_;
-    return ::operator new(bytes);
+    return ::operator new(sizeof(T));
   }
 
-  void deallocate(void* p, std::size_t bytes) { bin_for(bytes).blocks.push_back(p); }
+  /// Takes back the storage of a destroyed T.
+  void deallocate(void* p) { free_.push_back(p); }
 
   /// Blocks obtained from the system allocator (i.e. free-list misses).
   /// A steady-state replay should see this plateau after warm-up.
   std::uint64_t fresh_allocations() const { return fresh_; }
 
  private:
-  struct Bin {
-    std::size_t bytes = 0;
-    std::vector<void*> blocks;
-  };
-
-  Bin& bin_for(std::size_t bytes) {
-    for (Bin& bin : bins_) {
-      if (bin.bytes == bytes) return bin;
-    }
-    bins_.push_back(Bin{bytes, {}});
-    return bins_.back();
-  }
-
-  std::vector<Bin> bins_;
+  std::vector<void*> free_;
   std::uint64_t fresh_ = 0;
 };
 

@@ -34,16 +34,6 @@ World::World(sim::Engine& engine, Config config, std::vector<platform::HostId> r
   engine_.complete_now(eager_done_);
 }
 
-std::vector<platform::HostId> World::scatter_hosts(const platform::Platform& p, int nprocs) {
-  TIR_ASSERT(nprocs >= 1);
-  std::vector<platform::HostId> hosts(static_cast<std::size_t>(nprocs));
-  for (int r = 0; r < nprocs; ++r) {
-    hosts[static_cast<std::size_t>(r)] =
-        static_cast<platform::HostId>(r % static_cast<int>(p.host_count()));
-  }
-  return hosts;
-}
-
 platform::HostId World::rank_host(int rank) const {
   TIR_ASSERT(rank >= 0 && rank < size());
   return rank_hosts_[static_cast<std::size_t>(rank)];

@@ -45,14 +45,10 @@ struct WorldStats {
 
 class World {
  public:
-  /// rank_hosts[r] / rank_cores[r]: placement of rank r.
+  /// rank_hosts[r] / rank_cores[r]: placement of rank r (platform::place_ranks
+  /// gives the usual one).
   World(sim::Engine& engine, Config config, std::vector<platform::HostId> rank_hosts,
         std::vector<int> rank_cores);
-
-  /// Convenience: place `nprocs` ranks round-robin over hosts, one rank per
-  /// (host, core) slot, cores-first or hosts-first (scatter=true -> one rank
-  /// per node until nodes are exhausted, as the paper's experiments do).
-  static std::vector<platform::HostId> scatter_hosts(const platform::Platform& p, int nprocs);
 
   int size() const { return static_cast<int>(rank_hosts_.size()); }
   sim::Engine& engine() { return engine_; }

@@ -382,13 +382,18 @@ void Server::run_job(Job& job) {
       platform = platforms_.get_or_load(
           platform_key,
           [&] {
+            // Parse the bytes that were hashed: re-opening the file could
+            // cache a rewritten file under the old content's key.
             return std::make_shared<const platform::Platform>(
-                platform::load_platform(request.platform));
+                platform::parse_platform_string(bytes));
           },
           [&](const std::shared_ptr<const platform::Platform>&) {
             return 1024 + 4 * bytes.size();
           });
     }
+    // A platform without hosts fails the job, not each scenario: calibration
+    // and every replay would place ranks on it.
+    (void)platform::place_ranks(*platform, trace->nprocs());
 
     // --- perturbation: a platform family sampled at the seed grid -----------
     // Instances are not cached (each is one Platform copy; mc_expand samples

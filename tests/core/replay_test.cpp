@@ -10,6 +10,7 @@
 
 #include "apps/cg.hpp"
 #include "platform/clusters.hpp"
+#include "platform/parse.hpp"
 
 namespace tir::core {
 namespace {
@@ -37,8 +38,8 @@ TEST(Replay, ComputePricedAtCalibratedRate) {
   const tit::Trace t = tit::parse_trace_string("p0 compute 3e9\n", 1);
   const platform::Platform p = cluster(1);
   ReplayConfig cfg = identity_config(1.5e9);
-  EXPECT_NEAR(replay_smpi(t, p, cfg).simulated_time, 2.0, 1e-9);
-  EXPECT_NEAR(replay_msg(t, p, cfg).simulated_time, 2.0, 1e-9);
+  EXPECT_NEAR(replay(Backend::Smpi, t, p, cfg).simulated_time, 2.0, 1e-9);
+  EXPECT_NEAR(replay(Backend::Msg, t, p, cfg).simulated_time, 2.0, 1e-9);
 }
 
 // An infinite rate prices every compute at zero seconds; it must never
@@ -52,9 +53,19 @@ TEST(Replay, NonFiniteRateIsAConfigError) {
         std::vector<double>{std::numeric_limits<double>::quiet_NaN()}}) {
     ReplayConfig cfg = identity_config();
     cfg.rates = rates;
-    EXPECT_THROW(replay_smpi(t, p, cfg), ConfigError);
-    EXPECT_THROW(replay_msg(t, p, cfg), ConfigError);
+    EXPECT_THROW(replay(Backend::Smpi, t, p, cfg), ConfigError);
+    EXPECT_THROW(replay(Backend::Msg, t, p, cfg), ConfigError);
   }
+}
+
+// A platform file with a switch and no host must fail rank placement with a
+// typed error on both back-ends, not divide by the host count.
+TEST(Replay, HostlessPlatformIsAConfigError) {
+  const tit::Trace t =
+      tit::parse_trace_string("p0 compute 1e9\np0 send p1 8\np1 recv p0 8\n", 2);
+  const platform::Platform p = platform::parse_platform_string("switch root\n");
+  EXPECT_THROW(replay(Backend::Smpi, t, p, identity_config()), ConfigError);
+  EXPECT_THROW(replay(Backend::Msg, t, p, identity_config()), ConfigError);
 }
 
 TEST(Replay, PerRankRatesApply)
@@ -63,7 +74,7 @@ TEST(Replay, PerRankRatesApply)
   ReplayConfig cfg = identity_config();
   cfg.rates = {1e9, 5e8};  // rank 1 half as fast
   const platform::Platform p = cluster(2);
-  EXPECT_NEAR(replay_smpi(t, p, cfg).simulated_time, 2.0, 1e-9);
+  EXPECT_NEAR(replay(Backend::Smpi, t, p, cfg).simulated_time, 2.0, 1e-9);
 }
 
 TEST(Replay, NewBackendOverlapsEagerWithLateReceiver) {
@@ -77,8 +88,8 @@ TEST(Replay, NewBackendOverlapsEagerWithLateReceiver) {
       2);
   const platform::Platform p = cluster(2);
   const ReplayConfig cfg = identity_config();
-  const double t_new = replay_smpi(t, p, cfg).simulated_time;
-  const double t_old = replay_msg(t, p, cfg).simulated_time;
+  const double t_new = replay(Backend::Smpi, t, p, cfg).simulated_time;
+  const double t_old = replay(Backend::Msg, t, p, cfg).simulated_time;
   EXPECT_NEAR(t_new, 1.0, 1e-6);  // fully overlapped
   const double net = 2 * 5e-5 + 1024.0 / 1.25e8;
   EXPECT_NEAR(t_old, 1.0 + net, 1e-9);  // transfer starts at match
@@ -92,8 +103,8 @@ TEST(Replay, BothBackendsAgreeOnRendezvousMessages) {
       2);
   const platform::Platform p = cluster(2);
   const ReplayConfig cfg = identity_config();
-  const double t_new = replay_smpi(t, p, cfg).simulated_time;
-  const double t_old = replay_msg(t, p, cfg).simulated_time;
+  const double t_new = replay(Backend::Smpi, t, p, cfg).simulated_time;
+  const double t_old = replay(Backend::Msg, t, p, cfg).simulated_time;
   EXPECT_NEAR(t_new, t_old, t_old * 0.01);
 }
 
@@ -104,8 +115,8 @@ TEST(Replay, OldFormatRecvWithoutSizeWorks) {
       2);
   const platform::Platform p = cluster(2);
   const ReplayConfig cfg = identity_config();
-  EXPECT_GT(replay_msg(t, p, cfg).simulated_time, 0.0);
-  EXPECT_GT(replay_smpi(t, p, cfg).simulated_time, 0.0);
+  EXPECT_GT(replay(Backend::Msg, t, p, cfg).simulated_time, 0.0);
+  EXPECT_GT(replay(Backend::Smpi, t, p, cfg).simulated_time, 0.0);
 }
 
 TEST(Replay, IsendWaitSequence) {
@@ -117,7 +128,7 @@ TEST(Replay, IsendWaitSequence) {
       "p1 recv p0 100000\n",
       2);
   const platform::Platform p = cluster(2);
-  const double sim = replay_smpi(t, p, identity_config()).simulated_time;
+  const double sim = replay(Backend::Smpi, t, p, identity_config()).simulated_time;
   // Rendezvous isend overlaps the compute; wait collects the tail.
   EXPECT_GT(sim, 1.0 - 1e-9);
   EXPECT_LT(sim, 1.1);
@@ -126,7 +137,7 @@ TEST(Replay, IsendWaitSequence) {
 TEST(Replay, WaitWithoutRequestThrowsInNewBackend) {
   const tit::Trace t = tit::parse_trace_string("p0 wait\n", 1);
   const platform::Platform p = cluster(1);
-  EXPECT_THROW(replay_smpi(t, p, identity_config()), Error);
+  EXPECT_THROW(replay(Backend::Smpi, t, p, identity_config()), Error);
 }
 
 TEST(Replay, WaitallCollectsEverything) {
@@ -139,7 +150,7 @@ TEST(Replay, WaitallCollectsEverything) {
       "p1 waitall\n",
       2);
   const platform::Platform p = cluster(2);
-  EXPECT_GT(replay_smpi(t, p, identity_config()).simulated_time, 0.0);
+  EXPECT_GT(replay(Backend::Smpi, t, p, identity_config()).simulated_time, 0.0);
 }
 
 TEST(Replay, CollectivesReplayOnBothBackends) {
@@ -159,14 +170,14 @@ TEST(Replay, CollectivesReplayOnBothBackends) {
   }
   const tit::Trace t = tit::parse_trace_string(text, 4);
   const platform::Platform p = cluster(4);
-  EXPECT_GT(replay_smpi(t, p, identity_config()).simulated_time, 0.0);
-  EXPECT_GT(replay_msg(t, p, identity_config()).simulated_time, 0.0);
+  EXPECT_GT(replay(Backend::Smpi, t, p, identity_config()).simulated_time, 0.0);
+  EXPECT_GT(replay(Backend::Msg, t, p, identity_config()).simulated_time, 0.0);
 }
 
 TEST(Replay, DeadlockedTraceReportsError) {
   const tit::Trace t = tit::parse_trace_string("p0 recv p1 10\n", 2);
   const platform::Platform p = cluster(2);
-  EXPECT_THROW(replay_smpi(t, p, identity_config()), SimError);
+  EXPECT_THROW(replay(Backend::Smpi, t, p, identity_config()), SimError);
 }
 
 TEST(Replay, DeterministicAcrossRuns) {
@@ -182,10 +193,10 @@ TEST(Replay, DeterministicAcrossRuns) {
   const tit::Trace t = tit::parse_trace_string(text, 4);
   const platform::Platform p = cluster(4);
   const ReplayConfig cfg = identity_config();
-  EXPECT_DOUBLE_EQ(replay_smpi(t, p, cfg).simulated_time,
-                   replay_smpi(t, p, cfg).simulated_time);
-  EXPECT_DOUBLE_EQ(replay_msg(t, p, cfg).simulated_time,
-                   replay_msg(t, p, cfg).simulated_time);
+  EXPECT_DOUBLE_EQ(replay(Backend::Smpi, t, p, cfg).simulated_time,
+                   replay(Backend::Smpi, t, p, cfg).simulated_time);
+  EXPECT_DOUBLE_EQ(replay(Backend::Msg, t, p, cfg).simulated_time,
+                   replay(Backend::Msg, t, p, cfg).simulated_time);
 }
 
 TEST(Replay, ActionCountsReported) {
@@ -194,7 +205,7 @@ TEST(Replay, ActionCountsReported) {
       "p1 init\np1 recv p0 8\np1 finalize\n",
       2);
   const platform::Platform p = cluster(2);
-  const ReplayResult r = replay_smpi(t, p, identity_config());
+  const ReplayResult r = replay(Backend::Smpi, t, p, identity_config());
   EXPECT_EQ(r.actions_replayed, 7u);
   EXPECT_GT(r.engine_steps, 0u);
   EXPECT_GE(r.wall_clock_seconds, 0.0);
@@ -209,8 +220,8 @@ TEST(Replay, BackendsDivergeOnCollectiveHeavyCg) {
   const tit::Trace t = apps::cg_trace(apps::CgConfig{8, 50, 1e6, 1e4, 28000.0});
   const platform::Platform p = cluster(8);
   const ReplayConfig cfg = identity_config();
-  const double t_new = replay_smpi(t, p, cfg).simulated_time;
-  const double t_old = replay_msg(t, p, cfg).simulated_time;
+  const double t_new = replay(Backend::Smpi, t, p, cfg).simulated_time;
+  const double t_old = replay(Backend::Msg, t, p, cfg).simulated_time;
   EXPECT_GT(t_new, 0.0);
   EXPECT_GT(t_old, 0.0);
   EXPECT_GT(std::abs(t_old - t_new) / t_new, 0.005);
@@ -225,8 +236,8 @@ TEST(Replay, PiecewiseModelSlowsSmallMessages) {
   ReplayConfig plain = identity_config();
   ReplayConfig corrected = identity_config();
   corrected.mpi.piecewise = smpi::reference_piecewise();
-  EXPECT_GT(replay_smpi(t, p, corrected).simulated_time,
-            replay_smpi(t, p, plain).simulated_time);
+  EXPECT_GT(replay(Backend::Smpi, t, p, corrected).simulated_time,
+            replay(Backend::Smpi, t, p, plain).simulated_time);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST(Robustness, UnmatchedRecvDiagnosesBlockedRankNewBackend) {
       2);
   const platform::Platform p = cluster(2);
   try {
-    replay_smpi(t, p, identity_config());
+    replay(Backend::Smpi, t, p, identity_config());
     FAIL() << "expected DeadlockError";
   } catch (const DeadlockError& e) {
     EXPECT_EQ(e.code(), ErrorCode::Deadlock);
@@ -58,7 +58,7 @@ TEST(Robustness, UnmatchedRecvDiagnosesBlockedRankOldBackend) {
   const tit::Trace t = tit::parse_trace_string("p0 recv p1 10\n", 2);
   const platform::Platform p = cluster(2);
   try {
-    replay_msg(t, p, identity_config());
+    replay(Backend::Msg, t, p, identity_config());
     FAIL() << "expected DeadlockError";
   } catch (const DeadlockError& e) {
     ASSERT_EQ(e.blocked().size(), 1u);
@@ -80,19 +80,19 @@ TEST(Robustness, CollectiveWithMissingParticipantDeadlocksWithDiagnosis) {
       4);
   const platform::Platform p = cluster(4);
   try {
-    replay_smpi(t, p, identity_config());
+    replay(Backend::Smpi, t, p, identity_config());
     FAIL() << "expected DeadlockError";
   } catch (const DeadlockError& e) {
     EXPECT_EQ(e.blocked().size(), 3u);
     EXPECT_TRUE(contains(e.what(), "collective site 0:")) << e.what();
   }
-  EXPECT_THROW(replay_msg(t, p, identity_config()), DeadlockError);
+  EXPECT_THROW(replay(Backend::Msg, t, p, identity_config()), DeadlockError);
 }
 
 TEST(Robustness, DeadlockErrorIsStillASimError) {
   // Compatibility: callers catching the old SimError keep working.
   const tit::Trace t = tit::parse_trace_string("p0 recv p1 10\n", 2);
-  EXPECT_THROW(replay_smpi(t, cluster(2), identity_config()), SimError);
+  EXPECT_THROW(replay(Backend::Smpi, t, cluster(2), identity_config()), SimError);
 }
 
 // ---------- malformed actions fail fast ------------------------------------
@@ -101,25 +101,25 @@ TEST(Robustness, SelfSendFailsFastOnBothBackends) {
   const tit::Trace t = tit::parse_trace_string("p0 send p0 64\n", 2);
   const platform::Platform p = cluster(2);
   try {
-    replay_smpi(t, p, identity_config());
+    replay(Backend::Smpi, t, p, identity_config());
     FAIL() << "expected MalformedTraceError";
   } catch (const MalformedTraceError& e) {
     EXPECT_EQ(e.code(), ErrorCode::MalformedTrace);
     EXPECT_TRUE(contains(e.what(), "self-message")) << e.what();
   }
-  EXPECT_THROW(replay_msg(t, p, identity_config()), MalformedTraceError);
+  EXPECT_THROW(replay(Backend::Msg, t, p, identity_config()), MalformedTraceError);
 }
 
 TEST(Robustness, PartnerOutOfRangeFailsFastOnBothBackends) {
   const tit::Trace t = tit::parse_trace_string("p0 send p7 64\n", 2);
   const platform::Platform p = cluster(2);
-  EXPECT_THROW(replay_smpi(t, p, identity_config()), MalformedTraceError);
-  EXPECT_THROW(replay_msg(t, p, identity_config()), MalformedTraceError);
+  EXPECT_THROW(replay(Backend::Smpi, t, p, identity_config()), MalformedTraceError);
+  EXPECT_THROW(replay(Backend::Msg, t, p, identity_config()), MalformedTraceError);
 }
 
 TEST(Robustness, WaitWithoutRequestIsMalformedTrace) {
   const tit::Trace t = tit::parse_trace_string("p0 wait\n", 1);
-  EXPECT_THROW(replay_smpi(t, cluster(1), identity_config()), MalformedTraceError);
+  EXPECT_THROW(replay(Backend::Smpi, t, cluster(1), identity_config()), MalformedTraceError);
 }
 
 // ---------- config validation ----------------------------------------------
@@ -130,23 +130,23 @@ TEST(Robustness, TooFewCalibratedRatesIsAConfigError) {
   ReplayConfig cfg = identity_config();
   cfg.rates = {1e9, 1e9};  // 3 ranks, 2 rates: neither uniform nor per-rank
   try {
-    replay_smpi(t, cluster(3), cfg);
+    replay(Backend::Smpi, t, cluster(3), cfg);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.code(), ErrorCode::Config);
     EXPECT_TRUE(contains(e.what(), "3 ranks")) << e.what();
     EXPECT_TRUE(contains(e.what(), "2 calibrated rates")) << e.what();
   }
-  EXPECT_THROW(replay_msg(t, cluster(3), cfg), ConfigError);
+  EXPECT_THROW(replay(Backend::Msg, t, cluster(3), cfg), ConfigError);
 }
 
 TEST(Robustness, NonPositiveRateIsAConfigError) {
   const tit::Trace t = tit::parse_trace_string("p0 compute 10\n", 1);
   ReplayConfig cfg = identity_config();
   cfg.rates = {0.0};
-  EXPECT_THROW(replay_smpi(t, cluster(1), cfg), ConfigError);
+  EXPECT_THROW(replay(Backend::Smpi, t, cluster(1), cfg), ConfigError);
   cfg.rates = {};
-  EXPECT_THROW(replay_smpi(t, cluster(1), cfg), ConfigError);
+  EXPECT_THROW(replay(Backend::Smpi, t, cluster(1), cfg), ConfigError);
 }
 
 TEST(Robustness, RateForValidatesRankBounds) {
@@ -173,18 +173,18 @@ TEST(Robustness, WatchdogCancelsLongReplay) {
   ReplayConfig cfg = identity_config();
   cfg.watchdog_seconds = 1e-9;
   try {
-    replay_smpi(t, p, cfg);
+    replay(Backend::Smpi, t, p, cfg);
     FAIL() << "expected WatchdogError";
   } catch (const WatchdogError& e) {
     EXPECT_EQ(e.code(), ErrorCode::Watchdog);
     EXPECT_TRUE(contains(e.what(), "wall-clock")) << e.what();
   }
-  EXPECT_THROW(replay_msg(t, p, cfg), WatchdogError);
+  EXPECT_THROW(replay(Backend::Msg, t, p, cfg), WatchdogError);
 }
 
 TEST(Robustness, WatchdogDisabledByDefault) {
   const tit::Trace t = tit::parse_trace_string("p0 compute 1e9\n", 1);
-  EXPECT_NO_THROW(replay_smpi(t, cluster(1), identity_config()));
+  EXPECT_NO_THROW(replay(Backend::Smpi, t, cluster(1), identity_config()));
 }
 
 }  // namespace

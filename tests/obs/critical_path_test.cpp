@@ -30,7 +30,7 @@ TimelineSink replay(const std::string& text, int np) {
   core::ReplayConfig cfg;
   cfg.rates = {1e9};
   cfg.sink = &sink;
-  core::replay_smpi(t, cluster(np), cfg);
+  core::replay(core::Backend::Smpi, t, cluster(np), cfg);
   return sink;
 }
 

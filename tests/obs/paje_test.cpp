@@ -43,7 +43,7 @@ TimelineSink small_jacobi_replay() {
   core::ReplayConfig cfg;
   cfg.rates = {1e9};
   cfg.sink = &sink;
-  core::replay_smpi(trace, p, cfg);
+  core::replay(core::Backend::Smpi, trace, p, cfg);
   return sink;
 }
 

@@ -45,9 +45,9 @@ TimelineSink replay(const tit::Trace& trace, bool use_msg) {
   cfg.sink = &sink;
   const platform::Platform p = cluster(trace.nprocs());
   if (use_msg) {
-    core::replay_msg(trace, p, cfg);
+    core::replay(core::Backend::Msg, trace, p, cfg);
   } else {
-    core::replay_smpi(trace, p, cfg);
+    core::replay(core::Backend::Smpi, trace, p, cfg);
   }
   return sink;
 }
@@ -145,7 +145,7 @@ TEST(Timeline, WedgedReplayStillFinalizesWithDiagnoses) {
   core::ReplayConfig cfg;
   cfg.rates = {1e9};
   cfg.sink = &sink;
-  EXPECT_THROW(core::replay_smpi(t, cluster(2), cfg), DeadlockError);
+  EXPECT_THROW(core::replay(core::Backend::Smpi, t, cluster(2), cfg), DeadlockError);
   ASSERT_TRUE(sink.finalized());
   check_tiling(sink);  // partial timeline still tiles up to the wedge point
   ASSERT_FALSE(sink.diagnoses().empty());

@@ -132,6 +132,39 @@ TEST(Parse, ZeroRateHostIsAConfigError) {
                ConfigError);
 }
 
+// A count beyond int must not wrap: nodes= used to build an empty cluster,
+// cores= to trip an internal assertion and cabinets= to build a flat one.
+void expect_oversized_count_rejected(const std::string& text, const std::string& field) {
+  try {
+    parse_platform_string(text);
+    FAIL() << "accepted " << field;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Parse, OversizedNodeCountIsAConfigError) {
+  expect_oversized_count_rejected(
+      "# nodes\ncluster nodes=4000000000 cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=1us\n",
+      "nodes=4000000000");
+}
+
+TEST(Parse, OversizedCoreCountIsAConfigError) {
+  expect_oversized_count_rejected(
+      "# cores\ncluster nodes=2 cores=4000000000 speed=1e9 l2=1MiB bw=1Gbps lat=1us\n",
+      "cores=4000000000");
+  expect_oversized_count_rejected("# cores\nhost a cores=4000000000 speed=1e9 l2=1MiB\n",
+                                  "cores=4000000000");
+}
+
+TEST(Parse, OversizedCabinetCountIsAConfigError) {
+  expect_oversized_count_rejected(
+      "# cabinets\ncluster nodes=2 cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=1us "
+      "cabinets=4000000000 uplink_bw=10Gbps uplink_lat=2us\n",
+      "cabinets=4000000000");
+}
+
 TEST(Parse, DuplicateHostNameIsAConfigError) {
   const char* text =
       "host a cores=1 speed=1e9 l2=1MiB\n"

@@ -20,6 +20,21 @@ TEST(Platform, DuplicateHostNameRejected) {
   EXPECT_THROW(p.add_host("n0", 1, 1e9, 1 << 20), Error);
 }
 
+TEST(Platform, PlaceRanksOneRankPerNode) {
+  Platform p;
+  for (int h = 0; h < 4; ++h) p.add_host("n" + std::to_string(h), 1, 1e9, 1 << 20);
+  EXPECT_EQ(place_ranks(p, 4), (std::vector<HostId>{0, 1, 2, 3}));
+  const std::vector<HostId> wrap = place_ranks(p, 6);
+  EXPECT_EQ(wrap[4], 0);
+  EXPECT_EQ(wrap[5], 1);
+}
+
+TEST(Platform, PlaceRanksOnAHostlessPlatformIsAConfigError) {
+  Platform p;
+  p.add_switch("root");
+  EXPECT_THROW(place_ranks(p, 4), ConfigError);
+}
+
 TEST(Platform, LoopbackRoute) {
   Platform p;
   const HostId h = p.add_host("n0", 1, 1e9, 1 << 20);

@@ -149,7 +149,7 @@ TEST_P(FaultInjection, ReplayOfDamagedTraceTerminatesWithTypedError) {
       ReaderOptions opt;
       opt.recover = recover;
       Reader reader(path.string(), opt);
-      const core::ReplayResult r = core::replay_smpi(reader, p, cfg);
+      const core::ReplayResult r = core::replay(core::Backend::Smpi, reader, p, cfg);
       EXPECT_EQ(r.degraded, r.skipped_actions > 0);
     } catch (const Error&) {
       // CorruptFrameError, MalformedTraceError, DeadlockError, Watchdog...:

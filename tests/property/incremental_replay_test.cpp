@@ -1,18 +1,19 @@
 // Differential property test for the incremental simulation kernel
-// (docs/simulation_kernel.md): across randomized traces, replaying with
-// Resolve::Incremental (partial max-min re-solve of dirty components only)
-// must be *bit-identical* to Resolve::Full (every flow re-solved every
-// step) — same predicted time, same step count, and the same observability
-// timeline down to every interval bound and per-link byte count — on both
-// replay back-ends.  Any shortcut the incremental path takes that is not
-// exactly equivalent to the reference shows up here as a hard failure.
+// (docs/simulation_kernel.md): across randomized traces, core::replay
+// (Resolve::Incremental: partial max-min re-solve of dirty components only)
+// must be *bit-identical* to the core::replay_full_resolve seam
+// (Resolve::Full: every flow re-solved every step) — same predicted time,
+// same step count, and the same observability timeline down to every
+// interval bound and per-link byte count — on both replay back-ends.  Any
+// shortcut the incremental path takes that is not exactly equivalent to
+// the reference shows up here as a hard failure.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "base/rng.hpp"
-#include "core/replay.hpp"
+#include "core/session.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
 #include "tit/trace.hpp"
@@ -151,22 +152,18 @@ TEST_P(IncrementalReplayDifferential, BitIdenticalToFullResolveOnBothBackends) {
   spec.link_latency = 5e-5;
   platform::build_flat_cluster(p, spec);
 
-  using Backend = ReplayResult (*)(const tit::Trace&, const platform::Platform&,
-                                   const ReplayConfig&);
-  const Backend backends[] = {&replay_msg, &replay_smpi};
-  for (const Backend backend : backends) {
+  for (const Backend backend : {Backend::Msg, Backend::Smpi}) {
     obs::TimelineSink full_sink;
     obs::TimelineSink inc_sink;
     ReplayConfig cfg;
     cfg.sharing = sim::Sharing::MaxMin;
 
-    cfg.resolve = sim::Resolve::Full;
     cfg.sink = &full_sink;
-    const ReplayResult full = backend(trace, p, cfg);
+    titio::MemorySource source(trace);
+    const ReplayResult full = replay_full_resolve(backend, source, p, cfg);
 
-    cfg.resolve = sim::Resolve::Incremental;
     cfg.sink = &inc_sink;
-    const ReplayResult inc = backend(trace, p, cfg);
+    const ReplayResult inc = replay(backend, trace, p, cfg);
 
     EXPECT_EQ(full.simulated_time, inc.simulated_time);  // exact, not approximate
     EXPECT_EQ(full.engine_steps, inc.engine_steps);

@@ -37,13 +37,13 @@ TEST_P(LuGridReplay, AcquiredTraceReplaysOnBothBackends) {
 
   ReplayConfig cfg;
   cfg.rates = {bd.truth.rate_in_cache};
-  const double t_smpi = replay_smpi(run.trace, bd.platform, cfg).simulated_time;
-  const double t_msg = replay_msg(run.trace, bd.platform, cfg).simulated_time;
+  const double t_smpi = replay(Backend::Smpi, run.trace, bd.platform, cfg).simulated_time;
+  const double t_msg = replay(Backend::Msg, run.trace, bd.platform, cfg).simulated_time;
   EXPECT_GT(t_smpi, 0.0);
   EXPECT_TRUE(std::isfinite(t_smpi));
   EXPECT_GT(t_msg, 0.0);
   // Determinism of the whole chain.
-  EXPECT_DOUBLE_EQ(t_smpi, replay_smpi(run.trace, bd.platform, cfg).simulated_time);
+  EXPECT_DOUBLE_EQ(t_smpi, replay(Backend::Smpi, run.trace, bd.platform, cfg).simulated_time);
   // The old back-end can never be *faster* than the new one on LU traces:
   // it starts every transfer at match time and shares the same compute.
   EXPECT_GE(t_msg, t_smpi * 0.99);
@@ -112,7 +112,7 @@ TEST_P(CollectiveWidth, AllreduceIsAFullSynchronization) {
   sim::Engine eng(p);
   smpi::Config cfg;
   cfg.piecewise = smpi::PiecewiseModel();
-  smpi::World w(eng, cfg, smpi::World::scatter_hosts(p, n),
+  smpi::World w(eng, cfg, platform::place_ranks(p, n),
                 std::vector<int>(static_cast<std::size_t>(n), 0));
   const double last_arrival = 0.01 * (n - 1);
   std::vector<double> done(static_cast<std::size_t>(n));
@@ -139,7 +139,7 @@ TEST_P(CollectiveWidth, BarrierCostGrowsLogarithmically) {
   sim::Engine eng(p);
   smpi::Config cfg;
   cfg.piecewise = smpi::PiecewiseModel();
-  smpi::World w(eng, cfg, smpi::World::scatter_hosts(p, n),
+  smpi::World w(eng, cfg, platform::place_ranks(p, n),
                 std::vector<int>(static_cast<std::size_t>(n), 0));
   w.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro { co_await w.barrier(ctx, me); });
   eng.run();

@@ -38,7 +38,7 @@ template <typename Op>
 CollectiveRun run_collective(int n, Op op, double skew = 0.0) {
   const platform::Platform p = cluster(n);
   sim::Engine eng(p);
-  World w(eng, plain_config(), World::scatter_hosts(p, n), std::vector<int>(n, 0));
+  World w(eng, plain_config(), platform::place_ranks(p, n), std::vector<int>(n, 0));
   CollectiveRun result;
   result.rank_end.resize(static_cast<std::size_t>(n));
   w.spawn_ranks([&, skew](sim::Ctx& ctx, int me) -> sim::Coro {
@@ -197,7 +197,7 @@ CollectiveRun run_with_algos(int n, CollectiveAlgos algos, double bytes, double 
   sim::Engine eng(p);
   Config cfg = plain_config();
   cfg.collectives = algos;
-  World w(eng, cfg, World::scatter_hosts(p, n), std::vector<int>(n, 0));
+  World w(eng, cfg, platform::place_ranks(p, n), std::vector<int>(n, 0));
   CollectiveRun result;
   result.rank_end.resize(static_cast<std::size_t>(n));
   w.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro {
@@ -254,7 +254,7 @@ TEST(SmpiCollectiveAlgos, RingAllreduceWinsForLargeVectors) {
     sim::Engine eng(p);
     Config cfg = plain_config();
     cfg.collectives = algos;
-    World w(eng, cfg, World::scatter_hosts(p, n), std::vector<int>(n, 0));
+    World w(eng, cfg, platform::place_ranks(p, n), std::vector<int>(n, 0));
     w.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro {
       co_await w.allreduce(ctx, me, bytes, 0.0);
     });
@@ -269,7 +269,7 @@ TEST(SmpiCollectives, CollectiveTrafficDoesNotDisturbPointToPoint) {
   // messages stolen by collective-internal traffic.
   const platform::Platform p = cluster(4);
   sim::Engine eng(p);
-  World w(eng, plain_config(), World::scatter_hosts(p, 4), std::vector<int>(4, 0));
+  World w(eng, plain_config(), platform::place_ranks(p, 4), std::vector<int>(4, 0));
   double got = 0.0;
   w.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro {
     if (me == 0) {

@@ -256,15 +256,6 @@ TEST(SmpiP2p, PiecewiseFactorsChangeSmallMessageCost) {
   EXPECT_GT(corrected, plain);
 }
 
-TEST(SmpiP2p, ScatterHostsOneRankPerNode) {
-  const platform::Platform p = quad();
-  const auto hosts = World::scatter_hosts(p, 4);
-  EXPECT_EQ(hosts, (std::vector<platform::HostId>{0, 1, 2, 3}));
-  const auto wrap = World::scatter_hosts(p, 6);
-  EXPECT_EQ(wrap[4], 0);
-  EXPECT_EQ(wrap[5], 1);
-}
-
 TEST(SmpiP2p, StatsCountTraffic) {
   const platform::Platform p = quad();
   sim::Engine eng(p);

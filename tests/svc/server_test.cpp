@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -190,6 +191,27 @@ TEST_F(SvcServer, JobFailuresAreIsolated) {
             error_code_name(ErrorCode::Config));
 
   // And the daemon is still healthy.
+  EXPECT_TRUE(client.ping());
+}
+
+// A platform file with a switch and no host used to kill the daemon with a
+// division by zero; the job must fail with a typed error instead, and the
+// server keep serving.
+TEST_F(SvcServer, HostlessPlatformFailsTheJobNotTheServer) {
+  ServerOptions options;
+  options.endpoint = endpoint("hostless.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  const std::string platform_path = (dir_ / "hostless.txt").string();
+  std::ofstream(platform_path) << "switch root\n";
+  JobRequest request = simple_job();
+  request.platform = platform_path;
+  const JobResult result = client.submit(request);
+  EXPECT_TRUE(result.failed);
+  EXPECT_EQ(result.error_code, error_code_name(ErrorCode::Config)) << result.error;
   EXPECT_TRUE(client.ping());
 }
 

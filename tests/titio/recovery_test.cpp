@@ -205,7 +205,7 @@ TEST(Recovery, DegradedReplayCompletesAndIsFlagged) {
   opt.recover = true;
   Reader reader(path.string(), opt);
   core::ReplayConfig cfg;
-  const core::ReplayResult r = core::replay_smpi(reader, p, cfg);
+  const core::ReplayResult r = core::replay(core::Backend::Smpi, reader, p, cfg);
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.skipped_actions, bad.actions);
   EXPECT_GT(r.simulated_time, 0.0);
@@ -213,7 +213,7 @@ TEST(Recovery, DegradedReplayCompletesAndIsFlagged) {
 
   // The same file in strict mode refuses to serve the damaged rank.
   Reader strict(path.string());
-  EXPECT_THROW(core::replay_smpi(strict, p, cfg), CorruptFrameError);
+  EXPECT_THROW(core::replay(core::Backend::Smpi, strict, p, cfg), CorruptFrameError);
   EXPECT_FALSE(core::ReplayResult{}.degraded);
   fs::remove(path);
 }

@@ -94,17 +94,17 @@ TEST(SharedTrace, CursorReplaysMatchMemorySource) {
   const platform::Platform p = cluster(8);
   const core::ReplayConfig cfg = config();
 
-  const core::ReplayResult direct = core::replay_smpi(trace, p, cfg);
+  const core::ReplayResult direct = core::replay(core::Backend::Smpi, trace, p, cfg);
 
   const SharedTrace shared(trace);
   SharedTrace::Cursor c1 = shared.cursor();
-  const core::ReplayResult via_cursor = core::replay_smpi(c1, p, cfg);
+  const core::ReplayResult via_cursor = core::replay(core::Backend::Smpi, c1, p, cfg);
   EXPECT_EQ(direct.simulated_time, via_cursor.simulated_time);
   EXPECT_EQ(direct.engine_steps, via_cursor.engine_steps);
   EXPECT_EQ(direct.actions_replayed, via_cursor.actions_replayed);
 
   // The same cursor replays again through the session rewind.
-  const core::ReplayResult again = core::replay_smpi(c1, p, cfg);
+  const core::ReplayResult again = core::replay(core::Backend::Smpi, c1, p, cfg);
   EXPECT_EQ(direct.simulated_time, again.simulated_time);
   EXPECT_EQ(direct.actions_replayed, again.actions_replayed);
 }
@@ -116,7 +116,7 @@ TEST(SharedTrace, ConcurrentCursorReplaysAreBitIdentical) {
   const core::ReplayConfig cfg = config();
 
   SharedTrace::Cursor serial = shared.cursor();
-  const core::ReplayResult reference = core::replay_smpi(serial, p, cfg);
+  const core::ReplayResult reference = core::replay(core::Backend::Smpi, serial, p, cfg);
 
   constexpr int kThreads = 4;
   std::vector<core::ReplayResult> results(kThreads);
@@ -124,7 +124,7 @@ TEST(SharedTrace, ConcurrentCursorReplaysAreBitIdentical) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       SharedTrace::Cursor c = shared.cursor();
-      results[static_cast<std::size_t>(t)] = core::replay_smpi(c, p, cfg);
+      results[static_cast<std::size_t>(t)] = core::replay(core::Backend::Smpi, c, p, cfg);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -153,8 +153,8 @@ TEST(SharedTrace, LoadDecodesTitbOnce) {
   const platform::Platform p = cluster(4);
   const core::ReplayConfig cfg = config();
   SharedTrace::Cursor c = shared.cursor();
-  EXPECT_EQ(core::replay_smpi(c, p, cfg).simulated_time,
-            core::replay_smpi(trace, p, cfg).simulated_time);
+  EXPECT_EQ(core::replay(core::Backend::Smpi, c, p, cfg).simulated_time,
+            core::replay(core::Backend::Smpi, trace, p, cfg).simulated_time);
   fs::remove(path);
 }
 
@@ -166,8 +166,8 @@ TEST(SourceReuse, MemorySourceSecondReplayYieldsSameResult) {
   const platform::Platform p = cluster(2);
   const core::ReplayConfig cfg = config();
 
-  const core::ReplayResult first = core::replay_smpi(source, p, cfg);
-  const core::ReplayResult second = core::replay_smpi(source, p, cfg);
+  const core::ReplayResult first = core::replay(core::Backend::Smpi, source, p, cfg);
+  const core::ReplayResult second = core::replay(core::Backend::Smpi, source, p, cfg);
   EXPECT_GT(first.actions_replayed, 0u);
   EXPECT_EQ(first.actions_replayed, second.actions_replayed);
   EXPECT_EQ(first.simulated_time, second.simulated_time);
@@ -181,8 +181,8 @@ TEST(SourceReuse, SinglePassReaderSecondReplayThrowsConfigError) {
   Reader reader(path.string());
   const platform::Platform p = cluster(2);
   const core::ReplayConfig cfg = config();
-  EXPECT_GT(core::replay_smpi(reader, p, cfg).actions_replayed, 0u);
-  EXPECT_THROW(core::replay_smpi(reader, p, cfg), ConfigError);
+  EXPECT_GT(core::replay(core::Backend::Smpi, reader, p, cfg).actions_replayed, 0u);
+  EXPECT_THROW(core::replay(core::Backend::Smpi, reader, p, cfg), ConfigError);
   fs::remove(path);
 }
 

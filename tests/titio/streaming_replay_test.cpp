@@ -44,12 +44,12 @@ void expect_stream_matches_memory(const tit::Trace& trace, const std::string& ta
   const platform::Platform p = cluster(trace.nprocs());
   const core::ReplayConfig cfg = config();
 
-  const double mem_smpi = core::replay_smpi(trace, p, cfg).simulated_time;
-  const double mem_msg = core::replay_msg(trace, p, cfg).simulated_time;
+  const double mem_smpi = core::replay(core::Backend::Smpi, trace, p, cfg).simulated_time;
+  const double mem_msg = core::replay(core::Backend::Msg, trace, p, cfg).simulated_time;
   Reader smpi_reader(path.string(), ReaderOptions{64u << 10});
-  const double str_smpi = core::replay_smpi(smpi_reader, p, cfg).simulated_time;
+  const double str_smpi = core::replay(core::Backend::Smpi, smpi_reader, p, cfg).simulated_time;
   Reader msg_reader(path.string(), ReaderOptions{64u << 10});
-  const double str_msg = core::replay_msg(msg_reader, p, cfg).simulated_time;
+  const double str_msg = core::replay(core::Backend::Msg, msg_reader, p, cfg).simulated_time;
 
   // Bit-identical, not merely close: the engines see the exact same actions
   // in the exact same order, only pulled through a different source.
@@ -100,7 +100,7 @@ TEST(StreamingReplay, FiveMillionActionsWithinAFewMegabytes) {
   Reader reader(path.string(), ReaderOptions{budget});
   ASSERT_EQ(reader.total_actions(), expected);
   const core::ReplayResult result =
-      core::replay_msg(reader, cluster(nprocs), config());
+      core::replay(core::Backend::Msg, reader, cluster(nprocs), config());
   EXPECT_EQ(result.actions_replayed, expected);
   EXPECT_GT(result.simulated_time, 0.0);
   EXPECT_LE(reader.peak_buffered_bytes(), budget);
