@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "base/error.hpp"
-#include "core/replay.hpp"
+#include "core/job.hpp"
 #include "platform/clusters.hpp"
 #include "platform/model.hpp"
 #include "platform/parse.hpp"
@@ -282,8 +282,27 @@ struct JobFlags {
            (contention ? " + contention" : "");
   }
 
-  sim::Sharing sharing() const {
-    return contention ? sim::Sharing::MaxMin : sim::Sharing::Uncontended;
+  /// The job's scenarios: one per -rate, labelled rate_label; without
+  /// -rate, one spec labelled `unrated` that replays at the job's
+  /// calibrated rate.
+  std::vector<core::ScenarioSpec> scenarios(const std::string& unrated,
+                                            double watchdog_seconds = 0.0) const {
+    core::ScenarioSpec base;
+    base.backend = backend;
+    base.contention = contention;
+    base.watchdog_seconds = watchdog_seconds;
+    if (rates.empty()) {
+      base.label = unrated;
+      return {base};
+    }
+    std::vector<core::ScenarioSpec> specs;
+    for (const double rate : rates) {
+      core::ScenarioSpec spec = base;
+      spec.rates = {rate};
+      spec.label = rate_label(rate);
+      specs.push_back(std::move(spec));
+    }
+    return specs;
   }
 
   /// The -platform file, or else platform::default_cluster with one node

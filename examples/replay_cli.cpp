@@ -15,7 +15,8 @@
 //
 // -perturb runs the Monte Carlo variability engine instead of a point
 // prediction: the platform becomes a platform::PlatformModel sampled at
-// -mc-seeds replicate seeds (core::mc_sweep), the report shows quantiles,
+// -mc-seeds replicate seeds (core::plan_job expands the grid, core::mc_fold
+// folds it), the report shows quantiles,
 // -tornado adds the per-parameter sensitivity ranking, and -mc-report
 // writes the JSON report (docs/variability.md) to a file or '-' (stdout).
 //
@@ -28,8 +29,7 @@
 
 #include "base/error.hpp"
 #include "cli_args.hpp"
-#include "core/mc_sweep.hpp"
-#include "core/sweep.hpp"
+#include "core/job.hpp"
 #include "platform/model.hpp"
 #include "tit/trace.hpp"
 #include "titio/shared.hpp"
@@ -96,16 +96,18 @@ int main(int argc, char** argv) {
                 trace.nprocs(), ts.actions);
     std::printf("backend          : %s\n", job.describe().c_str());
 
-    std::vector<core::Scenario> scenarios;
-    for (const double rate : job.rates) {
-      core::Scenario sc;
-      sc.platform = platform;
-      sc.config.rates = {rate};
-      sc.config.sharing = job.sharing();
-      sc.backend = job.backend;
-      sc.label = cli::rate_label(rate);
-      scenarios.push_back(std::move(sc));
-    }
+    std::optional<platform::PerturbationSpec> perturb;
+    if (!job.perturb.empty()) perturb = platform::PerturbationSpec::parse(job.perturb);
+    core::McOptions mc_options;
+    mc_options.replicates = mc_seeds;
+    mc_options.tornado = tornado;
+    const core::JobPlan plan = core::plan_job(job.scenarios(""), platform, trace.nprocs(),
+                                              /*calibrated_rate=*/0.0, perturb, mc_options);
+    core::SweepOptions options;
+    options.jobs = jobs;
+    const std::vector<core::ScenarioOutcome> outcomes =
+        core::sweep(trace, plan.grid.cells, options);
+
     // Every failed scenario is named on stderr; the first sets the exit status.
     std::optional<ErrorCode> first_failure;
     const auto report_failure = [&](const core::ScenarioOutcome& o) {
@@ -114,21 +116,10 @@ int main(int argc, char** argv) {
       if (!first_failure) first_failure = o.error_code;
     };
 
-    if (!job.perturb.empty()) {
-      // Monte Carlo path: each scenario becomes a sampled platform family.
-      const platform::PerturbationSpec spec = platform::PerturbationSpec::parse(job.perturb);
-      std::vector<core::McScenario> mc_scenarios;
-      for (const core::Scenario& sc : scenarios) {
-        mc_scenarios.push_back(
-            {platform::PlatformModel(platform, spec), sc.config, sc.backend, sc.label});
-      }
-      core::McOptions options;
-      options.replicates = mc_seeds;
-      options.jobs = jobs;
-      options.tornado = tornado;
-      const core::McReport report = core::mc_sweep(trace, mc_scenarios, options);
-
-      std::printf("perturbation     : %s (%d replicates)\n", spec.canonical().c_str(),
+    if (perturb) {
+      // Monte Carlo path: each scenario was a sampled platform family.
+      const core::McReport report = core::mc_fold(plan.rows, plan.grid, outcomes);
+      std::printf("perturbation     : %s (%d replicates)\n", perturb->canonical().c_str(),
                   mc_seeds);
       for (const core::McScenarioReport& sr : report.scenarios) {
         const obs::DistributionSummary& d = sr.simulated_time;
@@ -156,9 +147,6 @@ int main(int argc, char** argv) {
         }
       }
     } else {
-      core::SweepOptions options;
-      options.jobs = jobs;
-      const std::vector<core::ScenarioOutcome> outcomes = core::sweep(trace, scenarios, options);
       for (const core::ScenarioOutcome& o : outcomes) {
         if (!o.ok) {
           report_failure(o);

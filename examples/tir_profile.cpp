@@ -142,9 +142,7 @@ int main(int argc, char** argv) {
     const platform::Platform platform = job.make_platform(nprocs, "tir-profile");
 
     obs::TimelineSink timeline;
-    core::ReplayConfig cfg;
-    cfg.rates = job.rates;
-    cfg.sharing = job.sharing();
+    core::ReplayConfig cfg = core::replay_config(job.scenarios("").front(), 0.0);
     cfg.sink = &timeline;
 
     core::ReplayResult result;

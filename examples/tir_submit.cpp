@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   svc::RetryPolicy policy;
   svc::JobRequest request;
   request.op = "predict";
-  svc::ScenarioSpec base;
+  double watchdog_seconds = 0.0;
 
   cli::Args args(usage);
   args.option({"-connect"}, endpoint);
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   job.declare_replay(args, /*rate_list=*/true);
   job.declare_monte_carlo(args);
   args.option({"-watchdog"}, "a non-negative number of seconds",
-              cli::number(base.watchdog_seconds, cli::non_negative));
+              cli::number(watchdog_seconds, cli::non_negative));
   args.flag({"-metrics"}, request.metrics);
   args.option({"-calibrate"}, "classic, cache-aware or auto", [&](const std::string& v) {
     if (v != "classic" && v != "cache-aware" && v != "auto") return false;
@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
   request.platform = job.platform;
   request.perturb = job.perturb;
   request.mc_replicates = job.mc_seeds;
-  base.backend = job.backend;
-  base.contention = job.contention;
 
   try {
     if (!op.empty()) {
@@ -142,17 +140,8 @@ int main(int argc, char** argv) {
       return client.shutdown_server() ? 0 : 1;
     }
 
-    if (job.rates.empty()) {
-      base.label = request.calibrate ? "calibrated" : "default";
-      request.scenarios.push_back(base);
-    } else {
-      for (const double rate : job.rates) {
-        svc::ScenarioSpec spec = base;
-        spec.rates = {rate};
-        spec.label = cli::rate_label(rate);
-        request.scenarios.push_back(std::move(spec));
-      }
-    }
+    request.scenarios =
+        job.scenarios(request.calibrate ? "calibrated" : "default", watchdog_seconds);
     if (request.calibrate && request.calibration.truth.rate_in_cache <= 0) {
       // A calibration needs machine truth; default to the paper's graphene.
       request.calibration.truth = platform::graphene_truth();
@@ -160,7 +149,7 @@ int main(int argc, char** argv) {
 
     std::vector<svc::RetryEvent> schedule;
     const svc::JobResult result =
-        svc::submit_with_retry(endpoint, request, policy, nullptr, &schedule);
+        svc::submit_with_retry(endpoint, request, policy, &schedule);
 
     if (verbose) {
       std::fprintf(stderr, "tir-submit: %d attempt%s\n", result.attempts,
@@ -222,10 +211,14 @@ int main(int argc, char** argv) {
                       group.num_or("ci95_hi", 0.0), group.num_or("n", 0.0));
         }
       }
-      std::printf("job %llu: %s cache, queue %.3f ms, decode %.3f ms, "
+      // An idempotent answer is the daemon's stored stream, timings
+      // included: nothing was decoded or replayed for this submit.
+      const bool idempotent = result.started.bool_or("idempotent", false);
+      std::printf("job %llu: %s cache%s, queue %.3f ms, decode %.3f ms, "
                   "calibrate %.3f ms, replay %.3f ms\n",
                   static_cast<unsigned long long>(result.id),
-                  result.trace_cache_hit() ? "hit" : "miss",
+                  idempotent || result.trace_cache_hit() ? "hit" : "miss",
+                  idempotent ? " (idempotent)" : "",
                   1e3 * result.epilogue.num_or("queue_wait_seconds", 0.0),
                   1e3 * result.epilogue.num_or("decode_seconds", 0.0),
                   1e3 * result.epilogue.num_or("calibrate_seconds", 0.0),

@@ -151,16 +151,6 @@ class WatchdogError : public SimError {
       : SimError(what, ErrorCode::Watchdog) {}
 };
 
-/// Cooperative cancellation observed: a per-job deadline expired or a drain
-/// asked in-flight work to stop between scenarios (core::CancelToken).  Not
-/// the input's fault — the same job resubmitted with a larger budget would
-/// succeed.
-class CancelledError : public Error {
- public:
-  explicit CancelledError(const std::string& what)
-      : Error("cancelled: " + what, ErrorCode::Cancelled) {}
-};
-
 /// Broken internal invariant. Indicates a bug in TiR itself.
 class InternalError : public Error {
  public:

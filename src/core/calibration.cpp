@@ -40,6 +40,10 @@ char calibration_class(const apps::LuConfig& instance, double l2_bytes,
   return classes.find(instance.cls.name) == std::string::npos ? 'A' : instance.cls.name;
 }
 
+double rank0_l2_bytes(const platform::Platform& platform) {
+  return platform.host(platform::place_ranks(platform, 1).front()).l2_bytes;
+}
+
 double AutoCalibration::rate_at(double working_set_bytes) const {
   TIR_ASSERT(!ws_bytes.empty());
   TIR_ASSERT(ws_bytes.size() == rates.size());
@@ -64,7 +68,7 @@ AutoCalibration calibrate_auto(const platform::Platform& platform,
                                const CalibrationSettings& settings, int steps,
                                double probe_instructions) {
   TIR_ASSERT(steps >= 2);
-  const double l2 = platform.host(0).l2_bytes;
+  const double l2 = rank0_l2_bytes(platform);
   AutoCalibration cal;
   // Simulate one probe kernel per working-set point: a fixed instruction
   // budget streamed over a buffer of that size, timed on the machine and
@@ -131,7 +135,7 @@ double calibrate_rate(const platform::Platform& platform, const CalibrationReque
   if (request.procedure == "classic" || request.procedure == "cache-aware") {
     const std::string classes = request.procedure == "classic" ? "" : request.classes;
     for (const char cls : classes) (void)apps::nas_class(cls);  // unknown: error even if unused
-    const char cls = calibration_class(instance, platform.host(0).l2_bytes, classes);
+    const char cls = calibration_class(instance, rank0_l2_bytes(platform), classes);
     return calibrate_class_rate(cls, platform, machine, settings);
   }
   if (request.procedure == "auto") {

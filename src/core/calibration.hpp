@@ -42,6 +42,11 @@ double calibrate_class_rate(char cls, const platform::Platform& platform,
 char calibration_class(const apps::LuConfig& instance, double l2_bytes,
                        const std::string& classes);
 
+/// L2 size of the host rank 0 is placed on, which the cache-aware rule and
+/// the probe ladder compare working sets with.  Throws the ConfigError of
+/// platform::place_ranks on a platform without hosts.
+double rank0_l2_bytes(const platform::Platform& platform);
+
 /// The paper's announced future work (§6): "improve our calibration method
 /// to automatically take cache usage into account and better estimate the
 /// instruction rate".  Instead of whole-application runs per class, a

@@ -8,7 +8,7 @@ namespace tir::core {
 
 namespace {
 
-/// Calibration procedure implied by a pipeline (step 3 of predict_lu).
+/// Calibration procedure implied by a pipeline.
 double calibrate_rate(const apps::LuConfig& lu, const platform::Platform& platform,
                       const apps::MachineModel& machine, const PipelineSettings& settings) {
   CalibrationSettings cal_settings;
@@ -21,12 +21,12 @@ double calibrate_rate(const apps::LuConfig& lu, const platform::Platform& platfo
   }
   // Cache-aware calibration lists only the instance's own class.
   const std::string classes = classic ? "" : std::string(1, lu.cls.name);
-  const char cls = calibration_class(lu, platform.host(0).l2_bytes, classes);
+  const char cls = calibration_class(lu, rank0_l2_bytes(platform), classes);
   return calibrate_class_rate(cls, platform, machine, cal_settings);
 }
 
-/// Replay configuration implied by a pipeline (step 4 of predict_lu).  The
-/// MSG back-end ignores the mpi block, so it is only filled for SMPI.
+/// Replay configuration implied by a pipeline.  The MSG back-end ignores
+/// the mpi block, so it is only filled for SMPI.
 ReplayConfig replay_config_for(const PipelineSettings& settings,
                                const platform::ClusterCalibrationTruth& truth, double rate,
                                Backend backend) {
@@ -77,34 +77,12 @@ apps::AcquisitionConfig acquisition_for(const PipelineSettings& settings) {
 Prediction predict_lu(const apps::LuConfig& instance, const platform::Platform& platform,
                       const platform::ClusterCalibrationTruth& truth,
                       const PipelineSettings& settings) {
-  apps::LuConfig lu = instance;
-  if (lu.iterations_override <= 0) lu.iterations_override = settings.iterations;
-  const apps::MachineModel machine(truth, settings.noise, settings.seed);
-
-  // 1. Ground truth: the original, uninstrumented execution.
-  apps::AcquisitionConfig orig = acquisition_for(settings);
-  orig.granularity = hwc::Granularity::None;
-  orig.emit_trace = false;
-  const apps::RunResult real = apps::run_lu(lu, platform, machine, orig);
-
-  // 2. Acquisition: the instrumented execution that yields the trace.
-  apps::AcquisitionConfig acq = acquisition_for(settings);
-  acq.emit_trace = true;
-  const apps::RunResult traced = apps::run_lu(lu, platform, machine, acq);
-
-  // 3. Calibration, with the pipeline's own instrumentation settings.
-  const double rate = calibrate_rate(lu, platform, machine, settings);
-
-  // 4. Replay.
   const Backend backend =
       settings.framework == Framework::Original ? Backend::Msg : Backend::Smpi;
-  const ReplayConfig replay_cfg = replay_config_for(settings, truth, rate, backend);
-  const Prediction out = assemble(real, traced, tit::stats(traced.trace), rate,
-                                  replay(backend, traced.trace, platform, replay_cfg));
-  TIR_LOG(Info, instance.label() << ": real=" << out.real_seconds
-                                 << "s predicted=" << out.predicted_seconds
-                                 << "s err=" << out.error_pct << "%");
-  return out;
+  return predict_lu_sweep(instance, platform, truth, settings,
+                          {{backend_name(backend), settings, backend}}, /*jobs=*/1)
+      .front()
+      .prediction;
 }
 
 std::vector<VariantPrediction> predict_lu_sweep(const apps::LuConfig& instance,
@@ -135,7 +113,7 @@ std::vector<VariantPrediction> predict_lu_sweep(const apps::LuConfig& instance,
   const apps::RunResult real = apps::run_lu(lu, platform, machine, orig);
   apps::AcquisitionConfig acq = acquisition_for(base);
   acq.emit_trace = true;
-  const apps::RunResult traced = apps::run_lu(lu, platform, machine, acq);
+  apps::RunResult traced = apps::run_lu(lu, platform, machine, acq);
   const tit::TraceStats trace_stats = tit::stats(traced.trace);
 
   // Calibrate each variant (one X-4 run, a pure function of its inputs:
@@ -155,7 +133,7 @@ std::vector<VariantPrediction> predict_lu_sweep(const apps::LuConfig& instance,
     scenarios.push_back(std::move(sc));
   }
 
-  const titio::SharedTrace shared(traced.trace);
+  const titio::SharedTrace shared(std::move(traced.trace));  // stats taken above
   SweepOptions options;
   options.jobs = jobs;
   const std::vector<ScenarioOutcome> outcomes = sweep(shared, scenarios, options);

@@ -58,6 +58,8 @@ struct Prediction {
 /// instrumentation-impact experiments which need the same settings).
 apps::AcquisitionConfig acquisition_for(const PipelineSettings& settings);
 
+/// The pipeline of `settings` on one instance: predict_lu_sweep with one
+/// variant, replayed on MSG for Framework::Original and on SMPI otherwise.
 Prediction predict_lu(const apps::LuConfig& instance, const platform::Platform& platform,
                       const platform::ClusterCalibrationTruth& truth,
                       const PipelineSettings& settings);

@@ -24,9 +24,9 @@
 //
 // Threading contract for the caller: every Scenario needs its own
 // obs::Sink instance (or none) — a sink is driven by exactly one session
-// thread; the sweep-level place to combine them is obs::SweepAggregator or
-// the on_scenario_done callback, which may be invoked concurrently from
-// worker threads and must synchronize its own state.
+// thread; the sweep-level place to combine them is the on_scenario_done
+// callback, which may be invoked concurrently from worker threads and must
+// synchronize any state it shares across scenarios.
 #pragma once
 
 #include <atomic>
@@ -105,7 +105,7 @@ struct SweepOptions {
   int jobs = 0;
   /// Optional completion hook, called once per scenario with its index and
   /// finished outcome.  Invoked from worker threads, possibly concurrently:
-  /// the callee synchronizes (obs::SweepAggregator does).
+  /// the callee synchronizes any state shared across scenarios.
   std::function<void(std::size_t, const ScenarioOutcome&)> on_scenario_done;
   /// Optional cancel token, polled before each scenario starts.  Scenarios
   /// claimed after it trips finish immediately as ok=false outcomes with

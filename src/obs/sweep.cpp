@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace tir::obs {
 
@@ -67,49 +66,6 @@ TornadoReport tornado(
               return a.parameter < b.parameter;
             });
   return report;
-}
-
-void SweepAggregator::record(std::size_t index, std::string label, MetricsReport report,
-                             JobTiming timing) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  entries_.push_back(Entry{index, std::move(label), std::move(report), timing});
-}
-
-std::vector<SweepAggregator::Entry> SweepAggregator::entries() const {
-  std::vector<Entry> sorted;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    sorted = entries_;
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Entry& a, const Entry& b) { return a.index < b.index; });
-  return sorted;
-}
-
-SweepAggregator::Summary SweepAggregator::summary() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Summary s;
-  s.scenarios = entries_.size();
-  if (entries_.empty()) return s;
-  s.min_simulated_time = std::numeric_limits<double>::infinity();
-  for (const Entry& e : entries_) {
-    s.total_simulated_time += e.report.simulated_time;
-    s.total_steps += e.report.steps;
-    s.total_compute += e.report.total_compute;
-    s.total_comm += e.report.total_comm;
-    s.total_wait += e.report.total_wait;
-    s.min_simulated_time = std::min(s.min_simulated_time, e.report.simulated_time);
-    s.max_simulated_time = std::max(s.max_simulated_time, e.report.simulated_time);
-    s.total_queue_wait += e.timing.queue_wait_seconds;
-    s.total_replay_wall += e.timing.replay_wall_seconds;
-    s.max_queue_wait = std::max(s.max_queue_wait, e.timing.queue_wait_seconds);
-  }
-  return s;
-}
-
-std::size_t SweepAggregator::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
 }
 
 }  // namespace tir::obs

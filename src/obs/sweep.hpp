@@ -1,24 +1,15 @@
-// Sweep-level observability: combine per-session metrics across a scenario
-// sweep.
+// Sweep-level statistics: order-free summaries of a sample set and the
+// tornado sensitivity report core::mc_sweep folds its replicates into.
 //
-// Each replay session drives exactly one obs::Sink on its own thread, so a
-// parallel sweep cannot funnel events into one TimelineSink.  The pattern is
-// per-session sinks plus this aggregator: give every scenario its own
-// TimelineSink, aggregate() it when the scenario finishes (e.g. from
-// core::SweepOptions::on_scenario_done, which may fire concurrently), and
-// record() the report here.  SweepAggregator is the only obs type that is
-// safe to share across threads — every member synchronizes on an internal
-// mutex.
+// Per-scenario metrics of a sweep come from one obs::TimelineSink per
+// scenario (a sink is driven by exactly one session thread), aggregated
+// when the scenario finishes.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace tir::obs {
 
@@ -65,64 +56,5 @@ struct TornadoReport {
 TornadoReport tornado(double baseline,
                       const std::vector<std::pair<std::string, std::vector<double>>>&
                           per_parameter_samples);
-
-class SweepAggregator {
- public:
-  /// Host-side timing of one job/scenario around its replay: how long the
-  /// work sat in an admission queue before a worker picked it up, and how
-  /// long the replay itself ran.  Both zero for plain in-process sweeps; the
-  /// prediction service (src/svc) fills them so service metrics separate
-  /// time-in-queue from time-in-replay.
-  struct JobTiming {
-    // Explicit constructors instead of member initializers: JobTiming is a
-    // default argument of record() below, and a nested class's NSDMIs are
-    // not usable before the enclosing class is complete.
-    JobTiming() : JobTiming(0.0, 0.0) {}
-    JobTiming(double queue_wait, double replay_wall)
-        : queue_wait_seconds(queue_wait), replay_wall_seconds(replay_wall) {}
-    double queue_wait_seconds;
-    double replay_wall_seconds;
-  };
-
-  struct Entry {
-    std::size_t index = 0;  ///< scenario position in the sweep's input order
-    std::string label;
-    MetricsReport report;
-    JobTiming timing;
-  };
-
-  /// Cross-scenario roll-up of the recorded reports.
-  struct Summary {
-    std::size_t scenarios = 0;
-    double total_simulated_time = 0.0;
-    std::uint64_t total_steps = 0;
-    double total_compute = 0.0;
-    double total_comm = 0.0;
-    double total_wait = 0.0;
-    double min_simulated_time = 0.0;
-    double max_simulated_time = 0.0;
-    // Host-side service timing (JobTiming roll-up).
-    double total_queue_wait = 0.0;
-    double total_replay_wall = 0.0;
-    double max_queue_wait = 0.0;
-  };
-
-  /// Record one scenario's report.  Thread-safe; callable concurrently from
-  /// sweep workers.
-  void record(std::size_t index, std::string label, MetricsReport report,
-              JobTiming timing = JobTiming());
-
-  /// Snapshot of everything recorded so far, sorted by scenario index.
-  std::vector<Entry> entries() const;
-
-  /// Thread-safe roll-up over the recorded reports.
-  Summary summary() const;
-
-  std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-};
 
 }  // namespace tir::obs

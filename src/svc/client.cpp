@@ -1,6 +1,7 @@
 #include "svc/client.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "base/rng.hpp"
@@ -103,50 +104,10 @@ bool Client::shutdown_server() {
   return ok.str_or("type", "") == "ok";
 }
 
-// --- circuit breaker ---------------------------------------------------------
-
-bool CircuitBreaker::allow() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!open_) return true;
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - opened_).count();
-  if (waited < cooldown_seconds_) return false;
-  // Half-open: let one probe through; a failure re-opens (and re-stamps the
-  // cooldown), a success closes.
-  open_ = false;
-  failures_ = threshold_ - 1;
-  return true;
-}
-
-void CircuitBreaker::record_success() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  failures_ = 0;
-  open_ = false;
-}
-
-void CircuitBreaker::record_failure() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (++failures_ >= threshold_) {
-    open_ = true;
-    opened_ = std::chrono::steady_clock::now();
-  }
-}
-
-bool CircuitBreaker::open() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return open_;
-}
-
-int CircuitBreaker::consecutive_failures() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return failures_;
-}
-
 // --- resilient submit --------------------------------------------------------
 
 JobResult submit_with_retry(const std::string& endpoint, JobRequest request,
-                            const RetryPolicy& policy, CircuitBreaker* breaker,
-                            std::vector<RetryEvent>* schedule) {
+                            const RetryPolicy& policy, std::vector<RetryEvent>* schedule) {
   // Stamp the idempotency key before the first attempt so *every* attempt
   // (including one whose response stream died mid-flight) shares it.
   if (request.idem_key.empty()) request.idem_key = content_key(request);
@@ -176,14 +137,6 @@ JobResult submit_with_retry(const std::string& endpoint, JobRequest request,
       result.expired = true;
       return result;
     }
-    if (breaker != nullptr && !breaker->allow()) {
-      result = transport_failure("circuit breaker open (" +
-                                 std::to_string(breaker->consecutive_failures()) +
-                                 " consecutive transport failures)");
-      result.attempts = attempt - 1;
-      return result;
-    }
-
     if (bounded) {
       // The server enforces the *remaining* budget, not the original one.
       request.deadline_ms = std::max(1.0, remaining_ms());
@@ -202,14 +155,6 @@ JobResult submit_with_retry(const std::string& endpoint, JobRequest request,
     }
 
     const bool retryable = result.rejected || (result.failed && result.transport);
-    if (breaker != nullptr && !result.rejected) {
-      // Rejection is a healthy server saying "later", not a transport fault.
-      if (result.transport) {
-        breaker->record_failure();
-      } else {
-        breaker->record_success();
-      }
-    }
     if (!retryable || attempt == attempts) return result;
 
     // Decorrelated jitter, floored at the server's retry_after_ms hint when

@@ -8,9 +8,7 @@
 // (that is also what exercises the daemon's admission control honestly).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -106,30 +104,6 @@ struct RetryEvent {
   std::string reason;     ///< "rejected" | "transport" | ...
 };
 
-/// Trips open after `threshold` consecutive transport failures; fast-fails
-/// submits while open; half-opens after `cooldown_seconds` to probe with a
-/// single attempt.  Thread-safe: load generators share one across clients.
-class CircuitBreaker {
- public:
-  explicit CircuitBreaker(int threshold = 5, double cooldown_seconds = 1.0)
-      : threshold_(threshold), cooldown_seconds_(cooldown_seconds) {}
-
-  /// May an attempt proceed?  (Half-open: the first caller after cooldown.)
-  bool allow();
-  void record_success();
-  void record_failure();
-  bool open() const;
-  int consecutive_failures() const;
-
- private:
-  mutable std::mutex mutex_;
-  int threshold_;
-  double cooldown_seconds_;
-  int failures_ = 0;
-  bool open_ = false;
-  std::chrono::steady_clock::time_point opened_{};
-};
-
 /// Resilient submit: a fresh connection per attempt, exponential backoff
 /// with decorrelated jitter, the server's retry_after_ms hint honored as the
 /// backoff floor, an optional overall deadline, and idempotent re-submits —
@@ -138,12 +112,10 @@ class CircuitBreaker {
 /// response path is answered from the daemon's result cache bit-identically
 /// instead of re-running.
 ///
-/// `breaker` (optional) is consulted before each attempt and fed the
-/// attempt outcomes.  `schedule` (optional) records every backoff decision
-/// for -v reporting.  Returns the last attempt's JobResult with .attempts
+/// `schedule` (optional) records every backoff decision for -v reporting.  Returns the last attempt's JobResult with .attempts
 /// filled in; never throws for transport-shaped failures.
 JobResult submit_with_retry(const std::string& endpoint, JobRequest request,
-                            const RetryPolicy& policy = {}, CircuitBreaker* breaker = nullptr,
+                            const RetryPolicy& policy = {},
                             std::vector<RetryEvent>* schedule = nullptr);
 
 }  // namespace tir::svc

@@ -28,19 +28,13 @@
 #include <vector>
 
 #include "core/calibration.hpp"
-#include "core/sweep.hpp"
+#include "core/job.hpp"
 #include "svc/json.hpp"
 
 namespace tir::svc {
 
-/// One scenario cell of a job, before platform/rate resolution.
-struct ScenarioSpec {
-  std::string label;
-  core::Backend backend = core::Backend::Smpi;
-  std::vector<double> rates;  ///< empty = use the job's calibrated rate
-  bool contention = false;    ///< MaxMin link sharing instead of Uncontended
-  double watchdog_seconds = 0.0;
-};
+/// One scenario cell of a job (core::plan_job maps it onto a replay).
+using ScenarioSpec = core::ScenarioSpec;
 
 struct JobRequest {
   std::string op;        ///< "predict" | "ping" | "stats" | "flush" | "shutdown"

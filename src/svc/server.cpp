@@ -3,19 +3,20 @@
 #include <sys/socket.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "base/binio.hpp"
 #include "core/calibration.hpp"
-#include "core/mc_sweep.hpp"
-#include "core/sweep.hpp"
+#include "core/job.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sweep.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
 #include "platform/parse.hpp"
+#include "tit/trace.hpp"
 #include "titio/reader.hpp"
 
 namespace tir::svc {
@@ -26,9 +27,9 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-std::string read_file(const std::string& path) {
+std::string read_file(const std::string& path, const std::string& kind = "") {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open " + path);
+  if (!in) throw Error("cannot open " + kind + path);
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
@@ -48,6 +49,18 @@ std::uint64_t hash_bytes(std::uint64_t h, const std::string& bytes) {
     h = binio::mix64(h, static_cast<unsigned char>(bytes[i]));
   }
   return binio::mix64(h, bytes.size());
+}
+
+/// Content key of a text manifest: its bytes, the bytes of every file it
+/// lists and the requested rank count.  Read errors are load_trace's.
+std::uint64_t text_trace_key(const std::string& manifest, int nprocs) {
+  const std::vector<std::string> files = tit::read_manifest(manifest);
+  std::uint64_t h = hash_bytes(binio::mix64(binio::kHashSeed, 'M'), read_file(manifest));
+  const std::filesystem::path dir = std::filesystem::path(manifest).parent_path();
+  for (const std::string& file : files) {
+    h = hash_bytes(h, read_file((dir / file).string(), "trace file: "));
+  }
+  return binio::mix64(h, static_cast<std::uint64_t>(nprocs));
 }
 
 std::string hash_hex(std::uint64_t h) {
@@ -215,10 +228,6 @@ void Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
     platforms_.clear();
     calibrations_.clear();
     results_.clear();
-    {
-      const std::lock_guard<std::mutex> lock(text_keys_mutex_);
-      text_keys_.clear();
-    }
     Json ok = Json::object();
     ok.set("type", "ok");
     ok.set("op", "flush");
@@ -256,10 +265,7 @@ void Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
   client->send(make_accepted(id, queue_.size(), queue_.capacity()));
 }
 
-bool Server::replay_completed(const Job& job) {
-  if (job.request.idem_key.empty()) return false;
-  const std::uint64_t key =
-      hash_bytes(binio::mix64(binio::kHashSeed, 'R'), job.request.idem_key);
+bool Server::replay_completed(const Job& job, std::uint64_t key) {
   std::shared_ptr<const CompletedJob> completed;
   if (!results_.get(key, completed)) return false;
   // Bit-identical replay of the stored stream, re-stamped with the new job
@@ -298,75 +304,63 @@ void Server::run_job(Job& job) {
     return;
   }
 
-  // Idempotent re-submit of a completed job: serve the cached stream.
-  if (replay_completed(job)) return;
-
   try {
+    // --- fingerprints: the trace and platform contents, read, not decoded ---
+    // A TITB file is fingerprinted from its stored frame CRCs; a text
+    // manifest by its bytes, its rank files' bytes and the rank count.  An
+    // edited file misses every entry of its old content.
+    const auto t_trace = std::chrono::steady_clock::now();
+    const std::uint64_t trace_key = titio::is_binary_trace(request.trace)
+                                        ? titio::Reader(request.trace, {}).content_hash()
+                                        : text_trace_key(request.trace, request.nprocs);
+    std::string platform_bytes;
+    if (!request.platform.empty()) platform_bytes = read_file(request.platform);
+    // The default platform is keyed by rank count, folded in after decode.
+    std::uint64_t platform_key =
+        request.platform.empty() ? binio::mix64(binio::kHashSeed, 'D')
+                                 : hash_bytes(binio::mix64(binio::kHashSeed, 'P'), platform_bytes);
+
+    // Idempotent re-submit of a completed job over the same contents: serve
+    // the cached stream.
+    std::uint64_t result_key = 0;
+    if (!request.idem_key.empty()) {
+      result_key = binio::mix64(
+          binio::mix64(hash_bytes(binio::mix64(binio::kHashSeed, 'R'), request.idem_key),
+                       trace_key),
+          platform_key);
+      if (replay_completed(job, result_key)) return;
+    }
+
     // --- trace: content-keyed, decode-once ----------------------------------
     bool trace_loaded = false;
     bool degraded = false;
-    const auto t_trace = std::chrono::steady_clock::now();
-    const auto trace_cost = [](const std::shared_ptr<const titio::SharedTrace>& t) {
-      return t->total_actions() * sizeof(tit::Action) + 4096;
+    const auto load_trace = [&] {
+      trace_loaded = true;
+      return std::make_shared<const titio::SharedTrace>(
+          titio::SharedTrace::load(request.trace, {}, request.nprocs));
     };
-    std::uint64_t trace_key = 0;
-    if (titio::is_binary_trace(request.trace)) {
-      // Cheap fingerprint from the file's stored frame CRCs — no decode, and
-      // an edited file naturally misses the old entry.
-      titio::Reader reader(request.trace, {});
-      trace_key = reader.content_hash();
-    } else {
-      const std::lock_guard<std::mutex> lock(text_keys_mutex_);
-      if (auto it = text_keys_.find(request.trace); it != text_keys_.end()) {
-        trace_key = it->second;
-      }
-    }
     std::shared_ptr<const titio::SharedTrace> trace;
     try {
-      if (trace_key == 0) {
-        // First sight of a text manifest: load to learn its content hash.
-        auto loaded = std::make_shared<const titio::SharedTrace>(
-            titio::SharedTrace::load(request.trace, {}, request.nprocs));
-        trace_loaded = true;
-        trace_key = loaded->content_hash();
-        {
-          const std::lock_guard<std::mutex> lock(text_keys_mutex_);
-          text_keys_[request.trace] = trace_key;
-        }
-        trace = traces_.get_or_load(trace_key, [&] { return loaded; }, trace_cost);
-      } else {
-        trace = traces_.get_or_load(
-            trace_key,
-            [&] {
-              trace_loaded = true;
-              return std::make_shared<const titio::SharedTrace>(
-                  titio::SharedTrace::load(request.trace, {}, request.nprocs));
-            },
-            trace_cost);
-      }
+      trace = traces_.get_or_load(trace_key, load_trace, [](const auto& t) {
+        return t->total_actions() * sizeof(tit::Action) + 4096;
+      });
     } catch (const std::bad_alloc&) {
       // Memory pressure on the cache path: shed to cold-path replay instead
       // of failing the job.  Nothing is retained, the prediction itself is
       // unaffected — "degraded" here means "paid the decode again", the
       // service-layer mirror of ReplayResult::degraded.
       degraded = true;
-      trace_loaded = true;
-      trace = std::make_shared<const titio::SharedTrace>(
-          titio::SharedTrace::load(request.trace, {}, request.nprocs));
-      if (trace_key == 0) trace_key = trace->content_hash();
+      trace = load_trace();
     }
     if (degraded) ++jobs_degraded_;
     const double decode_seconds = seconds_since(t_trace);
 
     // --- platform: keyed by file bytes --------------------------------------
     std::shared_ptr<const platform::Platform> platform;
-    std::uint64_t platform_key = 0;
+    const int nprocs = trace->nprocs();
     if (request.platform.empty()) {
-      // Default: the tools' default cluster at 1e9 instr/s, keyed by rank
-      // count.
-      platform_key = binio::mix64(binio::mix64(binio::kHashSeed, 'D'),
-                                  static_cast<std::uint64_t>(trace->nprocs()));
-      const int nprocs = trace->nprocs();
+      // Default: the tools' default cluster at 1e9 instr/s.
+      platform_key = binio::mix64(platform_key, static_cast<std::uint64_t>(nprocs));
       platform = platforms_.get_or_load(
           platform_key,
           [&] {
@@ -377,41 +371,36 @@ void Server::run_job(Job& job) {
             return 1024 + 128 * static_cast<std::uint64_t>(nprocs);
           });
     } else {
-      const std::string bytes = read_file(request.platform);
-      platform_key = hash_bytes(binio::mix64(binio::kHashSeed, 'P'), bytes);
       platform = platforms_.get_or_load(
           platform_key,
           [&] {
             // Parse the bytes that were hashed: re-opening the file could
             // cache a rewritten file under the old content's key.
             return std::make_shared<const platform::Platform>(
-                platform::parse_platform_string(bytes));
+                platform::parse_platform_string(platform_bytes));
           },
           [&](const std::shared_ptr<const platform::Platform>&) {
-            return 1024 + 4 * bytes.size();
+            return 1024 + 4 * platform_bytes.size();
           });
     }
     // A platform without hosts fails the job, not each scenario: calibration
     // and every replay would place ranks on it.
-    (void)platform::place_ranks(*platform, trace->nprocs());
+    (void)platform::place_ranks(*platform, nprocs);
 
     // --- perturbation: a platform family sampled at the seed grid -----------
-    // Instances are not cached (each is one Platform copy; mc_expand samples
-    // them below).  A perturbed job calibrates on its first seed's instance,
-    // so the calibration key folds the spec hash and that seed
+    // A perturbed job calibrates on its first seed's instance, so the
+    // calibration key folds the spec hash and that seed
     // (SvcPerturb.TwoSeedsNeverShareCacheEntries).
-    const bool perturbed = !request.perturb.empty();
-    tir::platform::PlatformModel model;
+    std::optional<tir::platform::PerturbationSpec> perturb;
     core::McOptions mc_options;
     mc_options.replicates = std::max(1, request.mc_replicates);
     std::uint64_t first_seed = 0;
     std::uint64_t calibration_platform_key = platform_key;
-    if (perturbed) {
-      model = tir::platform::PlatformModel(
-          platform, tir::platform::PerturbationSpec::parse(request.perturb));
-      first_seed = core::mc_seed_grid(model.spec(), mc_options).front();
+    if (!request.perturb.empty()) {
+      perturb = tir::platform::PerturbationSpec::parse(request.perturb);
+      first_seed = core::mc_seed_grid(*perturb, mc_options).front();
       calibration_platform_key =
-          binio::mix64(binio::mix64(platform_key, model.spec().hash()), first_seed);
+          binio::mix64(binio::mix64(platform_key, perturb->hash()), first_seed);
     }
 
     // --- calibration: keyed by the platform + canonical request -------------
@@ -427,8 +416,10 @@ void Server::run_job(Job& job) {
           calibration_key,
           [&] {
             calibration_computed = true;
-            return core::calibrate_rate(perturbed ? *model.instantiate(first_seed) : *platform,
-                                        request.calibration);
+            return core::calibrate_rate(
+                perturb ? *tir::platform::PlatformModel(platform, *perturb).instantiate(first_seed)
+                        : *platform,
+                request.calibration);
           },
           [](const double&) { return 8; });
       calibrate_seconds = seconds_since(t_calibrate);
@@ -437,7 +428,7 @@ void Server::run_job(Job& job) {
     Json started = Json::object();
     started.set("type", "started");
     started.set("job", request.id);
-    started.set("trace_hash", hash_hex(trace_key));
+    started.set("trace_hash", hash_hex(trace->content_hash()));
     started.set("trace_cache", trace_loaded ? "miss" : "hit");
     started.set("queue_wait_seconds", queue_wait);
     started.set("decode_seconds", decode_seconds);
@@ -450,29 +441,9 @@ void Server::run_job(Job& job) {
     job.client->send(started);
 
     // --- scenarios -----------------------------------------------------------
-    // One McScenario per ScenarioSpec; a perturbed job expands them through
-    // core::mc_expand (its cells own their sampled platforms), an
-    // unperturbed one replays each spec once on the base platform.
-    std::vector<core::McScenario> specs;
-    for (const ScenarioSpec& spec : request.scenarios) {
-      core::McScenario sc;
-      sc.model = model;
-      sc.config.rates = spec.rates.empty() ? std::vector<double>{calibrated_rate} : spec.rates;
-      sc.config.sharing = spec.contention ? sim::Sharing::MaxMin : sim::Sharing::Uncontended;
-      sc.config.watchdog_seconds = spec.watchdog_seconds;
-      sc.backend = spec.backend;
-      sc.label = spec.label;
-      specs.push_back(std::move(sc));
-    }
-    core::McGrid grid;
-    if (perturbed) {
-      grid = core::mc_expand(specs, trace->nprocs(), mc_options);
-    } else {
-      for (const core::McScenario& sc : specs) {
-        grid.cells.push_back({platform, sc.config, sc.backend, sc.label});
-      }
-    }
-    std::vector<core::Scenario>& scenarios = grid.cells;
+    core::JobPlan plan =
+        core::plan_job(request.scenarios, platform, nprocs, calibrated_rate, perturb, mc_options);
+    std::vector<core::Scenario>& scenarios = plan.grid.cells;
     std::vector<std::unique_ptr<obs::TimelineSink>> sinks;
     if (request.metrics) {
       for (core::Scenario& sc : scenarios) {
@@ -524,15 +495,15 @@ void Server::run_job(Job& job) {
     done.set("calibrate_seconds", calibrate_seconds);
     done.set("replay_seconds", replay_seconds);
 
-    if (perturbed) {
+    if (perturb) {
       // Aggregate quantiles per original ScenarioSpec.  Seeds are 64-bit
       // draws: rendered as decimal strings, not JSON numbers, so they
       // survive double round-tripping bit-exactly.
-      const core::McReport report = core::mc_fold(specs, grid, outcomes);
+      const core::McReport report = core::mc_fold(plan.rows, plan.grid, outcomes);
       Json mc = Json::object();
-      mc.set("spec", model.spec().canonical());
+      mc.set("spec", perturb->canonical());
       Json seeds_json = Json::array();
-      for (const std::uint64_t seed : grid.seeds.front()) {
+      for (const std::uint64_t seed : plan.grid.seeds.front()) {
         seeds_json.push_back(std::to_string(seed));
       }
       mc.set("seeds", std::move(seeds_json));
@@ -554,29 +525,37 @@ void Server::run_job(Job& job) {
     }
 
     if (request.metrics) {
-      obs::SweepAggregator aggregator;
+      // One report per ok scenario, and their totals summed in scenario order.
       Json reports = Json::array();
+      std::size_t reported = 0;
+      double simulated = 0.0, compute = 0.0, comm = 0.0, wait = 0.0;
+      double total_queue_wait = 0.0, replay_wall = 0.0, max_queue_wait = 0.0;
       for (std::size_t i = 0; i < outcomes.size(); ++i) {
         if (!outcomes[i].ok) continue;
         const obs::MetricsReport report =
             obs::aggregate(*sinks[i], 65536.0, scenarios[i].platform.get());
-        aggregator.record(i, outcomes[i].label, report,
-                          {queue_wait, outcomes[i].result.wall_clock_seconds});
+        ++reported;
+        simulated += report.simulated_time;
+        compute += report.total_compute;
+        comm += report.total_comm;
+        wait += report.total_wait;
+        total_queue_wait += queue_wait;
+        replay_wall += outcomes[i].result.wall_clock_seconds;
+        max_queue_wait = std::max(max_queue_wait, queue_wait);
         Json entry = Json::object();
         entry.set("label", outcomes[i].label);
         entry.set("report", Json::parse(obs::to_json(report)));
         reports.push_back(std::move(entry));
       }
-      const obs::SweepAggregator::Summary summary = aggregator.summary();
       Json s = Json::object();
-      s.set("scenarios", summary.scenarios);
-      s.set("total_simulated_time", summary.total_simulated_time);
-      s.set("total_compute", summary.total_compute);
-      s.set("total_comm", summary.total_comm);
-      s.set("total_wait", summary.total_wait);
-      s.set("total_queue_wait", summary.total_queue_wait);
-      s.set("total_replay_wall", summary.total_replay_wall);
-      s.set("max_queue_wait", summary.max_queue_wait);
+      s.set("scenarios", reported);
+      s.set("total_simulated_time", simulated);
+      s.set("total_compute", compute);
+      s.set("total_comm", comm);
+      s.set("total_wait", wait);
+      s.set("total_queue_wait", total_queue_wait);
+      s.set("total_replay_wall", replay_wall);
+      s.set("max_queue_wait", max_queue_wait);
       done.set("metrics", std::move(reports));
       done.set("summary", std::move(s));
     }
@@ -593,8 +572,7 @@ void Server::run_job(Job& job) {
       completed->done = done;
       std::uint64_t cost = 512 + started.dump().size() + done.dump().size();
       for (const Json& line : completed->scenarios) cost += line.dump().size();
-      results_.put(hash_bytes(binio::mix64(binio::kHashSeed, 'R'), request.idem_key),
-                   std::shared_ptr<const CompletedJob>(std::move(completed)), cost);
+      results_.put(result_key, std::shared_ptr<const CompletedJob>(std::move(completed)), cost);
     }
   } catch (const Error& e) {
     ++jobs_failed_;

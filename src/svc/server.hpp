@@ -16,7 +16,8 @@
 // tests/svc/server_test.cpp).
 //
 // Caching: three content-keyed LRU caches (svc/cache.hpp) share the job hot
-// path — decoded traces (keyed by titio content hash), parsed platforms
+// path — decoded traces (keyed by TITB frame CRCs, or by the bytes of a text
+// manifest and its rank files), parsed platforms
 // (keyed by file bytes), calibrated rates (keyed by platform key +
 // core::calibration_cache_key).  cache_bytes = 0 disables retention, which
 // is how tird-bench measures the cold path of the very same binary.
@@ -32,7 +33,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -146,7 +146,7 @@ class Server {
   void handle_line(const std::shared_ptr<Client>& client, const std::string& line);
   void run_job(Job& job);
   /// Serve a completed job from the idempotency cache; false on miss.
-  bool replay_completed(const Job& job);
+  bool replay_completed(const Job& job, std::uint64_t key);
   Json stats_json() const;
 
   ServerOptions options_;
@@ -157,14 +157,10 @@ class Server {
   LruCache<std::shared_ptr<const titio::SharedTrace>> traces_;
   LruCache<std::shared_ptr<const platform::Platform>> platforms_;
   LruCache<double> calibrations_;
-  /// Idempotency results: content key -> full response stream of a clean
-  /// (not expired, not degraded) completed job.
+  /// Idempotency results: request content key + trace and platform content
+  /// keys -> full response stream of a clean (not expired, not degraded)
+  /// completed job.
   LruCache<std::shared_ptr<const CompletedJob>> results_;
-  /// Text manifests cannot be content-hashed without decoding, so the first
-  /// load memoizes path -> content hash here (flush clears it; TITB files
-  /// are re-fingerprinted from their frame CRCs on every request instead).
-  std::unordered_map<std::string, std::uint64_t> text_keys_;
-  mutable std::mutex text_keys_mutex_;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

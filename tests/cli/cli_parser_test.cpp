@@ -74,11 +74,27 @@ TEST(CliParser, JobFlagsFillTheJob) {
   EXPECT_EQ(job.platform, "p.txt");
   EXPECT_EQ(job.rates, (std::vector<double>{1e9, 2e9}));
   EXPECT_EQ(job.backend, core::Backend::Msg);
-  EXPECT_EQ(job.sharing(), sim::Sharing::MaxMin);
+  const std::vector<core::ScenarioSpec> specs = job.scenarios("unrated");
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(specs[1].label, "rate=2e+09");
+  EXPECT_EQ(specs[1].rates, (std::vector<double>{2e9}));
+  EXPECT_EQ(specs[1].backend, core::Backend::Msg);
+  EXPECT_EQ(core::replay_config(specs[1], 0.0).sharing, sim::Sharing::MaxMin);
   EXPECT_EQ(job.perturb, "host.speed=uniform:0.1");
   EXPECT_EQ(job.mc_seeds, 3);
   EXPECT_FALSE(parse(args, {"-perturb", "host.speed=gauss:0.1"}));
   EXPECT_FALSE(parse(args, {"-backend", "mpi"}));
+}
+
+TEST(CliParser, JobFlagsWithoutARateMakeOneUnratedScenario) {
+  cli::JobFlags job;
+  job.contention = true;
+  const std::vector<core::ScenarioSpec> specs = job.scenarios("calibrated", 5.0);
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].label, "calibrated");
+  EXPECT_TRUE(specs[0].rates.empty());
+  EXPECT_EQ(specs[0].watchdog_seconds, 5.0);
+  EXPECT_EQ(core::replay_config(specs[0], 2e9).rates, (std::vector<double>{2e9}));
 }
 
 }  // namespace

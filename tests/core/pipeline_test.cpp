@@ -6,6 +6,7 @@
 #include "core/calibration.hpp"
 #include "core/predictor.hpp"
 #include "exp/experiments.hpp"
+#include "platform/parse.hpp"
 
 namespace tir::core {
 namespace {
@@ -83,6 +84,18 @@ TEST(Calibration, CacheAwareEndToEnd) {
   request.classes = "BZ";
   request.instance_class = 'A';
   EXPECT_THROW(calibrate_rate(bd.platform, request), Error);
+}
+
+// Calibration runs rank 0 on the platform's first host; a platform without
+// hosts is the ConfigError of platform::place_ranks, as in a replay.
+TEST(Calibration, HostlessPlatformIsAConfigError) {
+  const platform::Platform hostless = platform::parse_platform_string("switch root\n");
+  for (const char* procedure : {"classic", "cache-aware", "auto"}) {
+    CalibrationRequest request;
+    request.procedure = procedure;
+    request.truth = platform::bordereau_truth();
+    EXPECT_THROW(calibrate_rate(hostless, request), ConfigError) << procedure;
+  }
 }
 
 class PipelineAccuracy : public ::testing::Test {

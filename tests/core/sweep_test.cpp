@@ -1,6 +1,6 @@
 // core::sweep: the determinism contract (per-scenario results bit-identical
 // at any worker count), fail isolation, input-order outcomes, the
-// per-session-sink + SweepAggregator pattern, and the extra-rates config
+// per-session-sink pattern, and the extra-rates config
 // warning surfaced through the sink.
 #include "core/sweep.hpp"
 
@@ -9,7 +9,6 @@
 #include "apps/cg.hpp"
 #include "exp/experiments.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sweep.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
 
@@ -169,8 +168,8 @@ TEST(Sweep, NullPlatformBecomesConfigOutcome) {
 }
 
 // The per-session-sink pattern: every scenario gets its own TimelineSink,
-// on_scenario_done aggregates it into the thread-safe SweepAggregator from
-// whichever worker finished the scenario.
+// and on_scenario_done aggregates it from whichever worker finished the
+// scenario; each report matches its own scenario's outcome.
 TEST(Sweep, AggregatorCollectsEveryScenario) {
   const titio::SharedTrace trace = shared_cg();
   const platform::Platform p = cluster(4);
@@ -178,27 +177,24 @@ TEST(Sweep, AggregatorCollectsEveryScenario) {
   std::vector<obs::TimelineSink> sinks(scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) scenarios[i].config.sink = &sinks[i];
 
-  obs::SweepAggregator aggregator;
+  std::vector<obs::MetricsReport> reports(scenarios.size());
+  std::vector<int> recorded(scenarios.size(), 0);
   SweepOptions options;
   options.jobs = 8;
   options.on_scenario_done = [&](std::size_t i, const ScenarioOutcome& outcome) {
-    if (outcome.ok) aggregator.record(i, outcome.label, obs::aggregate(sinks[i]));
+    // Each index is written by exactly one worker: no lock needed.
+    if (outcome.ok) reports[i] = obs::aggregate(sinks[i]);
+    ++recorded[i];
   };
   const std::vector<ScenarioOutcome> outcomes = sweep(trace, scenarios, options);
   for (const ScenarioOutcome& o : outcomes) ASSERT_TRUE(o.ok) << o.error;
 
-  ASSERT_EQ(aggregator.size(), scenarios.size());
-  const std::vector<obs::SweepAggregator::Entry> entries = aggregator.entries();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_EQ(entries[i].index, i);  // sorted back into input order
-    EXPECT_EQ(entries[i].label, scenarios[i].label);
-    EXPECT_EQ(entries[i].report.simulated_time, outcomes[i].result.simulated_time);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    EXPECT_EQ(recorded[i], 1) << i;
+    EXPECT_EQ(outcomes[i].label, scenarios[i].label);
+    EXPECT_EQ(reports[i].simulated_time, outcomes[i].result.simulated_time) << i;
+    EXPECT_GT(reports[i].steps, 0u) << i;
   }
-  const obs::SweepAggregator::Summary summary = aggregator.summary();
-  EXPECT_EQ(summary.scenarios, scenarios.size());
-  EXPECT_GT(summary.total_simulated_time, 0.0);
-  EXPECT_GT(summary.total_steps, 0u);
-  EXPECT_LE(summary.min_simulated_time, summary.max_simulated_time);
 }
 
 // Satellite: more calibrated rates than ranks used to pass silently; the

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "platform/clusters.hpp"
 #include "support/golden.hpp"
 #include "support/temp_dir.hpp"
+#include "support/wire.hpp"
 #include "svc/client.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -164,14 +164,6 @@ TEST_F(SvcPerturb, McReplicatesExpandAndAggregate) {
   EXPECT_EQ(again.epilogue.get("mc").dump(), result.epilogue.get("mc").dump());
 }
 
-/// A response line with its run-to-run timing fields masked.
-std::string without_timings(const Json& line) {
-  static const std::regex timing(
-      R"re("(queue_wait_seconds|decode_seconds|calibrate_seconds|replay_seconds|)re"
-      R"re(wall_clock_seconds|total_queue_wait|total_replay_wall|max_queue_wait)":[^,}\]]+)re");
-  return std::regex_replace(line.dump(), timing, R"("$1":"-")");
-}
-
 // The wire bytes of perturbed jobs, pinned (tests/svc/golden/
 // perturbed_jobs.txt): every started, scenario and done line of a fixed job
 // sequence on one worker, timing fields masked.  Regenerate after an
@@ -217,9 +209,9 @@ TEST_F(SvcPerturb, GoldenStreamIsByteIdentical) {
   for (const JobRequest* request : {&rated, &metrics, &calibrated, &calibrated, &msg, &inactive}) {
     const JobResult result = client.submit(*request);
     ASSERT_TRUE(result.done) << result.error;
-    got += without_timings(result.started) + "\n";
-    for (const Json& line : result.scenarios) got += without_timings(line) + "\n";
-    got += without_timings(result.epilogue) + "\n";
+    got += test::without_timings(result.started) + "\n";
+    for (const Json& line : result.scenarios) got += test::without_timings(line) + "\n";
+    got += test::without_timings(result.epilogue) + "\n";
   }
   test::expect_matches_golden(std::string(TIR_SVC_GOLDEN_DIR) + "/perturbed_jobs.txt", got);
 }

@@ -1,7 +1,6 @@
 // Server end-to-end over real sockets: ops, the cold->hit cache path with
 // bit-identical results, per-job failure isolation, queue backpressure, and
-// the drain-on-shutdown contract.  Also covers the obs::SweepAggregator
-// queue-wait plumbing the service feeds.
+// the drain-on-shutdown contract, and which file contents the caches key on.
 #include "svc/server.hpp"
 
 #include <gtest/gtest.h>
@@ -15,9 +14,10 @@
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
-#include "obs/sweep.hpp"
 #include "platform/clusters.hpp"
+#include "support/golden.hpp"
 #include "support/temp_dir.hpp"
+#include "support/wire.hpp"
 #include "svc/client.hpp"
 #include "tit/trace.hpp"
 #include "titio/writer.hpp"
@@ -215,6 +215,79 @@ TEST_F(SvcServer, HostlessPlatformFailsTheJobNotTheServer) {
   EXPECT_TRUE(client.ping());
 }
 
+// The wire bytes of unperturbed jobs, pinned (tests/svc/golden/
+// plain_jobs.txt): every started, scenario and done line of a fixed job
+// sequence on one worker, timing fields masked.  Covers a two-rate job, an
+// MSG scenario with contention and a watchdog on a platform file, a
+// calibrated job (computed, then cached), a job with one failing scenario,
+// a metrics job and a text manifest (decoded, then cached).  Regenerate
+// after an intentional change:
+//   TIR_UPDATE_GOLDEN=1 ./test_svc --gtest_filter='SvcServer.PlainJobsGolden*'
+TEST_F(SvcServer, PlainJobsGoldenStreamIsByteIdentical) {
+  ServerOptions options;
+  options.endpoint = endpoint("plain.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  JobRequest two_rates = simple_job();
+  two_rates.scenarios.clear();
+  for (const double rate : {1e9, 2e9}) {
+    ScenarioSpec spec;
+    spec.label = rate == 1e9 ? "slow" : "fast";
+    spec.rates = {rate};
+    two_rates.scenarios.push_back(spec);
+  }
+
+  const std::string platform_path = (dir_ / "plain.txt").string();
+  std::ofstream(platform_path)
+      << "cluster prefix=h nodes=2 cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=50us\n";
+  JobRequest msg = simple_job();
+  msg.platform = platform_path;
+  msg.scenarios[0].label = "msg-contended";
+  msg.scenarios[0].backend = core::Backend::Msg;
+  msg.scenarios[0].contention = true;
+  msg.scenarios[0].watchdog_seconds = 30.0;
+
+  JobRequest calibrated = simple_job();
+  calibrated.scenarios[0].label = "calibrated";
+  calibrated.scenarios[0].rates.clear();
+  calibrated.calibrate = true;
+  calibrated.calibration.procedure = "cache-aware";
+  calibrated.calibration.iterations = 2;
+  calibrated.calibration.truth = platform::bordereau_truth();
+  calibrated.calibration.instance_class = 'A';
+  calibrated.calibration.instance_nprocs = 2;
+
+  JobRequest mixed = simple_job();
+  ScenarioSpec bad;
+  bad.label = "bad-rates";
+  bad.rates = {1e9, -2e9};
+  mixed.scenarios.push_back(bad);
+
+  JobRequest metrics = simple_job();
+  metrics.scenarios[0].contention = true;
+  metrics.metrics = true;
+
+  std::ofstream(dir_ / "r0.tit") << "p0 compute 1e9\np0 send p1 1024\n";
+  std::ofstream(dir_ / "r1.tit") << "p1 recv p0 1024\np1 compute 3e9\n";
+  std::ofstream(dir_ / "t.manifest") << "r0.tit\nr1.tit\n";
+  JobRequest text = simple_job();
+  text.trace = (dir_ / "t.manifest").string();
+
+  std::string got;
+  for (const JobRequest* request :
+       {&two_rates, &msg, &calibrated, &calibrated, &mixed, &metrics, &text, &text}) {
+    const JobResult result = client.submit(*request);
+    ASSERT_TRUE(result.done) << result.error;
+    got += test::without_timings(result.started) + "\n";
+    for (const Json& line : result.scenarios) got += test::without_timings(line) + "\n";
+    got += test::without_timings(result.epilogue) + "\n";
+  }
+  test::expect_matches_golden(std::string(TIR_SVC_GOLDEN_DIR) + "/plain_jobs.txt", got);
+}
+
 TEST_F(SvcServer, FullQueueRejectsWithRetryAfter) {
   ServerOptions options;
   options.endpoint = endpoint("bp.sock");
@@ -345,6 +418,76 @@ TEST_F(SvcServer, IdempotentResubmitReplaysBitIdenticalResult) {
   EXPECT_EQ(stats.get("jobs").num_or("idempotent_replays", 0), 1.0);
 }
 
+// submit_with_retry stamps every submit with a content key made of paths,
+// not file contents.  After the trace file is rewritten, the result cache
+// must not answer with the stream of the old file.
+TEST_F(SvcServer, RewrittenTraceIsNotServedFromTheResultCache) {
+  ServerOptions options;
+  options.endpoint = endpoint("rewrite.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+
+  const JobResult first = submit_with_retry(server.endpoint(), simple_job());
+  ASSERT_TRUE(first.done) << first.error;
+  titio::write_binary_trace(tit::parse_trace_string("p0 compute 9e9\n"
+                                                    "p0 send p1 1024\n"
+                                                    "p1 recv p0 1024\n"
+                                                    "p1 compute 2e9\n",
+                                                    2),
+                            trace_path_);
+  const JobResult rewritten = submit_with_retry(server.endpoint(), simple_job());
+  ASSERT_TRUE(rewritten.done) << rewritten.error;
+  EXPECT_FALSE(rewritten.started.bool_or("idempotent", false));
+  ASSERT_EQ(rewritten.scenarios.size(), 1u);
+  EXPECT_GT(rewritten.scenarios[0].num_or("simulated_time", 0),
+            first.scenarios[0].num_or("simulated_time", 0) + 7.0);
+
+  // The file unchanged since: still answered from the result cache.
+  const JobResult again = submit_with_retry(server.endpoint(), simple_job());
+  ASSERT_TRUE(again.done) << again.error;
+  EXPECT_TRUE(again.started.bool_or("idempotent", false));
+  ASSERT_EQ(again.scenarios.size(), 1u);
+  Json restamped = again.scenarios[0];
+  restamped.set("job", rewritten.id);
+  EXPECT_EQ(restamped.dump(), rewritten.scenarios[0].dump());  // wall clock included
+}
+
+// A text manifest is keyed by its bytes and the bytes of every rank file
+// it lists: rewriting one rank file misses the trace cache.
+TEST_F(SvcServer, RewrittenTextRankFileMissesTheTraceCache) {
+  ServerOptions options;
+  options.endpoint = endpoint("text.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  std::ofstream(dir_ / "r0.tit") << "p0 compute 1e9\np0 send p1 1024\n";
+  std::ofstream(dir_ / "r1.tit") << "p1 recv p0 1024\np1 compute 2e9\n";
+  std::ofstream(dir_ / "t.manifest") << "r0.tit\nr1.tit\n";
+  JobRequest request = simple_job();
+  request.trace = (dir_ / "t.manifest").string();
+
+  const JobResult cold = client.submit(request);
+  ASSERT_TRUE(cold.done) << cold.error;
+  EXPECT_EQ(cold.started.str_or("trace_cache", ""), "miss");
+
+  std::ofstream(dir_ / "r1.tit") << "p1 recv p0 1024\np1 compute 8e9\n";
+  const JobResult rewritten = client.submit(request);
+  ASSERT_TRUE(rewritten.done) << rewritten.error;
+  EXPECT_EQ(rewritten.started.str_or("trace_cache", ""), "miss");
+  ASSERT_EQ(rewritten.scenarios.size(), 1u);
+  EXPECT_GT(rewritten.scenarios[0].num_or("simulated_time", 0),
+            cold.scenarios[0].num_or("simulated_time", 0) + 5.0);
+
+  const JobResult unchanged = client.submit(request);
+  ASSERT_TRUE(unchanged.done) << unchanged.error;
+  EXPECT_EQ(unchanged.started.str_or("trace_cache", ""), "hit");
+  EXPECT_EQ(unchanged.scenarios[0].num_or("simulated_time", -1),
+            rewritten.scenarios[0].num_or("simulated_time", -2));
+}
+
 TEST_F(SvcServer, AllocFailureDegradesToColdPathSamePrediction) {
   ServerOptions options;
   options.endpoint = endpoint("degrade.sock");
@@ -405,7 +548,7 @@ TEST_F(SvcServer, SubmitWithRetryRidesOutBackpressure) {
   policy.deadline_seconds = 120.0;
   std::vector<RetryEvent> schedule;
   const JobResult result =
-      submit_with_retry(server.endpoint(), simple_job(), policy, nullptr, &schedule);
+      submit_with_retry(server.endpoint(), simple_job(), policy, &schedule);
   ASSERT_TRUE(result.done) << result.error;
   EXPECT_GE(result.attempts, 2);
   ASSERT_FALSE(schedule.empty());
@@ -421,7 +564,7 @@ TEST_F(SvcServer, SubmitWithRetryReportsTransportAfterBoundedAttempts) {
   policy.max_backoff_ms = 2.0;
   std::vector<RetryEvent> schedule;
   const JobResult result = submit_with_retry(endpoint("nobody-home.sock"), simple_job(),
-                                             policy, nullptr, &schedule);
+                                             policy, &schedule);
   EXPECT_TRUE(result.failed);
   EXPECT_TRUE(result.transport);
   EXPECT_EQ(result.attempts, 3);
@@ -436,67 +579,12 @@ TEST_F(SvcServer, RetryJitterIsSeededAndReproducible) {
   policy.max_backoff_ms = 3.0;
   policy.seed = 99;
   std::vector<RetryEvent> first, second;
-  submit_with_retry(endpoint("gone.sock"), simple_job(), policy, nullptr, &first);
-  submit_with_retry(endpoint("gone.sock"), simple_job(), policy, nullptr, &second);
+  submit_with_retry(endpoint("gone.sock"), simple_job(), policy, &first);
+  submit_with_retry(endpoint("gone.sock"), simple_job(), policy, &second);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_DOUBLE_EQ(first[i].backoff_ms, second[i].backoff_ms);
   }
-}
-
-TEST(SvcCircuitBreaker, OpensAfterThresholdAndProbesAfterCooldown) {
-  CircuitBreaker breaker(/*threshold=*/3, /*cooldown_seconds=*/0.05);
-  EXPECT_TRUE(breaker.allow());
-  breaker.record_failure();
-  breaker.record_failure();
-  EXPECT_TRUE(breaker.allow());  // below threshold
-  breaker.record_failure();
-  EXPECT_TRUE(breaker.open());
-  EXPECT_FALSE(breaker.allow());
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_TRUE(breaker.allow());  // half-open: one probe
-  breaker.record_failure();      // probe failed: open again immediately
-  EXPECT_FALSE(breaker.allow());
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_TRUE(breaker.allow());
-  breaker.record_success();  // probe succeeded: closed for good
-  EXPECT_FALSE(breaker.open());
-  EXPECT_TRUE(breaker.allow());
-  EXPECT_EQ(breaker.consecutive_failures(), 0);
-}
-
-TEST_F(SvcServer, BreakerFastFailsWhileOpen) {
-  CircuitBreaker breaker(/*threshold=*/2, /*cooldown_seconds=*/30.0);
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.base_ms = 1.0;
-  policy.max_backoff_ms = 2.0;
-  // Two transport failures trip the breaker...
-  submit_with_retry(endpoint("void.sock"), simple_job(), policy, &breaker);
-  ASSERT_TRUE(breaker.open());
-  // ...so the next submit fast-fails without dialing (attempt 1 is refused).
-  const JobResult result = submit_with_retry(endpoint("void.sock"), simple_job(),
-                                             policy, &breaker);
-  EXPECT_TRUE(result.failed);
-  EXPECT_TRUE(result.transport);
-  EXPECT_NE(result.error.find("circuit breaker open"), std::string::npos);
-}
-
-TEST(SvcAggregator, JobTimingRollsUpQueueWait) {
-  obs::SweepAggregator aggregator;
-  aggregator.record(0, "a", obs::MetricsReport{}, {0.010, 0.100});
-  aggregator.record(1, "b", obs::MetricsReport{}, {0.030, 0.200});
-  aggregator.record(2, "c", obs::MetricsReport{});  // default: no timing
-  const obs::SweepAggregator::Summary summary = aggregator.summary();
-  EXPECT_EQ(summary.scenarios, 3u);
-  EXPECT_DOUBLE_EQ(summary.total_queue_wait, 0.040);
-  EXPECT_DOUBLE_EQ(summary.total_replay_wall, 0.300);
-  EXPECT_DOUBLE_EQ(summary.max_queue_wait, 0.030);
-  const std::vector<obs::SweepAggregator::Entry> entries = aggregator.entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_DOUBLE_EQ(entries[1].timing.queue_wait_seconds, 0.030);
 }
 
 }  // namespace
