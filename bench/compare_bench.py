@@ -1,254 +1,140 @@
 #!/usr/bin/env python3
-"""Compare a fresh benchmark report against the checked-in baseline.
+"""Compare a fresh benchmark report against its checked-in baseline.
 
-Used by the bench-regression CI job (.github/workflows/ci.yml): every
-throughput figure in the report is matched against the same figure in the
-matching bench/baselines/BENCH_*.json.  A drop of more than --fail-drop
-(default 15%) on any figure fails the job; more than --warn-drop (default
-5%) prints a warning but passes.  Correctness flags embedded in the report
-(the incremental-kernel speedup gate and the sink-overhead budget) fail the
-comparison outright regardless of the baseline.
+Used by the bench-regression CI job (.github/workflows/ci.yml).  A report
+has one of two shapes, and both become the same flat records:
 
-Three report shapes are understood:
+  * BENCH_gates.json (bench_gates): "gates" is a list of records
+    {name, layer, unit, better, values, median, mad, cpu_seconds,
+    cpu_per_wall, bar, identical};
+  * BENCH_kernel.json (kernel_microbench --benchmark_repetitions=N
+    --benchmark_out=...): google-benchmark JSON.  Its "iteration" rows are
+    grouped by run_name; their items_per_second become one record's values
+    (higher is better, no bar, always identical).
 
-  * BENCH_replay_speed.json (eff_replay_speed) -- cases/streaming/kernel/
-    sink/sweep/mc_sweep/seek sections, actions_per_second figures;
-  * BENCH_service.json (tird_bench) -- service legs, jobs_per_second;
-  * BENCH_kernel.json (kernel_microbench via --benchmark_out) -- the
-    google-benchmark JSON format: each entry of "benchmarks" that reports
-    items_per_second becomes a comparable figure.  Wall-time-only entries
-    are ignored (they are too noisy to gate on shared CI runners).
+Every record goes through the same rule:
 
---summary PATH additionally writes the full comparison (the same lines
-that go to stdout) to PATH, so CI can upload a single text diff per report
-next to the raw JSON.
+  * identical false fails;
+  * a median that misses its bar fails;
+  * a baseline record missing from the current report fails;
+  * a median worse than the baseline median by more than 15% AND by more
+    than 3x the larger MAD of the two reports fails.
 
-Only the standard library is used, so the script runs on any CI python3.
+--summary PATH also writes the printed comparison to PATH, so CI can upload
+one text diff per report next to the raw JSON.  Only the standard library
+is used.
 
-Exit codes: 0 pass (possibly with warnings), 1 regression or failed gate,
-2 usage/parse error.
+Exit codes: 0 pass, 1 a record failed, 2 usage error or malformed report.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
-
-def collect_rates(report):
-    """Flatten every actions_per_second figure into {label: rate}."""
-    rates = {}
-    for c in report.get("cases", []):
-        key = "case[{label} np={procs} it={iters}]".format(**c)
-        for backend in ("smpi", "msg"):
-            if backend in c:
-                rates[key + "." + backend] = c[backend]["actions_per_second"]
-    for s in report.get("streaming", []):
-        # actions disambiguate the same instance at different lengths
-        key = "streaming[{label} np={procs} a={actions:.0f}]".format(**s)
-        for path in ("text", "titb"):
-            if path in s:
-                rates[key + "." + path] = s[path]["actions_per_second"]
-    for k in report.get("incremental_kernel", []):
-        key = "kernel[{flows} flows]".format(**k)
-        for mode in ("full", "incremental"):
-            if mode in k:
-                rates[key + "." + mode] = k[mode]["actions_per_second"]
-    sink = report.get("null_sink")
-    if sink:
-        rates["null_sink.no_sink"] = sink["no_sink"]["actions_per_second"]
-        rates["null_sink.with_null_sink"] = sink["with_null_sink"]["actions_per_second"]
-    sweep = report.get("sweep")
-    if sweep:
-        key = "sweep[{scenarios} scenarios]".format(**sweep)
-        rates[key + ".jobs1"] = sweep["jobs1"]["actions_per_second"]
-        # The parallel leg's rate depends on the host's core count, so it is
-        # only comparable against a baseline from equally-parallel hardware;
-        # the drop thresholds still catch regressions on the same CI runner.
-        rates[key + ".jobsN"] = sweep["jobsN"]["actions_per_second"]
-    mc = report.get("mc_sweep")
-    if mc:
-        key = "mc_sweep[{scenarios}x{replicates}]".format(**mc)
-        rates[key + ".jobs1"] = mc["jobs1"]["actions_per_second"]
-        # Same caveat as sweep.jobsN: comparable only on equally-parallel
-        # hardware, still a regression tripwire on the same CI runner.
-        rates[key + ".jobsN"] = mc["jobsN"]["actions_per_second"]
-    seek = report.get("seek")
-    if seek:
-        # Checkpoint seeking: the cold leg is a full replay, the warm leg the
-        # cursor query of the same late window (effective rate, whole-trace
-        # actions over the query's wall-clock, so speedup == rate ratio).
-        rates["seek.cold"] = seek["cold"]["actions_per_second"]
-        rates["seek.warm"] = seek["warm"]["actions_per_second"]
-    service = report.get("service")
-    if service:
-        # BENCH_service.json (tird_bench): sustained jobs/s per leg.  Same
-        # drop thresholds as the replay figures; the cold legs guard the
-        # no-cache path, the cached legs the hot path.
-        for leg in ("cached_serial", "cold_serial", "cached_concurrent",
-                    "cold_concurrent"):
-            if leg in service:
-                rates["service." + leg] = service[leg]["jobs_per_second"]
-    # BENCH_kernel.json: google-benchmark --benchmark_out JSON.  Gate on
-    # items_per_second (a throughput, robust to CPU-frequency jitter in the
-    # same way the replay figures are); skip aggregate rows (mean/median/
-    # stddev repeats of the same benchmark) so each figure appears once.
-    for b in report.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        ips = b.get("items_per_second")
-        if ips is not None:
-            rates["gbench[{}]".format(b["name"])] = ips
-    return rates
+DROP = 0.15      # relative change that counts as a regression...
+MAD_BAND = 3.0   # ...when it is also this many MADs wide
 
 
-def check_gates(report):
-    """Pass/fail flags the bench computed itself; failing them is always fatal."""
-    failures = []
-    sink = report.get("null_sink")
-    if sink and not sink.get("pass", True):
-        failures.append(
-            "null-sink dispatch overhead {:.2%} exceeds budget {:.0%}".format(
-                sink["overhead_fraction"], sink["budget_fraction"]
-            )
-        )
-    for k in report.get("incremental_kernel", []):
-        if not k.get("pass", True):
-            failures.append(
-                "incremental kernel at {} flows: speedup {:.2f}x"
-                " (required {:.1f}x, identical_prediction={})".format(
-                    k["flows"], k["speedup"], k["required_speedup"],
-                    k["identical_prediction"],
-                )
-            )
-    sweep = report.get("sweep")
-    if sweep and not sweep.get("pass", True):
-        failures.append(
-            "scenario sweep: speedup {:.2f}x at jobs={} on {} cores"
-            " (required {:.1f}x, identical_results={})".format(
-                sweep["speedup"], sweep["jobs"], sweep["hardware_concurrency"],
-                sweep["required_speedup"], sweep["identical_results"],
-            )
-        )
-    mc = report.get("mc_sweep")
-    if mc and not mc.get("pass", True):
-        failures.append(
-            "mc sweep: speedup {:.2f}x at jobs={} on {} cores"
-            " (required {:.1f}x, identical_aggregate={})".format(
-                mc["speedup"], mc["jobs"], mc["hardware_concurrency"],
-                mc["required_speedup"], mc["identical_aggregate"],
-            )
-        )
-    seek = report.get("seek")
-    if seek and not seek.get("pass", True):
-        failures.append(
-            "checkpoint seek: speedup {:.2f}x over cold replay for the late"
-            " window (required {:.1f}x, identical_window={})".format(
-                seek["speedup"], seek["required_speedup"],
-                seek["identical_window"],
-            )
-        )
-    service = report.get("service")
-    if service:
-        if not service.get("pass", True):
-            failures.append(
-                "service cache: speedup {:.2f}x (required {:.1f}x,"
-                " identical_results={})".format(
-                    service["speedup"], service["required_speedup"],
-                    service["identical_results"],
-                )
-            )
-        overload = service.get("overload", {})
-        if not overload.get("pass", True):
-            failures.append(
-                "service overload: {submitted} submitted -> {completed} completed"
-                " + {rejected} rejected ({failed} failed)".format(**overload)
-            )
-        chaos = service.get("chaos", {})
-        if chaos and not chaos.get("pass", True):
-            failures.append(
-                "service chaos: {schedules} schedules, {jobs} jobs ->"
-                " {completed} completed, {hung} hung,"
-                " identical={identical}".format(**chaos)
-            )
-        if chaos and chaos.get("hung", 0) != 0:
-            failures.append(
-                "service chaos: {hung} job(s) hung without a terminal"
-                " outcome".format(**chaos)
-            )
-    return failures
+def _median_mad(values):
+    median = statistics.median(values)
+    return median, statistics.median(abs(v - median) for v in values)
+
+
+def load_records(path):
+    """Read a report into {name: record}; raises ValueError when malformed."""
+    with open(path) as f:
+        report = json.load(f)
+    records = {}
+    if isinstance(report, dict) and "gates" in report:
+        for g in report["gates"]:
+            records[g["name"]] = {
+                "values": [float(v) for v in g["values"]],
+                "median": float(g["median"]),
+                "mad": float(g["mad"]),
+                "better": g["better"],
+                "bar": float(g["bar"]),
+                "identical": bool(g["identical"]),
+                "cpu_per_wall": g.get("cpu_per_wall"),
+            }
+    elif isinstance(report, dict) and "benchmarks" in report:
+        groups = {}
+        for b in report["benchmarks"]:
+            if b.get("run_type", "iteration") == "iteration" and "items_per_second" in b:
+                name = "gbench[{}]".format(b.get("run_name", b["name"]))
+                groups.setdefault(name, []).append(float(b["items_per_second"]))
+        for name, values in groups.items():
+            median, mad = _median_mad(values)
+            records[name] = {"values": values, "median": median, "mad": mad,
+                             "better": "higher", "bar": None, "identical": True,
+                             "cpu_per_wall": None}
+    else:
+        raise ValueError("neither a gate report nor google-benchmark JSON")
+    if not records:
+        raise ValueError("no records")
+    for name, r in records.items():
+        if r["better"] not in ("higher", "lower") or not r["values"]:
+            raise ValueError("record {} is malformed".format(name))
+    return records
+
+
+def judge(name, cur, base):
+    """One comparison line and whether it fails."""
+    higher = cur["better"] == "higher"
+    problems = []
+    if not cur["identical"]:
+        problems.append("legs disagree")
+    if cur["bar"] is not None and (cur["median"] < cur["bar"] if higher
+                                   else cur["median"] > cur["bar"]):
+        problems.append("misses bar {} {:.4g}".format(">=" if higher else "<=", cur["bar"]))
+    line = "{:<44} now {:>12.4g} (MAD {:.3g}, n={})".format(
+        name, cur["median"], cur["mad"], len(cur["values"]))
+    if base is not None:
+        worse = base["median"] - cur["median"] if higher else cur["median"] - base["median"]
+        line += "  base {:>12.4g} ({:+.1%})".format(
+            base["median"], (cur["median"] - base["median"]) / abs(base["median"] or 1))
+        if worse > DROP * abs(base["median"]) and worse > MAD_BAND * max(cur["mad"], base["mad"]):
+            problems.append("worse than baseline by >{:.0%} and >{:g} MAD".format(DROP, MAD_BAND))
+    if cur["cpu_per_wall"] is not None:
+        line += "  CPU/wall {:.2f}".format(cur["cpu_per_wall"])
+    if problems:
+        return "FAIL " + line + "  -- " + "; ".join(problems), True
+    return "ok   " + line, False
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("current", help="freshly produced BENCH_replay_speed.json")
+    ap.add_argument("current", help="freshly produced report")
     ap.add_argument("baseline", help="checked-in baseline to compare against")
-    ap.add_argument("--fail-drop", type=float, default=0.15,
-                    help="fractional throughput drop that fails the job")
-    ap.add_argument("--warn-drop", type=float, default=0.05,
-                    help="fractional throughput drop that prints a warning")
     ap.add_argument("--summary", metavar="PATH",
                     help="also write the comparison text to PATH (CI artifact)")
     args = ap.parse_args()
 
     try:
-        with open(args.current) as f:
-            current = json.load(f)
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        current = load_records(args.current)
+        baseline = load_records(args.baseline)
+    except (OSError, ValueError, KeyError, TypeError) as e:
         print("compare_bench: cannot load reports: {}".format(e), file=sys.stderr)
         return 2
 
-    cur_rates = collect_rates(current)
-    base_rates = collect_rates(baseline)
-
-    out_lines = []
-
-    def emit(line):
-        out_lines.append(line)
-        print(line)
-
-    emit("compare_bench: {} vs baseline {}".format(args.current, args.baseline))
-    failures = check_gates(current)
-    warnings = []
-    compared = 0
-    for label, base in sorted(base_rates.items()):
-        cur = cur_rates.get(label)
-        if cur is None:
-            warnings.append("{}: present in baseline but missing from current run".format(label))
-            continue
-        if base <= 0:
-            continue
-        compared += 1
-        drop = 1.0 - cur / base
-        line = "{:<44} base {:>12.0f} /s  now {:>12.0f} /s  ({:+.1%})".format(
-            label, base, cur, -drop)
-        if drop > args.fail_drop:
-            failures.append(line)
-        elif drop > args.warn_drop:
-            warnings.append(line)
+    lines = ["compare_bench: {} vs baseline {}".format(args.current, args.baseline)]
+    failures = 0
+    for name in sorted(set(current) | set(baseline)):
+        if name not in current:
+            line, failed = "FAIL {:<44} in the baseline, missing from this run".format(name), True
         else:
-            emit("ok   " + line)
-    for label in sorted(set(cur_rates) - set(base_rates)):
-        emit("new  {:<44} {:>12.0f} /s (no baseline yet)".format(label, cur_rates[label]))
-
-    for w in warnings:
-        emit("WARN " + w)
-    for f in failures:
-        emit("FAIL " + f)
-    emit("compare_bench: {} figures compared, {} warnings, {} failures".format(
-        compared, len(warnings), len(failures)))
-    if compared == 0:
-        emit("FAIL no comparable figures found -- baseline or report malformed")
+            line, failed = judge(name, current[name], baseline.get(name))
+        lines.append(line)
+        failures += failed
+    lines.append("compare_bench: {} records, {} failures".format(len(current), failures))
+    print("\n".join(lines))
     if args.summary:
         try:
             with open(args.summary, "w") as f:
-                f.write("\n".join(out_lines) + "\n")
+                f.write("\n".join(lines) + "\n")
         except OSError as e:
             print("compare_bench: cannot write summary: {}".format(e), file=sys.stderr)
             return 2
-    if compared == 0:
-        return 1
     return 1 if failures else 0
 
 

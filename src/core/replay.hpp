@@ -80,8 +80,8 @@ struct ReplayConfig {
   double watchdog_seconds = 0.0;
   /// Observability event sink (src/obs); not owned, must outlive the replay
   /// call.  Null (the default) disables event emission entirely: the hook
-  /// points collapse to a raw-pointer check (bench/eff_replay_speed bounds
-  /// even the cost of an attached no-op sink at 5% of no-sink throughput).
+  /// points collapse to a raw-pointer check (bench/bench_gates bars even the
+  /// cost of an attached no-op sink at 1.05x the no-sink replay time).
   /// Attach an obs::TimelineSink to
   /// record the per-rank schedule, then feed it to obs::aggregate /
   /// obs::write_paje / obs::critical_path (see docs/observability.md).

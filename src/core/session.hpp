@@ -88,7 +88,7 @@ ReplayResult replay_msg(titio::ActionSource& source, const platform::Platform& p
 /// every step (sim::Resolve::Full, docs/simulation_kernel.md).  It exists
 /// only as the reference the incremental kernel must match bit for bit
 /// (IncrementalReplayDifferential) and the baseline of its speed gate
-/// (bench/eff_replay_speed); core::replay always solves incrementally.
+/// (bench/bench_gates); core::replay always solves incrementally.
 ReplayResult replay_full_resolve(Backend backend, titio::ActionSource& source,
                                  const platform::Platform& platform, const ReplayConfig& config);
 

@@ -5,10 +5,10 @@
 // when — and only when — one is attached.  Every hook point is guarded by a
 // raw-pointer check (`if (sink) sink->...`), so a replay with no sink pays a
 // predicted-not-taken branch and nothing else: no virtual dispatch on hot
-// paths, no allocation, no formatting.  bench/eff_replay_speed verifies the
-// claim by attaching a no-op sink, which pays the guard plus the per-step
-// virtual dispatch and the transfer-list walk, and must still stay within
-// 5% of no-sink throughput (the incremental kernel shrank the per-step
+// paths, no allocation, no formatting.  bench/bench_gates bounds the cost
+// of attaching a no-op sink, which pays the guard plus the per-step virtual
+// dispatch and the transfer-list walk: its replay may take at most 1.05x
+// the no-sink replay time (the incremental kernel shrank the per-step
 // baseline severalfold, so a handful of indirect calls is no longer
 // sub-1%; see docs/simulation_kernel.md).
 //

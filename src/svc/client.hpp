@@ -1,4 +1,4 @@
-// Client side of the tird protocol, shared by tir-submit, tird-bench and the
+// Client side of the tird protocol, shared by tir-submit, bench_gates and the
 // service tests: dial the daemon, submit one job at a time, collect the
 // streamed responses into a JobResult.
 //

@@ -10,12 +10,12 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
+#include "base/string_util.hpp"
 
 namespace tir::svc {
 
@@ -50,10 +50,14 @@ Parsed parse_endpoint(const std::string& endpoint) {
       throw ConfigError("tcp endpoint needs HOST:PORT, got '" + endpoint + "'");
     }
     p.host = rest.substr(0, colon);
-    p.port = std::atoi(rest.c_str() + colon + 1);
-    if (p.host.empty() || p.port < 0 || p.port > 65535) {
-      throw ConfigError("bad tcp endpoint '" + endpoint + "'");
+    std::uint64_t port = 0;
+    try {
+      port = str::to_u64(std::string_view(rest).substr(colon + 1), "tcp port");
+    } catch (const ParseError& e) {
+      throw ConfigError("bad tcp endpoint '" + endpoint + "': " + e.what());
     }
+    if (p.host.empty() || port > 65535) throw ConfigError("bad tcp endpoint '" + endpoint + "'");
+    p.port = static_cast<int>(port);
     return p;
   }
   throw ConfigError("endpoint must start with unix: or tcp: — got '" + endpoint + "'");

@@ -3,7 +3,7 @@
 // One request per line; the daemon answers each request with one or more
 // response lines, every one tagged with the request's job id so clients may
 // pipeline.  docs/service.md is the normative spec; this header is the typed
-// mirror both the server and the clients (tir-submit, tird-bench) share, so
+// mirror both the server and the clients (tir-submit, bench_gates) share, so
 // a field added here is added everywhere at once.
 //
 // Requests:

@@ -4,8 +4,8 @@
 // service melts under load; the daemon instead admits jobs through this
 // fixed-capacity queue and *rejects* the overflow with an explicit
 // retry-after hint, so a well-behaved client backs off and a load test gets
-// an honest saturation signal (tird-bench counts rejections separately from
-// latency).
+// an honest saturation signal (perfbench's tird-mix counts rejections
+// separately from latency).
 //
 // Shutdown contract (SIGTERM drain): close() stops admissions immediately
 // but lets consumers drain everything already admitted — pop() keeps

@@ -20,7 +20,7 @@
 // manifest and its rank files), parsed platforms
 // (keyed by file bytes), calibrated rates (keyed by platform key +
 // core::calibration_cache_key).  cache_bytes = 0 disables retention, which
-// is how tird-bench measures the cold path of the very same binary.
+// is how bench_gates measures the cold path of the very same binary.
 #pragma once
 
 #include <sys/socket.h>

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "support/temp_dir.hpp"
 #include "support/wire.hpp"
 #include "svc/client.hpp"
+#include "svc/net.hpp"
 #include "tit/trace.hpp"
 #include "titio/writer.hpp"
 
@@ -123,6 +125,18 @@ TEST_F(SvcServer, TcpPortZeroResolvesAndServes) {
   EXPECT_NE(server.endpoint(), "tcp:127.0.0.1:0");  // kernel-assigned port
   Client client(server.endpoint());
   EXPECT_TRUE(client.ping());
+}
+
+// A port that is not a plain decimal in 0-65535 is a config error; it must
+// never fall back to a kernel-assigned port the way ":0" asks for.
+TEST(SvcEndpoint, MalformedTcpPortIsAConfigError) {
+  for (const char* endpoint : {"tcp:127.0.0.1:http", "tcp:127.0.0.1:", "tcp:127.0.0.1:0x1F",
+                               "tcp:127.0.0.1:99999999999", "tcp:127.0.0.1:65536",
+                               "tcp:127.0.0.1:-1", "tcp:127.0.0.1: 80"}) {
+    EXPECT_THROW(Listener{endpoint}, ConfigError) << endpoint;
+  }
+  Listener any("tcp:127.0.0.1:0");
+  EXPECT_NE(any.endpoint(), "tcp:127.0.0.1:0");
 }
 
 TEST_F(SvcServer, ColdThenCachedHitIsBitIdentical) {
@@ -324,6 +338,43 @@ TEST_F(SvcServer, FullQueueRejectsWithRetryAfter) {
   ASSERT_EQ(a3.str_or("type", ""), "rejected");
   EXPECT_EQ(a3.num_or("retry_after_ms", 0), 7.0);
   EXPECT_EQ(a3.num_or("queue_capacity", 0), 1.0);
+}
+
+TEST_F(SvcServer, BurstOverloadAccountsForEveryJob) {
+  ServerOptions options;
+  options.endpoint = endpoint("burst.sock");
+  options.workers = 1;
+  options.queue_capacity = 2;
+  options.cache_bytes = 0;  // every admitted job stays slow
+  Server server(options);
+  server.start();
+
+  // Zero inter-arrival time: 1 job in service + 2 queued is all the server
+  // can hold, so most of the burst must bounce, and everything admitted
+  // must complete.  Each arrival has its own connection.
+  constexpr int kSubmitted = 24;
+  std::atomic<int> completed{0}, rejected{0}, failed{0};
+  std::vector<std::thread> clients;
+  for (int j = 0; j < kSubmitted; ++j) {
+    clients.emplace_back([&] {
+      try {
+        const JobResult result = Client(server.endpoint()).submit(slow_job());
+        if (result.rejected) {
+          ++rejected;
+        } else if (result.done) {
+          ++completed;
+        } else {
+          ++failed;
+        }
+      } catch (const std::exception&) {
+        ++failed;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(completed + rejected, kSubmitted);
+  EXPECT_EQ(failed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST_F(SvcServer, ShutdownDrainsAdmittedJobs) {
