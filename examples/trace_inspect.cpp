@@ -53,7 +53,7 @@ struct Summary {
     ++r.actions;
     ++r.by_type[static_cast<std::size_t>(a.type)];
     if (a.type == tit::ActionType::Compute) r.instructions += a.volume;
-    if (a.type >= tit::ActionType::Barrier) r.collective_bytes += a.volume;
+    if (tit::is_collective(a.type)) r.collective_bytes += a.volume;
     if (a.type == tit::ActionType::Send || a.type == tit::ActionType::Isend) {
       ++r.messages;
       r.bytes_sent += a.volume;

@@ -5,6 +5,7 @@
 
 #include "base/binio.hpp"
 #include "base/error.hpp"
+#include "titio/shared.hpp"
 
 namespace tir::ckpt {
 
@@ -13,22 +14,6 @@ namespace {
 std::uint64_t pair_key(std::int32_t src, std::int32_t dst) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
          static_cast<std::uint32_t>(dst);
-}
-
-bool is_collective(tit::ActionType t) {
-  switch (t) {
-    case tit::ActionType::Barrier:
-    case tit::ActionType::Bcast:
-    case tit::ActionType::Reduce:
-    case tit::ActionType::AllReduce:
-    case tit::ActionType::AllToAll:
-    case tit::ActionType::AllGather:
-    case tit::ActionType::Gather:
-    case tit::ActionType::Scatter:
-      return true;
-    default:
-      return false;
-  }
 }
 
 }  // namespace
@@ -68,8 +53,11 @@ std::uint64_t scenario_fingerprint(core::Backend backend, const platform::Platfo
   for (const double r : config.rates) h = mix64(h, std::bit_cast<std::uint64_t>(r));
 
   const smpi::Config& mpi = config.mpi;
-  h = mix64(h, static_cast<std::uint64_t>(mpi.collectives.bcast));
-  h = mix64(h, static_cast<std::uint64_t>(mpi.collectives.allreduce));
+  // Two retired collective-algorithm selectors (binomial bcast, reduce+bcast
+  // allreduce, both 0) are still folded as constants: the fingerprints of
+  // checkpoints already stored in TITB v2 files stay adoptable.
+  h = mix64(h, 0u);
+  h = mix64(h, 0u);
   h = mix64(h, std::bit_cast<std::uint64_t>(mpi.eager_threshold));
   h = mix64(h, mpi.model_copy_time ? 1u : 0u);
   h = mix64(h, std::bit_cast<std::uint64_t>(mpi.copy_rate));
@@ -98,15 +86,6 @@ std::uint64_t scenario_fingerprint(core::Backend backend, const platform::Platfo
 }
 
 std::uint64_t prefix_hash_seed() { return binio::mix64(binio::kHashSeed, 'P'); }
-
-std::uint64_t fold_action_hash(std::uint64_t h, const tit::Action& a) {
-  using binio::mix64;
-  h = mix64(h, static_cast<std::uint64_t>(a.type));
-  h = mix64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.partner)));
-  h = mix64(h, std::bit_cast<std::uint64_t>(a.volume));
-  h = mix64(h, std::bit_cast<std::uint64_t>(a.volume2));
-  return h;
-}
 
 void check_seekable(int nprocs, const platform::Platform& platform,
                     const core::ReplayConfig& config) {
@@ -207,7 +186,7 @@ void CheckpointRecorder::complete(int rank, double now) {
       r.outstanding.clear();
       break;
     default:
-      if (is_collective(a.type)) {
+      if (tit::is_collective(a.type)) {
         ++r.collective_sites;
         if (r.collective_sites - 1 == coll_max_) {
           // This rank moves past the frontier.
@@ -227,7 +206,7 @@ void CheckpointRecorder::complete(int rank, double now) {
 
   ++r.completed;
   r.time = now;
-  r.prefix_hash = fold_action_hash(r.prefix_hash, a);
+  r.prefix_hash = titio::fold_action_hash(r.prefix_hash, a);
   ++total_completed_;
   if (total_completed_ >= next_target_ && balanced()) take_cut();
 }

@@ -70,10 +70,9 @@ struct CheckpointSet {
 std::uint64_t scenario_fingerprint(core::Backend backend, const platform::Platform& platform,
                                    const core::ReplayConfig& config);
 
-/// Running fold of one rank's replayed action prefix; used to validate
-/// that a checkpoint still matches a (possibly tail-appended) trace.
-std::uint64_t fold_action_hash(std::uint64_t h, const tit::Action& a);
-/// Seed of the per-rank prefix fold (domain-tagged).
+/// Seed of the per-rank prefix hash: a running titio::fold_action_hash of
+/// one rank's replayed action prefix, which validates that a checkpoint
+/// still matches a (possibly tail-appended) trace.  Domain-tagged.
 std::uint64_t prefix_hash_seed();
 
 /// Throws ConfigError unless restore-from-cut is exact for this scenario:

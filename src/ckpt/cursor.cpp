@@ -61,7 +61,7 @@ std::size_t ReplayCursor::adopt(const CheckpointSet& set) {
         continue;
       }
       while (pos[r] < st.position) {
-        hash[r] = fold_action_hash(hash[r], seq[static_cast<std::size_t>(pos[r])]);
+        hash[r] = titio::fold_action_hash(hash[r], seq[static_cast<std::size_t>(pos[r])]);
         ++pos[r];
       }
       if (hash[r] != st.prefix_hash) ok = false;

@@ -81,6 +81,84 @@ void check_p2p_partner(int me, int nprocs, const tit::Action& a) {
   }
 }
 
+void check_collective_root(int me, int nprocs, const tit::Action& a) {
+  if (a.partner >= nprocs) {
+    throw MalformedTraceError("p" + std::to_string(me) +
+                              ": root out of range: " + tit::to_line(a));
+  }
+}
+
+void ReplaySession::spawn_ranks(const std::function<sim::Coro(sim::Ctx&, int)>& body) {
+  for (int r = 0; r < nprocs_; ++r) {
+    engine_->spawn("rank" + std::to_string(r), rank_hosts_[static_cast<std::size_t>(r)], 0,
+                   [body, r](sim::Ctx& ctx) -> sim::Coro { return body(ctx, r); });
+  }
+}
+
+std::string mailbox_name(int src, int dst) {
+  return std::to_string(src) + "_" + std::to_string(dst);
+}
+
+std::string describe(const RankDiag& diag) {
+  std::string s = "blocked";
+  const tit::Action& a = diag.current;
+  if (diag.acting) {
+    switch (a.type) {
+      case tit::ActionType::Send:
+      case tit::ActionType::Isend:
+      case tit::ActionType::Recv:
+      case tit::ActionType::Irecv:
+        s += " on ";
+        if (diag.backend == Backend::Msg) {
+          // Append-built: GCC 12's -Wrestrict misfires on operator+ chains.
+          const bool out = a.type == tit::ActionType::Send || a.type == tit::ActionType::Isend;
+          s += "mailbox ";
+          s += out ? mailbox_name(diag.rank, a.partner) : mailbox_name(a.partner, diag.rank);
+          s += ": ";
+        }
+        s += tit::to_line(a);
+        break;
+      case tit::ActionType::Wait:
+        s += " on wait (oldest of " + std::to_string(diag.requests) +
+             " outstanding request(s))";
+        break;
+      case tit::ActionType::WaitAll:
+        s += " on waitall (" + std::to_string(diag.requests) + " outstanding request(s))";
+        break;
+      default:
+        if (tit::is_collective(a.type)) {
+          s += " on collective site " + std::to_string(diag.site) + ": " + tit::to_line(a);
+        }
+        break;
+    }
+  }
+  if (diag.completed > 0) {
+    s += "; last completed: " + tit::to_line(diag.last) + " (action #" +
+         std::to_string(diag.completed - 1) + ")";
+  } else {
+    s += "; no action completed yet";
+  }
+  return s;
+}
+
+RankShell::RankShell(sim::Ctx& ctx, int me, ReplaySession& session, Backend backend)
+    : ctx_(ctx),
+      source_(session.source()),
+      sink_(session.config().sink),
+      actions_(session.actions_replayed()),
+      nprocs_(session.nprocs()),
+      rate_(session.config().rate_for(me)) {
+  diag_.rank = me;
+  diag_.backend = backend;
+  if (const ResumeState* resume = session.config().resume) {
+    // Checkpoint restore: the prefix already ran.  Adopt its collective-site
+    // numbering and hold the rank at its boundary time.
+    next_site_ = resume->collective_sites[static_cast<std::size_t>(me)];
+    resume_sleep_ = resume->times[static_cast<std::size_t>(me)];
+  }
+  ctx.set_diagnoser([this] { return describe(diag_); });
+}
+
 namespace {
 
 ReplayResult dispatch(Backend backend, titio::ActionSource& source,

@@ -15,18 +15,11 @@ sim::ActivityPtr Mailboxes::match(const Box& box, const Put& put, platform::Host
   return comm;
 }
 
-sim::Coro Mailboxes::send(sim::Ctx& ctx, BoxId box, double bytes) {
-  const Request done = isend(ctx, box, bytes);
-  co_await ctx.wait(done);
-}
-
-Request Mailboxes::match_or_post(sim::Ctx& ctx, BoxId box_id, RecvSlot& slot,
-                                 double* bytes_out) {
+Request Mailboxes::match_or_post(sim::Ctx& ctx, BoxId box_id, RecvSlot& slot) {
   Box& box = boxes_[static_cast<std::size_t>(box_id)];
   if (!box.puts.empty()) {
     const Put put = box.puts.front();
     box.puts.pop_front();
-    if (bytes_out != nullptr) *bytes_out = put.bytes;
     return match(box, put, ctx.host());
   }
   slot.dst_host = ctx.host();
@@ -50,7 +43,6 @@ Request Mailboxes::isend(sim::Ctx& ctx, BoxId box_id, double bytes) {
     if (obs::Sink* const sink = engine_.sink()) sink->on_mailbox_match(box.name, bytes);
     sim::ActivityPtr comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
     get->comm = comm;
-    get->bytes = bytes;
     engine_.complete_now(get->matched);
     return comm;
   }
@@ -66,28 +58,10 @@ void Mailboxes::send_async(sim::Ctx& ctx, BoxId box_id, double bytes) {
     if (obs::Sink* const sink = engine_.sink()) sink->on_mailbox_match(box.name, bytes);
     sim::ActivityPtr comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
     get->comm = std::move(comm);  // the receiver's reference keeps it alive
-    get->bytes = bytes;
     engine_.complete_now(get->matched);
     return;
   }
   box.puts.push_back(Put{ctx.host(), bytes, nullptr});
-}
-
-sim::Coro Mailboxes::recv(sim::Ctx& ctx, BoxId box_id, double* bytes_out) {
-  RecvSlot slot;
-  const Request direct = match_or_post(ctx, box_id, slot, bytes_out);
-  if (direct != nullptr) {
-    co_await ctx.wait(direct);
-    co_return;
-  }
-  co_await ctx.wait(slot.matched);
-  if (bytes_out != nullptr) *bytes_out = slot.bytes;
-  co_await ctx.wait(slot.comm);
-}
-
-std::size_t Mailboxes::backlog(const std::string& mailbox) const {
-  const auto it = names_.find(mailbox);
-  return it == names_.end() ? 0 : boxes_[static_cast<std::size_t>(it->second)].puts.size();
 }
 
 Rendezvous::Rendezvous(sim::Engine& engine, int parties)

@@ -2,7 +2,8 @@
 //
 // Reproduces the semantics of SimGrid's MSG API that the paper's first
 // implementation was built on (§3.3):
-//   - tasks are sent to named mailboxes;
+//   - tasks are sent to mailboxes, named once (box()) and then addressed
+//     by handle;
 //   - the network transfer STARTS ONLY WHEN SENDER AND RECEIVER HAVE
 //     MATCHED, regardless of message size.  This is the crucial difference
 //     from real MPI eager mode (where data moves as soon as the sender
@@ -11,6 +12,10 @@
 //   - task_isend queues the task and returns immediately, but the transfer
 //     still begins at match time;
 //   - no piecewise-linear protocol corrections: raw link latency/bandwidth.
+//
+// The API is the replay-sized one the old back-end uses: isend/send_async to
+// put, match_or_post to get (a blocking send or recv is the caller's
+// ctx.wait on what these return), and Rendezvous for its collectives.
 #pragma once
 
 #include <deque>
@@ -37,7 +42,6 @@ struct RecvSlot {
   platform::HostId dst_host{};
   sim::ActivityPtr matched;  ///< gate completed at match time
   sim::ActivityPtr comm;     ///< the transfer, filled at match
-  double bytes = 0.0;
 };
 
 class Mailboxes {
@@ -50,18 +54,9 @@ class Mailboxes {
   /// Resolves (creating on first use) a mailbox name to its stable handle.
   BoxId box(const std::string& mailbox);
 
-  /// Blocking send: returns when the matched transfer has completed.
-  sim::Coro send(sim::Ctx& ctx, BoxId box, double bytes);
-  sim::Coro send(sim::Ctx& ctx, const std::string& mailbox, double bytes) {
-    return send(ctx, box(mailbox), bytes);
-  }
-
   /// Fire-and-forget send: queues the task, returns a Request completed when
-  /// the (match-started) transfer ends.
+  /// the (match-started) transfer ends.  Awaiting it is a blocking send.
   Request isend(sim::Ctx& ctx, BoxId box, double bytes);
-  Request isend(sim::Ctx& ctx, const std::string& mailbox, double bytes) {
-    return isend(ctx, box(mailbox), bytes);
-  }
 
   /// isend without the completion Request.  The old back-end's small-message
   /// send never looks at its request, so allocating a gate per queued put
@@ -69,23 +64,12 @@ class Mailboxes {
   /// no done gate and match() skips the chain.
   void send_async(sim::Ctx& ctx, BoxId box, double bytes);
 
-  /// Blocking receive: matches the oldest queued task (or waits for one),
-  /// then waits for the transfer. Returns the task size in bytes.
-  sim::Coro recv(sim::Ctx& ctx, BoxId box, double* bytes_out = nullptr);
-  sim::Coro recv(sim::Ctx& ctx, const std::string& mailbox, double* bytes_out = nullptr) {
-    return recv(ctx, box(mailbox), bytes_out);
-  }
-
-  /// Two-phase receive for hot loops that cannot afford the nested recv()
-  /// coroutine frame.  If a task is already queued, matches it and returns
-  /// the started transfer (await it; *bytes_out is filled now).  Otherwise
-  /// posts `slot` and returns null: await slot.matched, then take slot.comm
-  /// and slot.bytes.  `slot` must outlive the match — awaiting slot.matched
-  /// from the calling coroutine's own frame satisfies this.
-  Request match_or_post(sim::Ctx& ctx, BoxId box, RecvSlot& slot, double* bytes_out = nullptr);
-
-  /// Number of tasks currently queued (sent but unmatched).
-  std::size_t backlog(const std::string& mailbox) const;
+  /// Two-phase receive of the oldest queued task.  If a task is already
+  /// queued, matches it and returns the started transfer (await it).
+  /// Otherwise posts `slot` and returns null: await slot.matched, then await
+  /// slot.comm.  `slot` must outlive the match — awaiting slot.matched from
+  /// the calling coroutine's own frame satisfies this.
+  Request match_or_post(sim::Ctx& ctx, BoxId box, RecvSlot& slot);
 
  private:
   struct Put {

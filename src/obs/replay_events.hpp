@@ -38,10 +38,6 @@ inline RankState rank_state_of(tit::ActionType t) {
   return RankState::Wait;
 }
 
-inline bool is_collective(tit::ActionType t) {
-  return rank_state_of(t) == RankState::Collective;
-}
-
 /// Build the phase event for `rank` replaying `a`.  `site` is the rank's
 /// running collective-site counter (same numbering as the static validator);
 /// pass the pre-increment value, -1 is recorded for non-collectives.
@@ -55,7 +51,7 @@ inline PhaseEvent phase_event(int rank, const tit::Action& a, std::int64_t site)
     e.bytes2 = a.volume2;
   }
   e.partner = a.partner;
-  e.site = is_collective(a.type) ? site : -1;
+  e.site = tit::is_collective(a.type) ? site : -1;
   return e;
 }
 

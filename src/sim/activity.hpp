@@ -31,7 +31,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -83,19 +82,11 @@ class ActivityPtr {
   Activity* p_ = nullptr;
 };
 
-/// Shared state of a wait-any group: first completed member wins.
-struct WaitAnyState {
-  std::coroutine_handle<> waiter;
-  int completed_index = -1;  ///< index within the wait set, -1 while pending
-};
-
-/// A registered waiter: a plain coroutine, a wait-any membership, or a gate
-/// to complete in turn (request objects chain onto the comm they track).
+/// A registered waiter: a coroutine to resume, or a gate to complete in turn
+/// (request objects chain onto the comm they track).
 struct Waiter {
-  std::coroutine_handle<> handle;       ///< set for plain waits
-  std::shared_ptr<WaitAnyState> any;    ///< set for wait-any members
-  int any_index = -1;                   ///< this activity's index in the set
-  ActivityPtr chain;                    ///< gate completed when this one is
+  std::coroutine_handle<> handle;  ///< set for plain waits
+  ActivityPtr chain;               ///< gate completed when this one is
 };
 
 /// Waiter storage with two inline slots.  An activity almost always has at

@@ -318,7 +318,11 @@ void Engine::begin_transfer(Activity* a) {
     a->anchor = now_;
     a->heap_key = kInf;
   }
-  heap_.insert_or_update(a);
+  if (a->heap_slot < 0) {
+    heap_.insert(a);
+  } else {
+    heap_.update(a);  // latency phase just ended: re-key in place
+  }
 }
 
 void Engine::start_activity(const ActivityPtr& act) {
@@ -384,7 +388,7 @@ void Engine::chain(const ActivityPtr& source, const ActivityPtr& gate) {
   if (source->done()) {
     if (!gate->done()) complete_now(gate);
   } else {
-    source->waiters.push_back(Waiter{{}, nullptr, -1, gate});
+    source->waiters.push_back(Waiter{{}, gate});
   }
 }
 
@@ -420,12 +424,7 @@ void Engine::complete(Activity& act) {
   WaiterList waiters = std::move(act.waiters);
   for (std::uint32_t i = 0; i < waiters.size(); ++i) {
     Waiter& w = waiters[i];
-    if (w.any != nullptr) {
-      if (w.any->completed_index < 0) {
-        w.any->completed_index = w.any_index;
-        ready_.push_back(w.any->waiter);
-      }
-    } else if (w.chain != nullptr) {
+    if (w.chain != nullptr) {
       if (!w.chain->done()) complete_now(w.chain);
     } else if (w.handle) {
       ready_.push_back(w.handle);

@@ -85,40 +85,9 @@ struct ActivityAwaiter {
   Activity* act;
   bool await_ready() const noexcept { return act->done(); }
   void await_suspend(std::coroutine_handle<> h) {
-    act->waiters.push_back(Waiter{h, nullptr, -1, nullptr});
+    act->waiters.push_back(Waiter{h, nullptr});
   }
   void await_resume() const noexcept {}
-};
-
-/// Awaitable for a set of activities; resumes on the first completion and
-/// yields its index within the set.
-class WaitAnyAwaiter {
- public:
-  explicit WaitAnyAwaiter(std::vector<ActivityPtr> acts) : acts_(std::move(acts)) {}
-  bool await_ready() noexcept {
-    for (std::size_t i = 0; i < acts_.size(); ++i) {
-      if (acts_[i]->done()) {
-        ready_index_ = static_cast<int>(i);
-        return true;
-      }
-    }
-    return false;
-  }
-  void await_suspend(std::coroutine_handle<> h) {
-    state_ = std::make_shared<WaitAnyState>();
-    state_->waiter = h;
-    for (std::size_t i = 0; i < acts_.size(); ++i) {
-      acts_[i]->waiters.push_back(Waiter{{}, state_, static_cast<int>(i), nullptr});
-    }
-  }
-  int await_resume() const noexcept {
-    return state_ != nullptr ? state_->completed_index : ready_index_;
-  }
-
- private:
-  std::vector<ActivityPtr> acts_;
-  std::shared_ptr<WaitAnyState> state_;
-  int ready_index_ = -1;
 };
 
 /// FIFO of resumable coroutines.  The drain loop empties the queue on every
@@ -342,11 +311,6 @@ class Ctx {
   ActivityAwaiter wait(ActivityPtr act) {
     keepalive_ = std::move(act);
     return ActivityAwaiter{keepalive_.get()};
-  }
-
-  /// Wait for the first of several activities; yields the completed index.
-  WaitAnyAwaiter wait_any(std::vector<ActivityPtr> acts) {
-    return WaitAnyAwaiter(std::move(acts));
   }
 
   /// Install a diagnosis callback, called only when the engine must explain

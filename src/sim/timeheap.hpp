@@ -64,14 +64,6 @@ class TimeHeap {
     if (!sift_up(i)) sift_down(i);
   }
 
-  void insert_or_update(Activity* a) {
-    if (a->heap_slot < 0) {
-      insert(a);
-    } else {
-      update(a);
-    }
-  }
-
   /// Remove an arbitrary activity (e.g. completed externally).
   void remove(Activity* a) {
     TIR_ASSERT(a->heap_slot >= 0);

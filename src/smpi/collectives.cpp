@@ -2,8 +2,8 @@
 //
 // The paper credits the SMPI back-end with simulating collectives "as sets
 // of point-to-point communications" instead of the monolithic analytic
-// models most trace replayers use.  The algorithms here are the classic
-// ones every MPI library ships:
+// models most trace replayers use.  Each operation has exactly one
+// algorithm, a classic one every MPI library ships:
 //   barrier    - dissemination (ceil(log2 n) rounds)
 //   bcast      - binomial tree
 //   reduce     - binomial tree (mirror of bcast), per-merge compute
@@ -38,26 +38,7 @@ sim::Coro World::barrier(sim::Ctx& ctx, int me) {
 
 sim::Coro World::bcast(sim::Ctx& ctx, int me, double bytes, int root) {
   ++stats_.collectives;
-  switch (config_.collectives.bcast) {
-    case BcastAlgo::Linear:
-      co_await bcast_linear(ctx, me, bytes, root);
-      break;
-    case BcastAlgo::Binomial:
-      co_await bcast_binomial(ctx, me, bytes, root);
-      break;
-  }
-}
-
-sim::Coro World::bcast_linear(sim::Ctx& ctx, int me, double bytes, int root) {
-  const int n = size();
-  TIR_ASSERT(root >= 0 && root < n);
-  if (me == root) {
-    for (int r = 0; r < n; ++r) {
-      if (r != root) co_await send(ctx, me, r, bytes, kCollectiveTag);
-    }
-  } else {
-    co_await recv(ctx, me, root, bytes, kCollectiveTag);
-  }
+  co_await bcast_binomial(ctx, me, bytes, root);
 }
 
 sim::Coro World::bcast_binomial(sim::Ctx& ctx, int me, double bytes, int root) {
@@ -110,57 +91,8 @@ sim::Coro World::reduce(sim::Ctx& ctx, int me, double bytes, double compute, int
 
 sim::Coro World::allreduce(sim::Ctx& ctx, int me, double bytes, double compute) {
   ++stats_.collectives;
-  const int n = size();
-  const bool pow2 = (n & (n - 1)) == 0;
-  switch (config_.collectives.allreduce) {
-    case AllreduceAlgo::RecursiveDoubling:
-      if (pow2) {
-        co_await allreduce_recursive_doubling(ctx, me, bytes, compute);
-        co_return;
-      }
-      break;  // fall back to reduce+bcast for non-powers of two
-    case AllreduceAlgo::Ring:
-      if (n > 1) {
-        co_await allreduce_ring(ctx, me, bytes, compute);
-        co_return;
-      }
-      break;
-    case AllreduceAlgo::ReduceBcast:
-      break;
-  }
   co_await reduce(ctx, me, bytes, compute, 0);
   co_await bcast_binomial(ctx, me, bytes, 0);
-}
-
-sim::Coro World::allreduce_recursive_doubling(sim::Ctx& ctx, int me, double bytes,
-                                              double compute) {
-  // log2(n) rounds; in each, partners exchange the full vector and merge.
-  const int n = size();
-  for (int mask = 1; mask < n; mask <<= 1) {
-    const int partner = me ^ mask;
-    const Request out = isend(ctx, me, partner, bytes, kCollectiveTag);
-    co_await recv(ctx, me, partner, bytes, kCollectiveTag);
-    co_await ctx.wait(out);
-    if (compute > 0.0) co_await ctx.execute(compute);
-  }
-}
-
-sim::Coro World::allreduce_ring(sim::Ctx& ctx, int me, double bytes, double compute) {
-  // Reduce-scatter then allgather, each n-1 steps of a 1/n block: the
-  // bandwidth-optimal choice for large vectors.
-  const int n = size();
-  const double block = bytes / n;
-  const int right = (me + 1) % n;
-  const int left = (me - 1 + n) % n;
-  const double merge = compute / n;
-  for (int phase = 0; phase < 2; ++phase) {
-    for (int step = 0; step < n - 1; ++step) {
-      const Request out = isend(ctx, me, right, block, kCollectiveTag);
-      co_await recv(ctx, me, left, block, kCollectiveTag);
-      co_await ctx.wait(out);
-      if (phase == 0 && merge > 0.0) co_await ctx.execute(merge);
-    }
-  }
 }
 
 sim::Coro World::allgather(sim::Ctx& ctx, int me, double bytes) {

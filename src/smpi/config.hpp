@@ -14,6 +14,9 @@
 //     The paper notes SMPI "does not model the time to copy data in memory
 //     ... yet" and attributes its residual underestimation to that, so the
 //     default here is OFF; the ground-truth machine model turns it ON.
+//
+// Collective algorithms are not configurable: each operation has the one
+// algorithm in smpi/collectives.cpp.
 #pragma once
 
 #include <vector>
@@ -75,24 +78,8 @@ class PiecewiseModel {
 /// latency and achieve a fraction of wire bandwidth.
 PiecewiseModel reference_piecewise();
 
-/// Selectable collective algorithms (SMPI ships many per operation; these
-/// are the classic representatives).
-enum class BcastAlgo { Binomial, Linear };
-enum class AllreduceAlgo {
-  ReduceBcast,         ///< binomial reduce to 0 + binomial bcast
-  RecursiveDoubling,   ///< log2(n) pairwise exchanges (power-of-two only;
-                       ///< falls back to ReduceBcast otherwise)
-  Ring,                ///< reduce-scatter + allgather, 2(n-1) steps of 1/n
-};
-
-struct CollectiveAlgos {
-  BcastAlgo bcast = BcastAlgo::Binomial;
-  AllreduceAlgo allreduce = AllreduceAlgo::ReduceBcast;
-};
-
 struct Config {
   PiecewiseModel piecewise = reference_piecewise();
-  CollectiveAlgos collectives{};
   double eager_threshold = 65536.0;  ///< >= this: rendezvous protocol
   bool model_copy_time = false;      ///< pay memcpy cost on eager send/recv
   double copy_rate = 2e9;            ///< bytes/s of a local memory copy

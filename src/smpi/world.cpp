@@ -106,12 +106,10 @@ Request World::isend(sim::Ctx& ctx, int me, int dst, double bytes, int tag) {
   // itself is the request (no per-message gate either way).
   Request req = msg.rendezvous ? msg.comm : eager_done_;
 
-  // MPI matching: earliest posted receive that accepts (src, tag).
+  // MPI matching: earliest posted receive for (src, tag).
   RankState& peer = ranks_[static_cast<std::size_t>(dst)];
   for (auto it = peer.posted.begin(); it != peer.posted.end(); ++it) {
-    const bool src_ok = it->src == kAnySource || it->src == me;
-    const bool tag_ok = it->tag == kAnyTag || it->tag == tag;
-    if (src_ok && tag_ok) {
+    if (it->src == me && it->tag == tag) {
       fulfil(msg, it->request);
       peer.posted.erase(it);
       return req;
@@ -130,9 +128,7 @@ Request World::irecv(sim::Ctx& ctx, int me, int src, double bytes, int tag) {
   // On a match the transfer itself is the request — waiting on the comm is
   // equivalent to a gate chained to it, without the per-message gate.
   for (auto it = mine.unexpected.begin(); it != mine.unexpected.end(); ++it) {
-    const bool src_ok = src == kAnySource || src == it->src;
-    const bool tag_ok = tag == kAnyTag || tag == it->tag;
-    if (src_ok && tag_ok) {
+    if (it->src == src && it->tag == tag) {
       if (it->rendezvous) engine_.start_activity(it->comm);
       Request req = std::move(it->comm);
       mine.unexpected.erase(it);
@@ -157,18 +153,6 @@ sim::Coro World::recv(sim::Ctx& ctx, int me, int src, double bytes, int tag) {
   if (bytes > 0.0 && is_eager(bytes) && config_.model_copy_time) {
     co_await ctx.execute_at(bytes, config_.copy_rate);
   }
-}
-
-sim::Coro World::wait(sim::Ctx& ctx, Request request) { co_await ctx.wait(std::move(request)); }
-
-sim::Coro World::waitall(sim::Ctx& ctx, std::vector<Request> requests) {
-  // Waiting consumes no resources, so awaiting sequentially completes at the
-  // max of the completion times, which is MPI_Waitall semantics.
-  for (Request& r : requests) co_await ctx.wait(std::move(r));
-}
-
-sim::WaitAnyAwaiter World::waitany(sim::Ctx& ctx, std::vector<Request> requests) {
-  return ctx.wait_any(std::move(requests));
 }
 
 }  // namespace tir::smpi

@@ -2,9 +2,9 @@
 //
 // A World binds MPI ranks to platform hosts/cores and implements:
 //   - point-to-point with MPI matching semantics (FIFO per (src, tag),
-//     MPI_ANY_SOURCE/MPI_ANY_TAG wildcards, unexpected-message queue);
+//     unexpected-message queue);
 //   - the eager(detached)/rendezvous protocol split;
-//   - nonblocking requests with wait/waitall/waitany;
+//   - nonblocking requests, awaited with ctx.wait(request);
 //   - collectives implemented as point-to-point algorithms (binomial
 //     broadcast/reduce, reduce+bcast allreduce, dissemination barrier, ring
 //     allgather, pairwise alltoall, linear gather/scatter) — the approach
@@ -23,8 +23,6 @@
 
 namespace tir::smpi {
 
-inline constexpr int kAnySource = -1;
-inline constexpr int kAnyTag = -1;
 /// Tag reserved for collective-internal traffic.
 inline constexpr int kCollectiveTag = -4242;
 
@@ -65,16 +63,11 @@ class World {
   /// Rendezvous: returns when the transfer completes.
   sim::Coro send(sim::Ctx& ctx, int me, int dst, double bytes, int tag = 0);
 
-  /// Blocking receive; matches (src, tag) with wildcard support.
+  /// Blocking receive; matches the earliest message from (src, tag).
   sim::Coro recv(sim::Ctx& ctx, int me, int src, double bytes, int tag = 0);
 
   Request isend(sim::Ctx& ctx, int me, int dst, double bytes, int tag = 0);
   Request irecv(sim::Ctx& ctx, int me, int src, double bytes, int tag = 0);
-
-  sim::Coro wait(sim::Ctx& ctx, Request request);
-  sim::Coro waitall(sim::Ctx& ctx, std::vector<Request> requests);
-  /// Resumes on the first completion; yields its index in the vector.
-  sim::WaitAnyAwaiter waitany(sim::Ctx& ctx, std::vector<Request> requests);
 
   // --- collectives ----------------------------------------------------------
   sim::Coro barrier(sim::Ctx& ctx, int me);
@@ -97,8 +90,8 @@ class World {
     sim::ActivityPtr comm;  ///< pending (not started) when rendezvous
   };
   struct PostedRecv {
-    int src = kAnySource;
-    int tag = kAnyTag;
+    int src = 0;
+    int tag = 0;
     Request request;  ///< completed when the matched transfer completes
   };
   struct RankState {
@@ -115,11 +108,9 @@ class World {
   /// transfers, chain completion.
   void fulfil(const Message& msg, const Request& request);
 
-  // Collective algorithm bodies (selected via Config::collectives).
+  /// The binomial-tree broadcast behind bcast and allreduce (uncounted in
+  /// WorldStats::collectives).
   sim::Coro bcast_binomial(sim::Ctx& ctx, int me, double bytes, int root);
-  sim::Coro bcast_linear(sim::Ctx& ctx, int me, double bytes, int root);
-  sim::Coro allreduce_recursive_doubling(sim::Ctx& ctx, int me, double bytes, double compute);
-  sim::Coro allreduce_ring(sim::Ctx& ctx, int me, double bytes, double compute);
 
   sim::Engine& engine_;
   Config config_;

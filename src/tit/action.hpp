@@ -53,6 +53,31 @@ struct Action {
   bool operator==(const Action&) const = default;
 };
 
+/// The eight collective operations.  This is the one definition behind
+/// collective-site numbering, which the static validator, both replay
+/// back-ends, checkpoints and phase events must agree on.
+inline bool is_collective(ActionType t) {
+  switch (t) {
+    case ActionType::Barrier:
+    case ActionType::Bcast:
+    case ActionType::Reduce:
+    case ActionType::AllReduce:
+    case ActionType::AllToAll:
+    case ActionType::AllGather:
+    case ActionType::Gather:
+    case ActionType::Scatter:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Collectives whose Action::partner names a root rank.
+inline bool is_rooted(ActionType t) {
+  return t == ActionType::Bcast || t == ActionType::Reduce || t == ActionType::Gather ||
+         t == ActionType::Scatter;
+}
+
 const char* action_name(ActionType t);
 
 /// Render one action in the trace text format ("p0 send p1 1240").

@@ -9,27 +9,6 @@ namespace tir::tit {
 
 namespace {
 
-bool is_collective(ActionType t) {
-  switch (t) {
-    case ActionType::Barrier:
-    case ActionType::Bcast:
-    case ActionType::Reduce:
-    case ActionType::AllReduce:
-    case ActionType::AllToAll:
-    case ActionType::AllGather:
-    case ActionType::Gather:
-    case ActionType::Scatter:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_rooted(ActionType t) {
-  return t == ActionType::Bcast || t == ActionType::Reduce || t == ActionType::Gather ||
-         t == ActionType::Scatter;
-}
-
 /// One collective occurrence in a rank's stream, for site-by-site comparison.
 struct CollectiveSite {
   ActionType type;

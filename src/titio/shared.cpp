@@ -14,13 +14,16 @@ std::uint64_t hash_actions(const tit::Trace& trace) {
   for (int r = 0; r < trace.nprocs(); ++r) {
     const std::vector<tit::Action>& seq = trace.actions(r);
     h = binio::mix64(h, seq.size());
-    for (const tit::Action& a : seq) {
-      h = binio::mix64(h, static_cast<std::uint64_t>(a.type));
-      h = binio::mix64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.partner)));
-      h = binio::mix64(h, std::bit_cast<std::uint64_t>(a.volume));
-      h = binio::mix64(h, std::bit_cast<std::uint64_t>(a.volume2));
-    }
+    for (const tit::Action& a : seq) h = fold_action_hash(h, a);
   }
+  return h;
+}
+
+std::uint64_t fold_action_hash(std::uint64_t h, const tit::Action& a) {
+  h = binio::mix64(h, static_cast<std::uint64_t>(a.type));
+  h = binio::mix64(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(a.partner)));
+  h = binio::mix64(h, std::bit_cast<std::uint64_t>(a.volume));
+  h = binio::mix64(h, std::bit_cast<std::uint64_t>(a.volume2));
   return h;
 }
 

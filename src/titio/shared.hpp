@@ -33,6 +33,10 @@ namespace tir::titio {
 /// Reader::content_hash over their stored frame CRCs).
 std::uint64_t hash_actions(const tit::Trace& trace);
 
+/// Fold one action (type, partner, volume, volume2) into `h`: the per-action
+/// step of hash_actions and of the checkpoint prefix hashes (src/ckpt).
+std::uint64_t fold_action_hash(std::uint64_t h, const tit::Action& a);
+
 class SharedTrace {
  public:
   /// Cursor-only view: per-rank indices into the shared immutable trace,

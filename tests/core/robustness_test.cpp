@@ -79,14 +79,35 @@ TEST(Robustness, CollectiveWithMissingParticipantDeadlocksWithDiagnosis) {
       "p3 barrier\n",
       4);
   const platform::Platform p = cluster(4);
-  try {
-    replay(Backend::Smpi, t, p, identity_config());
-    FAIL() << "expected DeadlockError";
-  } catch (const DeadlockError& e) {
-    EXPECT_EQ(e.blocked().size(), 3u);
-    EXPECT_TRUE(contains(e.what(), "collective site 0:")) << e.what();
+  for (const Backend backend : {Backend::Smpi, Backend::Msg}) {
+    try {
+      replay(backend, t, p, identity_config());
+      FAIL() << "expected DeadlockError";
+    } catch (const DeadlockError& e) {
+      EXPECT_EQ(e.blocked().size(), 3u);
+      EXPECT_TRUE(contains(e.what(), "collective site 0:")) << e.what();
+    }
   }
-  EXPECT_THROW(replay(Backend::Msg, t, p, identity_config()), DeadlockError);
+}
+
+TEST(Robustness, UnmatchedWaitReportsOutstandingRequestsOnBothBackends) {
+  // A rendezvous-sized isend nobody receives: the wait can never complete.
+  const tit::Trace t = tit::parse_trace_string(
+      "p0 isend p1 100000\n"
+      "p0 wait\n"
+      "p1 compute 1e6\n",
+      2);
+  const platform::Platform p = cluster(2);
+  for (const Backend backend : {Backend::Smpi, Backend::Msg}) {
+    try {
+      replay(backend, t, p, identity_config());
+      FAIL() << "expected DeadlockError";
+    } catch (const DeadlockError& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(contains(what, "blocked on wait (oldest of 1 outstanding request(s))")) << what;
+      EXPECT_TRUE(contains(what, "last completed: p0 isend p1 100000")) << what;
+    }
+  }
 }
 
 TEST(Robustness, DeadlockErrorIsStillASimError) {
@@ -115,6 +136,27 @@ TEST(Robustness, PartnerOutOfRangeFailsFastOnBothBackends) {
   const platform::Platform p = cluster(2);
   EXPECT_THROW(replay(Backend::Smpi, t, p, identity_config()), MalformedTraceError);
   EXPECT_THROW(replay(Backend::Msg, t, p, identity_config()), MalformedTraceError);
+}
+
+TEST(Robustness, OutOfRangeCollectiveRootFailsFastOnBothBackends) {
+  // Streamed sources, tird jobs and checkpoint cursors never run the static
+  // validator, so the replay itself must reject a root outside the trace.
+  for (const char* text : {"p0 bcast 100 5\np1 bcast 100 5\n",
+                           "p0 reduce 100 10 2\np1 reduce 100 10 2\n",
+                           "p0 gather 100 2\np1 gather 100 2\n",
+                           "p0 scatter 100 9\np1 scatter 100 9\n"}) {
+    const tit::Trace t = tit::parse_trace_string(text, 2);
+    const platform::Platform p = cluster(2);
+    for (const Backend backend : {Backend::Smpi, Backend::Msg}) {
+      try {
+        replay(backend, t, p, identity_config());
+        FAIL() << "expected MalformedTraceError for " << text;
+      } catch (const MalformedTraceError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::MalformedTrace);
+        EXPECT_TRUE(contains(e.what(), "root out of range")) << e.what();
+      }
+    }
+  }
 }
 
 TEST(Robustness, WaitWithoutRequestIsMalformedTrace) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "platform/clusters.hpp"
 
 namespace tir::msg {
@@ -23,17 +27,50 @@ platform::Platform quad() {
 
 constexpr double kNetTime = 2e-4 + 1e-2;  // two hops + 1e6 B at 1e8 B/s
 
+/// Blocking send: queue the task, then wait for its match-started transfer.
+sim::Coro send(sim::Ctx& ctx, Mailboxes& mb, BoxId box, double bytes) {
+  co_await ctx.wait(mb.isend(ctx, box, bytes));
+}
+
+/// Blocking receive, as the old replay back-end does it: match the oldest
+/// queued task or post a slot and wait for the match, then wait for the
+/// transfer.
+sim::Coro recv(sim::Ctx& ctx, Mailboxes& mb, BoxId box) {
+  RecvSlot slot;
+  Request r = mb.match_or_post(ctx, box, slot);
+  if (r == nullptr) {
+    co_await ctx.wait(slot.matched);
+    r = std::move(slot.comm);
+  }
+  co_await ctx.wait(std::move(r));
+}
+
+/// Records every match (mailbox, task bytes) in match order.
+struct MatchLog : obs::Sink {
+  std::vector<std::pair<std::string, double>> matches;
+  void on_mailbox_match(std::string_view mailbox, double bytes) override {
+    matches.emplace_back(std::string(mailbox), bytes);
+  }
+};
+
+sim::EngineConfig logged(MatchLog& log) {
+  sim::EngineConfig cfg;
+  cfg.sink = &log;
+  return cfg;
+}
+
 TEST(Msg, SendThenRecvTransfersAfterMatch) {
   const platform::Platform p = quad();
   sim::Engine eng(p);
   Mailboxes mb(eng);
+  const BoxId box = mb.box("0_1");
   double recv_end = 0.0;
   eng.spawn("sender", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await mb.send(ctx, "0_1", 1e6);
+    co_await send(ctx, mb, box, 1e6);
   });
   eng.spawn("receiver", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
     co_await ctx.sleep(1.0);  // receiver arrives late
-    co_await mb.recv(ctx, "0_1");
+    co_await recv(ctx, mb, box);
     recv_end = ctx.now();
   });
   eng.run();
@@ -46,14 +83,15 @@ TEST(Msg, BlockingSendWaitsForTransfer) {
   const platform::Platform p = quad();
   sim::Engine eng(p);
   Mailboxes mb(eng);
+  const BoxId box = mb.box("m");
   double send_end = 0.0;
   eng.spawn("sender", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await mb.send(ctx, "m", 1e6);
+    co_await send(ctx, mb, box, 1e6);
     send_end = ctx.now();
   });
   eng.spawn("receiver", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
     co_await ctx.sleep(0.5);
-    co_await mb.recv(ctx, "m");
+    co_await recv(ctx, mb, box);
   });
   eng.run();
   EXPECT_NEAR(send_end, 0.5 + kNetTime, 1e-9);
@@ -63,16 +101,17 @@ TEST(Msg, IsendReturnsImmediatelyButTransferStillStartsAtMatch) {
   const platform::Platform p = quad();
   sim::Engine eng(p);
   Mailboxes mb(eng);
+  const BoxId box = mb.box("m");
   double after_isend = -1.0;
   double recv_end = 0.0;
   eng.spawn("sender", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    mb.isend(ctx, "m", 1e6);
+    mb.send_async(ctx, box, 1e6);
     after_isend = ctx.now();
     co_return;
   });
   eng.spawn("receiver", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
     co_await ctx.sleep(2.0);
-    co_await mb.recv(ctx, "m");
+    co_await recv(ctx, mb, box);
     recv_end = ctx.now();
   });
   eng.run();
@@ -84,15 +123,16 @@ TEST(Msg, IsendRequestCompletesWithTransfer) {
   const platform::Platform p = quad();
   sim::Engine eng(p);
   Mailboxes mb(eng);
+  const BoxId box = mb.box("m");
   double wait_end = 0.0;
   eng.spawn("sender", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    const Request r = mb.isend(ctx, "m", 1e6);
+    const Request r = mb.isend(ctx, box, 1e6);
     co_await ctx.wait(r);
     wait_end = ctx.now();
   });
   eng.spawn("receiver", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
     co_await ctx.sleep(1.0);
-    co_await mb.recv(ctx, "m");
+    co_await recv(ctx, mb, box);
   });
   eng.run();
   EXPECT_NEAR(wait_end, 1.0 + kNetTime, 1e-9);
@@ -100,84 +140,91 @@ TEST(Msg, IsendRequestCompletesWithTransfer) {
 
 TEST(Msg, RecvBeforeSendBlocksUntilMatched) {
   const platform::Platform p = quad();
-  sim::Engine eng(p);
+  MatchLog log;
+  sim::Engine eng(p, logged(log));
   Mailboxes mb(eng);
+  const BoxId box = mb.box("m");
   double recv_end = 0.0;
-  double got_bytes = 0.0;
   eng.spawn("receiver", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await mb.recv(ctx, "m", &got_bytes);
+    co_await recv(ctx, mb, box);
     recv_end = ctx.now();
   });
   eng.spawn("sender", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
     co_await ctx.sleep(3.0);
-    co_await mb.send(ctx, "m", 4096);
+    co_await send(ctx, mb, box, 4096);
   });
   eng.run();
   EXPECT_NEAR(recv_end, 3.0 + 2e-4 + 4096.0 / 1e8, 1e-9);
-  EXPECT_DOUBLE_EQ(got_bytes, 4096.0);
+  ASSERT_EQ(log.matches.size(), 1u);
+  EXPECT_DOUBLE_EQ(log.matches[0].second, 4096.0);
 }
 
 TEST(Msg, TasksMatchInFifoOrder) {
   const platform::Platform p = quad();
-  sim::Engine eng(p);
+  MatchLog log;
+  sim::Engine eng(p, logged(log));
   Mailboxes mb(eng);
-  std::vector<double> sizes;
+  const BoxId box = mb.box("m");
   eng.spawn("sender", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    mb.isend(ctx, "m", 100);
-    mb.isend(ctx, "m", 200);
-    mb.isend(ctx, "m", 300);
+    mb.isend(ctx, box, 100);
+    mb.send_async(ctx, box, 200);
+    mb.isend(ctx, box, 300);
     co_return;
   });
   eng.spawn("receiver", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    for (int i = 0; i < 3; ++i) {
-      double b = 0.0;
-      co_await mb.recv(ctx, "m", &b);
-      sizes.push_back(b);
-    }
+    for (int i = 0; i < 3; ++i) co_await recv(ctx, mb, box);
   });
   eng.run();
+  std::vector<double> sizes;
+  for (const auto& m : log.matches) sizes.push_back(m.second);
   EXPECT_EQ(sizes, (std::vector<double>{100, 200, 300}));
 }
 
 TEST(Msg, BacklogCountsUnmatchedTasks) {
+  // Two unmatched tasks queue up: the first two receives match at once,
+  // the third has to post a slot.
   const platform::Platform p = quad();
   sim::Engine eng(p);
   Mailboxes mb(eng);
-  std::size_t backlog_mid = 0;
+  const BoxId box = mb.box("m");
+  std::vector<bool> matched_at_once;
   eng.spawn("sender", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    mb.isend(ctx, "m", 100);
-    mb.isend(ctx, "m", 100);
-    backlog_mid = mb.backlog("m");
-    co_return;
+    mb.isend(ctx, box, 100);
+    mb.send_async(ctx, box, 100);
+    co_await ctx.sleep(1.0);
+    mb.send_async(ctx, box, 100);  // matches the posted slot
   });
   eng.spawn("receiver", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await mb.recv(ctx, "m");
-    co_await mb.recv(ctx, "m");
+    RecvSlot slots[3];
+    for (RecvSlot& slot : slots) {
+      matched_at_once.push_back(mb.match_or_post(ctx, box, slot) != nullptr);
+    }
+    co_await ctx.wait(slots[2].matched);
   });
   eng.run();
-  EXPECT_EQ(backlog_mid, 2u);
-  EXPECT_EQ(mb.backlog("m"), 0u);
+  EXPECT_EQ(matched_at_once, (std::vector<bool>{true, true, false}));
 }
 
 TEST(Msg, DistinctMailboxesDoNotInterfere) {
   const platform::Platform p = quad();
-  sim::Engine eng(p);
+  MatchLog log;
+  sim::Engine eng(p, logged(log));
   Mailboxes mb(eng);
-  double got_a = 0.0;
-  double got_b = 0.0;
+  const BoxId from0 = mb.box("0_2");
+  const BoxId from1 = mb.box("1_2");
   eng.spawn("s0", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await mb.send(ctx, "0_2", 111);
+    co_await send(ctx, mb, from0, 111);
   });
   eng.spawn("s1", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await mb.send(ctx, "1_2", 222);
+    co_await send(ctx, mb, from1, 222);
   });
   eng.spawn("r", 2, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await mb.recv(ctx, "1_2", &got_b);
-    co_await mb.recv(ctx, "0_2", &got_a);
+    co_await recv(ctx, mb, from1);
+    co_await recv(ctx, mb, from0);
   });
   eng.run();
-  EXPECT_DOUBLE_EQ(got_a, 111.0);
-  EXPECT_DOUBLE_EQ(got_b, 222.0);
+  using Match = std::pair<std::string, double>;
+  EXPECT_EQ(log.matches, (std::vector<Match>{{"1_2", 222.0}, {"0_2", 111.0}}));
 }
 
 TEST(Msg, RendezvousReleasesAllParties) {

@@ -182,37 +182,6 @@ TEST(Engine, DeadlockOnForeverBlockedActorThrows) {
   EXPECT_THROW(eng.run(), SimError);
 }
 
-TEST(Engine, WaitAnyReturnsFirstCompletedIndex) {
-  const platform::Platform p = two_hosts();
-  Engine eng(p);
-  int which = -1;
-  double when = -1.0;
-  eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
-    Engine& e = ctx.engine();
-    std::vector<ActivityPtr> acts = {e.start_timer(5.0), e.start_timer(2.0), e.start_timer(9.0)};
-    which = co_await ctx.wait_any(acts);
-    when = ctx.now();
-  });
-  eng.run();
-  EXPECT_EQ(which, 1);
-  EXPECT_DOUBLE_EQ(when, 2.0);
-  EXPECT_DOUBLE_EQ(eng.now(), 9.0);  // remaining timers still drain
-}
-
-TEST(Engine, WaitAnyOnAlreadyDoneActivityIsImmediate) {
-  const platform::Platform p = two_hosts();
-  Engine eng(p);
-  int which = -1;
-  eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
-    Engine& e = ctx.engine();
-    ActivityPtr done_exec = e.start_exec(0, 0, 0.0, 1e9);  // completes inline
-    std::vector<ActivityPtr> acts = {e.start_timer(5.0), done_exec};
-    which = co_await ctx.wait_any(acts);
-  });
-  eng.run();
-  EXPECT_EQ(which, 1);
-}
-
 TEST(Engine, ManyActorsDeterministicCompletion) {
   const platform::Platform p = two_hosts();
   auto run_once = [&]() {

@@ -60,11 +60,15 @@ TEST(TimeHeap, RandomOperationsMatchOrderedSetReference) {
       Activity& a = acts[rng() % acts.size()];
       const bool in_heap = a.heap_slot >= 0;
       switch (rng() % 4) {
-        case 0:  // insert, or insert_or_update when already present
+        case 0:  // insert, or re-key in place when already present
           if (in_heap) ref.erase({a.heap_key, a.seq});
           a.heap_key = pick_key();
           ref.insert({a.heap_key, a.seq});
-          heap.insert_or_update(&a);
+          if (in_heap) {
+            heap.update(&a);
+          } else {
+            heap.insert(&a);
+          }
           break;
         case 1:  // re-key
           if (!in_heap) break;

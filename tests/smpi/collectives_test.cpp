@@ -190,78 +190,52 @@ TEST(SmpiCollectives, SingleRankCollectivesAreInstant) {
   EXPECT_DOUBLE_EQ(r.makespan, 0.0);
 }
 
-// --- algorithm variants -----------------------------------------------------
+// --- allreduce + bcast, and binomial against a linear broadcast -------------
 
-CollectiveRun run_with_algos(int n, CollectiveAlgos algos, double bytes, double skew) {
-  const platform::Platform p = cluster(n);
-  sim::Engine eng(p);
-  Config cfg = plain_config();
-  cfg.collectives = algos;
-  World w(eng, cfg, platform::place_ranks(p, n), std::vector<int>(n, 0));
-  CollectiveRun result;
-  result.rank_end.resize(static_cast<std::size_t>(n));
-  w.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro {
-    if (skew > 0.0) co_await ctx.sleep(skew * me);
-    co_await w.allreduce(ctx, me, bytes, 0.0);
-    co_await w.bcast(ctx, me, bytes, 0);
-    result.rank_end[static_cast<std::size_t>(me)] = ctx.now();
-  });
-  eng.run();
-  result.makespan = eng.now();
-  return result;
+/// Allreduce then bcast (root 0) on every rank, with rank-dependent skew.
+CollectiveRun run_allreduce_bcast(int n, double bytes, double skew) {
+  return run_collective(
+      n,
+      [bytes](World& w, sim::Ctx& ctx, int me) -> sim::Coro {
+        co_await w.allreduce(ctx, me, bytes, 0.0);
+        co_await w.bcast(ctx, me, bytes, 0);
+      },
+      skew);
 }
 
 TEST(SmpiCollectiveAlgos, AllVariantsSynchronize) {
-  for (const auto bcast : {BcastAlgo::Binomial, BcastAlgo::Linear}) {
-    for (const auto ar : {AllreduceAlgo::ReduceBcast, AllreduceAlgo::RecursiveDoubling,
-                          AllreduceAlgo::Ring}) {
-      const auto r = run_with_algos(8, CollectiveAlgos{bcast, ar}, 4096, 0.05);
-      for (const double t : r.rank_end) {
-        EXPECT_GE(t, 0.35) << "allreduce must not release before the last arrival";
-      }
-    }
+  const auto r = run_allreduce_bcast(8, 4096, 0.05);
+  for (const double t : r.rank_end) {
+    EXPECT_GE(t, 0.35) << "allreduce must not release before the last arrival";
   }
 }
 
 TEST(SmpiCollectiveAlgos, VariantsWorkOnNonPowersOfTwo) {
   for (const int n : {3, 6, 12}) {
-    EXPECT_NO_THROW(run_with_algos(
-        n, CollectiveAlgos{BcastAlgo::Linear, AllreduceAlgo::RecursiveDoubling}, 1024, 0.0))
-        << n;
-    EXPECT_NO_THROW(
-        run_with_algos(n, CollectiveAlgos{BcastAlgo::Binomial, AllreduceAlgo::Ring}, 1024, 0.0))
-        << n;
+    EXPECT_NO_THROW(run_allreduce_bcast(n, 1024, 0.0)) << n;
+    EXPECT_NO_THROW(run_collective(n, [n](World& w, sim::Ctx& ctx, int me) {
+      return w.bcast(ctx, me, 1024, n - 1);
+    })) << n;
   }
 }
 
 TEST(SmpiCollectiveAlgos, BinomialBcastBeatsLinearAtScale) {
-  const CollectiveAlgos binomial{BcastAlgo::Binomial, AllreduceAlgo::ReduceBcast};
-  const CollectiveAlgos linear{BcastAlgo::Linear, AllreduceAlgo::ReduceBcast};
-  // Use a rendezvous-sized payload so the root's sends serialize.
-  const double t_binomial = run_with_algos(32, binomial, 1e6, 0.0).makespan;
-  const double t_linear = run_with_algos(32, linear, 1e6, 0.0).makespan;
+  // Use a rendezvous-sized payload so a linear root's sends serialize.
+  constexpr int n = 32;
+  constexpr double bytes = 1e6;
+  const double t_binomial =
+      run_collective(n, [](World& w, sim::Ctx& ctx, int me) {
+        return w.bcast(ctx, me, bytes, 0);
+      }).makespan;
+  const double t_linear =
+      run_collective(n, [](World& w, sim::Ctx& ctx, int me) -> sim::Coro {
+        if (me == 0) {
+          for (int r = 1; r < n; ++r) co_await w.send(ctx, 0, r, bytes);
+        } else {
+          co_await w.recv(ctx, me, 0, bytes);
+        }
+      }).makespan;
   EXPECT_LT(t_binomial, t_linear * 0.5);
-}
-
-TEST(SmpiCollectiveAlgos, RingAllreduceWinsForLargeVectors) {
-  // Bandwidth-optimality of the ring: each rank moves 2(n-1)/n * bytes
-  // instead of the 2*log2(n) * bytes of recursive doubling.
-  const CollectiveAlgos ring{BcastAlgo::Binomial, AllreduceAlgo::Ring};
-  const CollectiveAlgos rd{BcastAlgo::Binomial, AllreduceAlgo::RecursiveDoubling};
-  auto makespan = [](CollectiveAlgos algos, double bytes) {
-    const int n = 16;
-    const platform::Platform p = cluster(n);
-    sim::Engine eng(p);
-    Config cfg = plain_config();
-    cfg.collectives = algos;
-    World w(eng, cfg, platform::place_ranks(p, n), std::vector<int>(n, 0));
-    w.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro {
-      co_await w.allreduce(ctx, me, bytes, 0.0);
-    });
-    eng.run();
-    return eng.now();
-  };
-  EXPECT_LT(makespan(ring, 8e6), makespan(rd, 8e6));
 }
 
 TEST(SmpiCollectives, CollectiveTrafficDoesNotDisturbPointToPoint) {

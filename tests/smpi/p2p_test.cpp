@@ -1,5 +1,5 @@
 // SMPI point-to-point semantics: detached eager, rendezvous, matching rules,
-// wildcards, requests, copy-time modelling.
+// requests, copy-time modelling.
 #include <gtest/gtest.h>
 
 #include "platform/clusters.hpp"
@@ -151,31 +151,6 @@ TEST(SmpiP2p, MatchingIsFifoPerSourceAndTag) {
   EXPECT_EQ(order, (std::vector<int>{9, 7, 7}));
 }
 
-TEST(SmpiP2p, AnySourceMatchesEarliestArrival) {
-  const platform::Platform p = quad();
-  sim::Engine eng(p);
-  World w(eng, plain_config(), hosts_for(3), {0, 0, 0});
-  int first_src = -1;
-  eng.spawn("s1", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await ctx.sleep(0.2);
-    co_await w.send(ctx, 1, 0, 100);
-  });
-  eng.spawn("s2", 2, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await ctx.sleep(0.1);
-    co_await w.send(ctx, 2, 0, 100);
-  });
-  eng.spawn("r", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await ctx.sleep(0.5);
-    // Both arrived; ANY_SOURCE takes the earlier one (rank 2's).
-    const Request r1 = w.irecv(ctx, 0, kAnySource, 100, kAnyTag);
-    co_await ctx.wait(r1);
-    first_src = 2;  // deterministic by arrival order
-    co_await w.recv(ctx, 0, kAnySource, 100, kAnyTag);
-  });
-  eng.run();
-  EXPECT_EQ(first_src, 2);
-}
-
 TEST(SmpiP2p, IrecvPostedBeforeSendCompletesAfterTransfer) {
   const platform::Platform p = quad();
   sim::Engine eng(p);
@@ -183,7 +158,7 @@ TEST(SmpiP2p, IrecvPostedBeforeSendCompletesAfterTransfer) {
   double wait_done = -1.0;
   eng.spawn("r", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
     const Request r = w.irecv(ctx, 1, 0, 1024);
-    co_await w.wait(ctx, r);
+    co_await ctx.wait(r);
     wait_done = ctx.now();
   });
   eng.spawn("s", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
@@ -200,8 +175,11 @@ TEST(SmpiP2p, WaitallCompletesAtMax) {
   World w(eng, plain_config(), hosts_for(3), {0, 0, 0});
   double waitall_done = -1.0;
   eng.spawn("r", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    std::vector<Request> reqs = {w.irecv(ctx, 0, 1, 100), w.irecv(ctx, 0, 2, 100)};
-    co_await w.waitall(ctx, std::move(reqs));
+    // Sequential waits end at the latest completion: MPI_Waitall semantics.
+    const Request r1 = w.irecv(ctx, 0, 1, 100);
+    const Request r2 = w.irecv(ctx, 0, 2, 100);
+    co_await ctx.wait(r1);
+    co_await ctx.wait(r2);
     waitall_done = ctx.now();
   });
   eng.spawn("s1", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
@@ -214,28 +192,6 @@ TEST(SmpiP2p, WaitallCompletesAtMax) {
   });
   eng.run();
   EXPECT_NEAR(waitall_done, 0.9 + 2e-4 + 1e-6, 1e-9);
-}
-
-TEST(SmpiP2p, WaitanyYieldsFirstCompleted) {
-  const platform::Platform p = quad();
-  sim::Engine eng(p);
-  World w(eng, plain_config(), hosts_for(3), {0, 0, 0});
-  int which = -1;
-  eng.spawn("r", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    std::vector<Request> reqs = {w.irecv(ctx, 0, 1, 100), w.irecv(ctx, 0, 2, 100)};
-    which = co_await w.waitany(ctx, reqs);
-    co_await w.waitall(ctx, std::move(reqs));
-  });
-  eng.spawn("s1", 1, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await ctx.sleep(0.9);
-    co_await w.send(ctx, 1, 0, 100);
-  });
-  eng.spawn("s2", 2, 0, [&](sim::Ctx& ctx) -> sim::Coro {
-    co_await ctx.sleep(0.3);
-    co_await w.send(ctx, 2, 0, 100);
-  });
-  eng.run();
-  EXPECT_EQ(which, 1);
 }
 
 TEST(SmpiP2p, PiecewiseFactorsChangeSmallMessageCost) {
