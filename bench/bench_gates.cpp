@@ -32,6 +32,7 @@
 #include <tuple>
 #include <vector>
 
+#include "base/json.hpp"
 #include "ckpt/cursor.hpp"
 #include "core/replay.hpp"
 #include "core/session.hpp"
@@ -325,7 +326,7 @@ Record cache_gate(const exp::ClusterSetup& cluster, const fs::path& work) {
     for (int j = 0; j < kJobs; ++j) {
       const svc::JobResult r = client.submit(request);
       if (!r.done) throw std::runtime_error("tird job failed: [" + r.error_code + "] " + r.error);
-      for (const svc::Json& s : r.scenarios) {
+      for (const Json& s : r.scenarios) {
         out.push_back({s.num_or("simulated_time", -1.0), s.num_or("engine_steps", -1.0),
                        s.num_or("actions_replayed", -1.0)});
       }
@@ -342,28 +343,31 @@ Record cache_gate(const exp::ClusterSetup& cluster, const fs::path& work) {
   return rec;
 }
 
-std::string json_string(const std::string& s) { return "\"" + s + "\""; }
-
 void write_report(const std::string& path, const std::vector<Record>& records) {
-  std::ofstream out(path);
-  out.precision(17);
-  out << "{\n  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
-      << ", \"compiler\": " << json_string(TIR_COMPILER)
-      << ", \"build_type\": " << json_string(TIR_BUILD_TYPE) << "},\n  \"gates\": [\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    out << "    {\"name\": " << json_string(r.gate.name) << ", \"layer\": "
-        << json_string(r.gate.layer) << ", \"unit\": " << json_string(r.gate.unit)
-        << ", \"better\": " << json_string(r.gate.higher_is_better ? "higher" : "lower")
-        << ",\n     \"values\": [";
-    for (std::size_t k = 0; k < r.values.size(); ++k) out << (k ? ", " : "") << r.values[k];
-    out << "],\n     \"median\": " << r.median << ", \"mad\": " << r.mad
-        << ", \"cpu_seconds\": " << r.cpu_seconds << ", \"cpu_per_wall\": " << r.cpu_per_wall
-        << ", \"bar\": " << r.gate.bar
-        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
-        << (i + 1 < records.size() ? "," : "") << "\n";
+  Json gates = Json::array();
+  for (const Record& r : records) {
+    Json values = Json::array();
+    for (const double v : r.values) values.push_back(v);
+    gates.push_back(Json::object({{"name", r.gate.name},
+                                  {"layer", r.gate.layer},
+                                  {"unit", r.gate.unit},
+                                  {"better", r.gate.higher_is_better ? "higher" : "lower"},
+                                  {"values", std::move(values)},
+                                  {"median", r.median},
+                                  {"mad", r.mad},
+                                  {"cpu_seconds", r.cpu_seconds},
+                                  {"cpu_per_wall", r.cpu_per_wall},
+                                  {"bar", r.gate.bar},
+                                  {"identical", r.identical}}));
   }
-  out << "  ]\n}\n";
+  const std::uint64_t nproc = std::thread::hardware_concurrency();
+  const Json report = Json::object(
+      {{"host", Json::object({{"nproc", nproc},
+                              {"compiler", TIR_COMPILER},
+                              {"build_type", TIR_BUILD_TYPE}})},
+       {"gates", std::move(gates)}});
+  std::ofstream out(path);
+  out << report.dump() << "\n";
   if (!out) throw std::runtime_error("cannot write " + path);
 }
 

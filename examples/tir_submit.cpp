@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
 
     if (json_output) {
       if (!result.started.is_null()) std::printf("%s\n", result.started.dump().c_str());
-      for (const svc::Json& s : result.scenarios) std::printf("%s\n", s.dump().c_str());
+      for (const Json& s : result.scenarios) std::printf("%s\n", s.dump().c_str());
       if (!result.epilogue.is_null()) std::printf("%s\n", result.epilogue.dump().c_str());
     }
 
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
 
     int failures = 0;
     std::string first_code;
-    for (const svc::Json& s : result.scenarios) {
+    for (const Json& s : result.scenarios) {
       const std::string label = s.str_or("label", "?");
       if (s.bool_or("ok", false)) {
         if (!json_output) {
@@ -198,11 +198,11 @@ int main(int argc, char** argv) {
     if (!json_output) {
       // A Monte Carlo job's done line carries the aggregate per scenario
       // group; summarize it like replay_cli's -perturb output.
-      const svc::Json mc = result.epilogue.get("mc");
+      const Json mc = result.epilogue.get("mc");
       if (mc.is_object()) {
-        const svc::Json groups = mc.get("scenarios");
+        const Json groups = mc.get("scenarios");
         for (std::size_t g = 0; g < groups.size(); ++g) {
-          const svc::Json& group = groups.at(g);
+          const Json& group = groups.at(g);
           std::printf("%-24s : median %.6f s  mean %.6f s  [p5 %.6f, p95 %.6f]  "
                       "ci95 [%.6f, %.6f]  n=%.0f\n",
                       group.str_or("label", "?").c_str(), group.num_or("p50", 0.0),

@@ -1,18 +1,44 @@
-#include "svc/json.hpp"
+#include "base/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
-namespace tir::svc {
+namespace tir {
 
 namespace {
 
 const Json kNull{};
 
-struct Parser {
+void dump_string(std::string& out, const std::string& s) {
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
+}  // namespace
+
+struct Json::Parser {
   std::string_view text;
   std::size_t pos = 0;
 
@@ -144,13 +170,14 @@ struct Parser {
     if (consume("true")) return Json(true);
     if (consume("false")) return Json(false);
     if (consume("null")) return Json(nullptr);
-    return Json(parse_number());
+    return parse_number();
   }
 
   /// RFC 8259 numbers only, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
   /// and finite: strtod alone would also take inf, nan, hex and 1e999 (as
   /// inf).  A rejected token is reported at the offset where it starts.
-  double parse_number() {
+  /// The value keeps the token text.
+  Json parse_number() {
     const std::size_t start = pos;
     const auto at = [&](const char* set) {
       return pos < text.size() && text[pos] != '\0' && std::strchr(set, text[pos]) != nullptr;
@@ -179,45 +206,27 @@ struct Parser {
     // A number ends at a delimiter: this rejects "01", "0x1p30" and "1.5.2".
     ok = ok && !at(".+-") &&
          (pos == text.size() || !std::isalnum(static_cast<unsigned char>(text[pos])));
-    const double v =
-        ok ? std::strtod(std::string(text.substr(start, pos - start)).c_str(), nullptr) : 0.0;
-    if (!ok || !std::isfinite(v)) {
+    std::string token(text.substr(start, pos - start));
+    if (!ok || !std::isfinite(std::strtod(token.c_str(), nullptr))) {
       pos = start;
       fail(ok ? "number out of range" : "malformed number");
     }
-    return v;
+    return from_token(std::move(token));
   }
 };
 
-void dump_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+Json Json::number(double v, int digits) {
+  if (!std::isfinite(v)) return Json();
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+  return from_token(buf);
 }
 
-}  // namespace
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+Json Json::from_token(std::string token) {
+  Json j;
+  j.type_ = Type::Number;
+  j.str_ = std::move(token);
+  return j;
 }
 
 Json Json::parse(std::string_view text) {
@@ -235,7 +244,7 @@ bool Json::as_bool() const {
 
 double Json::as_number() const {
   if (type_ != Type::Number) throw ParseError("json: not a number");
-  return num_;
+  return std::strtod(str_.c_str(), nullptr);
 }
 
 const std::string& Json::as_string() const {
@@ -294,11 +303,32 @@ bool Json::bool_or(std::string_view key, bool fallback) const {
   return v.is_bool() ? v.as_bool() : fallback;
 }
 
+template <typename T>
+T Json::int_or(std::string_view key, T fallback) const {
+  const Json& v = get(key);
+  if (!v.is_number()) return fallback;
+  const std::string& token = v.str_;
+  T out{};
+  const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), out);
+  if (ec == std::errc() && end == token.data() + token.size()) return out;
+  if (ec != std::errc::result_out_of_range) {
+    // [lo, hi) bounds the integers T holds; both are exact doubles.
+    const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+    const double d = v.as_number();
+    if (d == std::trunc(d) && d >= lo && d < hi) return static_cast<T>(d);
+  }
+  throw ConfigError("'" + std::string(key) + "' must be an integer that fits, got " + token);
+}
+
+template int Json::int_or<int>(std::string_view, int) const;
+template std::uint64_t Json::int_or<std::uint64_t>(std::string_view, std::uint64_t) const;
+
 void Json::dump_to(std::string& out) const {
   switch (type_) {
     case Type::Null: out += "null"; return;
     case Type::Bool: out += bool_ ? "true" : "false"; return;
-    case Type::Number: out += json_number(num_); return;
+    case Type::Number: out += str_; return;
     case Type::String: dump_string(out, str_); return;
     case Type::Array: {
       out.push_back('[');
@@ -331,4 +361,4 @@ std::string Json::dump() const {
   return out;
 }
 
-}  // namespace tir::svc
+}  // namespace tir

@@ -1,7 +1,6 @@
 #include "core/mc_sweep.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -62,48 +61,6 @@ std::vector<std::string> active_parameters(const platform::PerturbationSpec& spe
     if (platform::isolate_parameter(spec, p).active()) out.push_back(p);
   }
   return out;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_summary(std::string& out, const obs::DistributionSummary& s) {
-  out += "{\"n\":" + std::to_string(s.n);
-  const std::pair<const char*, double> fields[] = {
-      {"mean", s.mean},      {"stddev", s.stddev}, {"min", s.min},
-      {"max", s.max},        {"p5", s.p5},         {"p25", s.p25},
-      {"p50", s.p50},        {"p75", s.p75},       {"p95", s.p95},
-      {"ci95_lo", s.ci95_lo}, {"ci95_hi", s.ci95_hi}};
-  for (const auto& [name, value] : fields) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    append_double(out, value);
-  }
-  out += "}";
 }
 
 }  // namespace
@@ -222,55 +179,43 @@ McReport mc_sweep(const titio::SharedTrace& trace,
 }
 
 std::string mc_report_json(const McReport& report) {
-  std::string out = "{\"scenarios\":[";
-  for (std::size_t s = 0; s < report.scenarios.size(); ++s) {
-    const McScenarioReport& sr = report.scenarios[s];
-    if (s != 0) out += ",";
-    out += "{\"label\":\"";
-    append_escaped(out, sr.label);
-    out += "\",\"backend\":\"";
-    out += backend_name(sr.backend);
-    out += "\",\"failures\":" + std::to_string(sr.failures);
-    out += ",\"replicates\":[";
-    for (std::size_t r = 0; r < sr.replicates.size(); ++r) {
-      const McReplicate& rep = sr.replicates[r];
-      if (r != 0) out += ",";
-      out += "{\"seed\":" + std::to_string(rep.seed);
-      out += ",\"ok\":";
-      out += rep.outcome.ok ? "true" : "false";
+  const auto summary = [](const obs::DistributionSummary& d) {
+    Json j = Json::object();
+    obs::add_summary_fields(j, d);
+    return j;
+  };
+  Json scenarios = Json::array();
+  for (const McScenarioReport& sr : report.scenarios) {
+    Json replicates = Json::array();
+    for (const McReplicate& rep : sr.replicates) {
+      Json r = Json::object({{"seed", rep.seed}, {"ok", rep.outcome.ok}});
       if (rep.outcome.ok) {
-        out += ",\"simulated_time\":";
-        append_double(out, rep.outcome.result.simulated_time);
+        r.set("simulated_time", rep.outcome.result.simulated_time);
       } else {
-        out += ",\"error\":\"";
-        append_escaped(out, rep.outcome.error);
-        out += "\"";
+        r.set("error", rep.outcome.error);
       }
-      out += "}";
+      replicates.push_back(std::move(r));
     }
-    out += "],\"simulated_time\":";
-    append_summary(out, sr.simulated_time);
+    Json scenario = Json::object(
+        {{"label", sr.label}, {"backend", backend_name(sr.backend)}, {"failures", sr.failures}});
+    scenario.set("replicates", std::move(replicates));
+    scenario.set("simulated_time", summary(sr.simulated_time));
     if (!sr.tornado.entries.empty() || sr.tornado.baseline != 0.0) {
-      out += ",\"tornado\":{\"baseline\":";
-      append_double(out, sr.tornado.baseline);
-      out += ",\"parameters\":[";
-      for (std::size_t e = 0; e < sr.tornado.entries.size(); ++e) {
-        const obs::TornadoEntry& entry = sr.tornado.entries[e];
-        if (e != 0) out += ",";
-        out += "{\"parameter\":\"";
-        append_escaped(out, entry.parameter);
-        out += "\",\"swing\":";
-        append_double(out, entry.swing);
-        out += ",\"simulated_time\":";
-        append_summary(out, entry.metric);
-        out += "}";
+      Json parameters = Json::array();
+      for (const obs::TornadoEntry& e : sr.tornado.entries) {
+        parameters.push_back(Json::object({{"parameter", e.parameter},
+                                           {"swing", e.swing},
+                                           {"simulated_time", summary(e.metric)}}));
       }
-      out += "]}";
+      Json tornado = Json::object({{"baseline", sr.tornado.baseline}});
+      tornado.set("parameters", std::move(parameters));
+      scenario.set("tornado", std::move(tornado));
     }
-    out += "}";
+    scenarios.push_back(std::move(scenario));
   }
-  out += "]}";
-  return out;
+  Json out = Json::object();
+  out.set("scenarios", std::move(scenarios));
+  return out.dump();
 }
 
 }  // namespace tir::core

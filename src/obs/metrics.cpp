@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 
 #include "base/error.hpp"
@@ -20,37 +18,11 @@ CollectiveMetrics& collective_slot(std::vector<CollectiveMetrics>& all, const ch
   return all.back();
 }
 
-void append_number(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  out += buf;
-}
+/// Metrics numbers carry 12 significant digits.
+Json num(double v) { return Json::number(v, 12); }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+Json messages_and_bytes(std::uint64_t messages, double bytes) {
+  return Json::object({{"messages", messages}, {"bytes", num(bytes)}});
 }
 
 }  // namespace
@@ -118,121 +90,61 @@ MetricsReport aggregate(const TimelineSink& timeline, double eager_threshold,
   return report;
 }
 
-std::string to_json(const MetricsReport& report) {
-  std::string out;
-  out.reserve(1024 + report.ranks.size() * 256);
-  out += "{\n  \"simulated_time\": ";
-  append_number(out, report.simulated_time);
-  out += ",\n  \"engine_steps\": ";
-  append_u64(out, report.steps);
-  out += ",\n  \"totals\": {\"compute\": ";
-  append_number(out, report.total_compute);
-  out += ", \"comm\": ";
-  append_number(out, report.total_comm);
-  out += ", \"wait\": ";
-  append_number(out, report.total_wait);
-  out += "},\n  \"ranks\": [";
+Json to_json(const MetricsReport& report) {
+  Json ranks = Json::array();
   for (std::size_t r = 0; r < report.ranks.size(); ++r) {
     const RankMetrics& m = report.ranks[r];
-    out += r == 0 ? "\n" : ",\n";
-    out += "    {\"rank\": ";
-    append_u64(out, r);
-    out += ", \"name\": ";
-    append_escaped(out, m.name);
-    out += ", \"compute\": ";
-    append_number(out, m.compute_seconds());
-    out += ", \"comm\": ";
-    append_number(out, m.comm_seconds());
-    out += ", \"wait\": ";
-    append_number(out, m.wait_seconds());
-    out += ",\n     \"by_state\": {";
+    Json by_state = Json::object();
     for (std::size_t s = 0; s < kRankStateCount; ++s) {
-      if (s != 0) out += ", ";
-      out += '"';
-      out += rank_state_name(static_cast<RankState>(s));
-      out += "\": ";
-      append_number(out, m.by_state[s]);
+      by_state.set(rank_state_name(static_cast<RankState>(s)), num(m.by_state[s]));
     }
-    out += "},\n     \"actions\": ";
-    append_u64(out, m.actions);
-    out += ", \"messages\": ";
-    append_u64(out, m.messages);
-    out += ", \"bytes_sent\": ";
-    append_number(out, m.bytes_sent);
-    out += ",\n     \"eager\": {\"messages\": ";
-    append_u64(out, m.eager_messages);
-    out += ", \"bytes\": ";
-    append_number(out, m.eager_bytes);
-    out += "}, \"rendezvous\": {\"messages\": ";
-    append_u64(out, m.rendezvous_messages);
-    out += ", \"bytes\": ";
-    append_number(out, m.rendezvous_bytes);
-    out += "}}";
+    ranks.push_back(Json::object(
+        {{"rank", r}, {"name", m.name}, {"compute", num(m.compute_seconds())},
+         {"comm", num(m.comm_seconds())}, {"wait", num(m.wait_seconds())},
+         {"by_state", std::move(by_state)}, {"actions", m.actions}, {"messages", m.messages},
+         {"bytes_sent", num(m.bytes_sent)},
+         {"eager", messages_and_bytes(m.eager_messages, m.eager_bytes)},
+         {"rendezvous", messages_and_bytes(m.rendezvous_messages, m.rendezvous_bytes)}}));
   }
-  out += "\n  ],\n  \"collectives\": [";
-  for (std::size_t c = 0; c < report.collectives.size(); ++c) {
-    const CollectiveMetrics& cm = report.collectives[c];
-    out += c == 0 ? "\n" : ",\n";
-    out += "    {\"op\": ";
-    append_escaped(out, cm.op);
-    out += ", \"sites\": ";
-    append_u64(out, cm.sites);
-    out += ", \"seconds\": ";
-    append_number(out, cm.seconds);
-    out += ", \"bytes\": ";
-    append_number(out, cm.bytes);
-    out += "}";
+  Json collectives = Json::array();
+  for (const CollectiveMetrics& c : report.collectives) {
+    collectives.push_back(Json::object({{"op", c.op}, {"sites", c.sites},
+                                        {"seconds", num(c.seconds)}, {"bytes", num(c.bytes)}}));
   }
-  out += "\n  ],\n  \"links\": [";
-  for (std::size_t l = 0; l < report.links.size(); ++l) {
-    const LinkMetrics& lm = report.links[l];
-    out += l == 0 ? "\n" : ",\n";
-    out += "    {\"link\": ";
-    append_u64(out, static_cast<std::uint64_t>(lm.link));
-    out += ", \"name\": ";
-    append_escaped(out, lm.name);
-    out += ", \"busy_seconds\": ";
-    append_number(out, lm.busy_seconds);
-    out += ", \"bytes\": ";
-    append_number(out, lm.bytes);
-    out += ", \"utilization\": ";
-    append_number(out, lm.utilization);
-    out += "}";
+  Json links = Json::array();
+  for (const LinkMetrics& l : report.links) {
+    links.push_back(Json::object({{"link", l.link}, {"name", l.name},
+                                  {"busy_seconds", num(l.busy_seconds)}, {"bytes", num(l.bytes)},
+                                  {"utilization", num(l.utilization)}}));
   }
-  out += "\n  ],\n  \"protocol\": {\"eager\": {\"messages\": ";
-  append_u64(out, report.protocol.eager_messages);
-  out += ", \"bytes\": ";
-  append_number(out, report.protocol.eager_bytes);
-  out += "}, \"rendezvous\": {\"messages\": ";
-  append_u64(out, report.protocol.rendezvous_messages);
-  out += ", \"bytes\": ";
-  append_number(out, report.protocol.rendezvous_bytes);
-  out += "}, \"collective_internal\": {\"messages\": ";
-  append_u64(out, report.protocol.collective_messages);
-  out += ", \"bytes\": ";
-  append_number(out, report.protocol.collective_bytes);
-  out += "}},\n  \"diagnostics\": [";
-  for (std::size_t d = 0; d < report.diagnoses.size(); ++d) {
-    const Diagnosis& diag = report.diagnoses[d];
-    out += d == 0 ? "\n" : ",\n";
-    out += "    {\"actor\": ";
-    append_u64(out, static_cast<std::uint64_t>(diag.actor));
-    out += ", \"name\": ";
-    append_escaped(out, diag.name);
-    out += ", \"time\": ";
-    append_number(out, diag.time);
-    out += ", \"state\": ";
-    append_escaped(out, diag.text);
-    out += "}";
+  Json diagnostics = Json::array();
+  for (const Diagnosis& d : report.diagnoses) {
+    diagnostics.push_back(Json::object(
+        {{"actor", d.actor}, {"name", d.name}, {"time", num(d.time)}, {"state", d.text}}));
   }
-  out += "\n  ]\n}\n";
+  Json out = Json::object({{"simulated_time", num(report.simulated_time)},
+                           {"engine_steps", report.steps},
+                           {"totals", Json::object({{"compute", num(report.total_compute)},
+                                                    {"comm", num(report.total_comm)},
+                                                    {"wait", num(report.total_wait)}})}});
+  out.set("ranks", std::move(ranks));
+  out.set("collectives", std::move(collectives));
+  out.set("links", std::move(links));
+  const TimelineSink::MessageStats& p = report.protocol;
+  out.set("protocol",
+          Json::object(
+              {{"eager", messages_and_bytes(p.eager_messages, p.eager_bytes)},
+               {"rendezvous", messages_and_bytes(p.rendezvous_messages, p.rendezvous_bytes)},
+               {"collective_internal",
+                messages_and_bytes(p.collective_messages, p.collective_bytes)}}));
+  out.set("diagnostics", std::move(diagnostics));
   return out;
 }
 
 void write_json(const MetricsReport& report, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw Error("cannot open " + path + " for writing");
-  const std::string body = to_json(report);
+  const std::string body = to_json(report).dump() + "\n";
   out.write(body.data(), static_cast<std::streamsize>(body.size()));
   out.flush();
   if (!out) throw Error("failed writing " + path);

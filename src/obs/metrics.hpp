@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "base/json.hpp"
 #include "obs/timeline.hpp"
 
 namespace tir::platform {
@@ -92,10 +93,11 @@ struct MetricsReport {
 MetricsReport aggregate(const TimelineSink& timeline, double eager_threshold = 65536.0,
                         const platform::Platform* platform = nullptr);
 
-/// Render the report as a self-contained JSON document.
-std::string to_json(const MetricsReport& report);
+/// The report as a JSON value; its numbers carry 12 significant digits.
+Json to_json(const MetricsReport& report);
 
-/// Write to_json(report) to `path`; throws tir::Error on I/O failure.
+/// Write to_json(report) to `path` as one line; throws tir::Error on I/O
+/// failure.
 void write_json(const MetricsReport& report, const std::string& path);
 
 }  // namespace tir::obs

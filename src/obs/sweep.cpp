@@ -47,6 +47,15 @@ DistributionSummary summarize(std::vector<double> samples) {
   return s;
 }
 
+void add_summary_fields(Json& object, const DistributionSummary& s) {
+  object.set("n", s.n);
+  const std::pair<const char*, double> fields[] = {
+      {"mean", s.mean}, {"stddev", s.stddev}, {"min", s.min}, {"max", s.max},
+      {"p5", s.p5},     {"p25", s.p25},       {"p50", s.p50}, {"p75", s.p75},
+      {"p95", s.p95},   {"ci95_lo", s.ci95_lo}, {"ci95_hi", s.ci95_hi}};
+  for (const auto& [name, value] : fields) object.set(name, value);
+}
+
 TornadoReport tornado(
     double baseline,
     const std::vector<std::pair<std::string, std::vector<double>>>& per_parameter_samples) {

@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/json.hpp"
+
 namespace tir::obs {
 
 /// Order-free summary of a sample set: moments, extremes, interpolated
@@ -36,6 +38,10 @@ struct DistributionSummary {
 /// Summarize `samples` (taken by value: sorted internally).  n==0 yields the
 /// all-zero summary.
 DistributionSummary summarize(std::vector<double> samples);
+
+/// Add `n` and the 11 moment and quantile fields of `s` to `object`, in
+/// declaration order (%.17g, so a summary round-trips exactly).
+void add_summary_fields(Json& object, const DistributionSummary& s);
 
 /// One bar of a tornado diagram: how much the output metric swings when a
 /// single parameter is perturbed with all the others pinned to nominal.

@@ -36,15 +36,15 @@ core::CalibrationRequest parse_calibration(const Json& c) {
   core::CalibrationRequest request;
   request.procedure = c.str_or("procedure", request.procedure);
   request.classes = c.str_or("classes", request.classes);
-  request.iterations = static_cast<int>(c.num_or("iterations", request.iterations));
+  request.iterations = c.int_or("iterations", request.iterations);
   request.noise = c.num_or("noise", request.noise);
-  request.seed = static_cast<std::uint64_t>(c.num_or("seed", 1));
-  request.auto_steps = static_cast<int>(c.num_or("auto_steps", request.auto_steps));
+  request.seed = c.int_or<std::uint64_t>("seed", 1);
+  request.auto_steps = c.int_or("auto_steps", request.auto_steps);
   request.probe_instructions = c.num_or("probe_instructions", request.probe_instructions);
   const std::string cls = c.str_or("instance_class", std::string(1, request.instance_class));
   if (cls.size() != 1) throw ConfigError("calibration instance_class must be one character");
   request.instance_class = cls[0];
-  request.instance_nprocs = static_cast<int>(c.num_or("instance_nprocs", request.instance_nprocs));
+  request.instance_nprocs = c.int_or("instance_nprocs", request.instance_nprocs);
   const Json& truth = c.get("truth");
   if (!truth.is_object()) {
     throw ConfigError("calibration needs a truth object (rate_in_cache, rate_out_of_cache, "
@@ -60,24 +60,22 @@ core::CalibrationRequest parse_calibration(const Json& c) {
 }
 
 Json render_calibration(const core::CalibrationRequest& request) {
-  Json c = Json::object();
-  c.set("procedure", request.procedure);
-  c.set("classes", request.classes);
-  c.set("iterations", request.iterations);
-  c.set("noise", request.noise);
-  c.set("seed", request.seed);
-  c.set("auto_steps", request.auto_steps);
-  c.set("probe_instructions", request.probe_instructions);
-  c.set("instance_class", std::string(1, request.instance_class));
-  c.set("instance_nprocs", request.instance_nprocs);
-  Json truth = Json::object();
-  truth.set("rate_in_cache", request.truth.rate_in_cache);
-  truth.set("rate_out_of_cache", request.truth.rate_out_of_cache);
-  truth.set("l2_bytes", request.truth.l2_bytes);
-  truth.set("copy_rate", request.truth.copy_rate);
-  truth.set("per_message_overhead", request.truth.per_message_overhead);
-  c.set("truth", std::move(truth));
-  return c;
+  const platform::ClusterCalibrationTruth& truth = request.truth;
+  return Json::object(
+      {{"procedure", request.procedure},
+       {"classes", request.classes},
+       {"iterations", request.iterations},
+       {"noise", request.noise},
+       {"seed", request.seed},
+       {"auto_steps", request.auto_steps},
+       {"probe_instructions", request.probe_instructions},
+       {"instance_class", std::string(1, request.instance_class)},
+       {"instance_nprocs", request.instance_nprocs},
+       {"truth", Json::object({{"rate_in_cache", truth.rate_in_cache},
+                               {"rate_out_of_cache", truth.rate_out_of_cache},
+                               {"l2_bytes", truth.l2_bytes},
+                               {"copy_rate", truth.copy_rate},
+                               {"per_message_overhead", truth.per_message_overhead}})}});
 }
 
 }  // namespace
@@ -95,7 +93,7 @@ JobRequest parse_request(const std::string& line) {
 
   request.trace = j.str_or("trace", "");
   if (request.trace.empty()) throw ConfigError("predict needs a trace path");
-  request.nprocs = static_cast<int>(j.num_or("nprocs", -1));
+  request.nprocs = j.int_or("nprocs", -1);
   request.platform = j.str_or("platform", "");
   request.metrics = j.bool_or("metrics", false);
   request.deadline_ms = j.num_or("deadline_ms", 0.0);
@@ -107,7 +105,7 @@ JobRequest parse_request(const std::string& line) {
     // (ConfigError) instead of a worker mid-job.
     (void)platform::PerturbationSpec::parse(request.perturb);
   }
-  request.mc_replicates = static_cast<int>(j.num_or("mc_replicates", 0));
+  request.mc_replicates = j.int_or("mc_replicates", 0);
   if (request.mc_replicates < 0) throw ConfigError("mc_replicates must be >= 0");
   if (request.mc_replicates > 0 && request.perturb.empty()) {
     throw ConfigError("mc_replicates needs a perturb spec");
@@ -186,41 +184,34 @@ std::string content_key(const JobRequest& request) {
 
 Json make_rejected(std::uint64_t job, int retry_after_ms, std::size_t queue_depth,
                    std::size_t queue_capacity) {
-  Json r = Json::object();
-  r.set("type", "rejected");
-  r.set("job", job);
-  r.set("retry_after_ms", retry_after_ms);
-  r.set("queue_depth", queue_depth);
-  r.set("queue_capacity", queue_capacity);
-  r.set("error", "admission queue full");
-  return r;
+  return Json::object({{"type", "rejected"},
+                       {"job", job},
+                       {"retry_after_ms", retry_after_ms},
+                       {"queue_depth", queue_depth},
+                       {"queue_capacity", queue_capacity},
+                       {"error", "admission queue full"}});
 }
 
 Json make_accepted(std::uint64_t job, std::size_t queue_depth, std::size_t queue_capacity) {
-  Json r = Json::object();
-  r.set("type", "accepted");
-  r.set("job", job);
-  r.set("queue_depth", queue_depth);
-  r.set("queue_capacity", queue_capacity);
-  return r;
+  return Json::object({{"type", "accepted"},
+                       {"job", job},
+                       {"queue_depth", queue_depth},
+                       {"queue_capacity", queue_capacity}});
 }
 
 Json make_failed(std::uint64_t job, const std::string& error, ErrorCode code) {
-  Json r = Json::object();
-  r.set("type", "failed");
-  r.set("job", job);
-  r.set("error", error);
-  r.set("error_code", error_code_name(code));
-  return r;
+  return Json::object({{"type", "failed"},
+                       {"job", job},
+                       {"error", error},
+                       {"error_code", error_code_name(code)}});
 }
 
 Json make_scenario(std::uint64_t job, std::size_t index, const core::ScenarioOutcome& outcome) {
-  Json r = Json::object();
-  r.set("type", "scenario");
-  r.set("job", job);
-  r.set("index", index);
-  r.set("label", outcome.label);
-  r.set("ok", outcome.ok);
+  Json r = Json::object({{"type", "scenario"},
+                         {"job", job},
+                         {"index", index},
+                         {"label", outcome.label},
+                         {"ok", outcome.ok}});
   if (outcome.ok) {
     r.set("simulated_time", outcome.result.simulated_time);
     r.set("actions_replayed", outcome.result.actions_replayed);
@@ -243,13 +234,11 @@ core::ScenarioOutcome parse_scenario(const Json& response) {
   outcome.ok = response.bool_or("ok", false);
   if (outcome.ok) {
     outcome.result.simulated_time = response.num_or("simulated_time", 0.0);
-    outcome.result.actions_replayed =
-        static_cast<std::uint64_t>(response.num_or("actions_replayed", 0));
-    outcome.result.engine_steps = static_cast<std::uint64_t>(response.num_or("engine_steps", 0));
+    outcome.result.actions_replayed = response.int_or<std::uint64_t>("actions_replayed", 0);
+    outcome.result.engine_steps = response.int_or<std::uint64_t>("engine_steps", 0);
     outcome.result.wall_clock_seconds = response.num_or("wall_clock_seconds", 0.0);
     outcome.result.degraded = response.bool_or("degraded", false);
-    outcome.result.skipped_actions =
-        static_cast<std::uint64_t>(response.num_or("skipped_actions", 0));
+    outcome.result.skipped_actions = response.int_or<std::uint64_t>("skipped_actions", 0);
   } else {
     outcome.error = response.str_or("error", "");
     outcome.error_code = error_code_from_name(response.str_or("error_code", "error"));

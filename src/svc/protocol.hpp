@@ -27,11 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "base/json.hpp"
 #include "core/calibration.hpp"
 #include "core/job.hpp"
-#include "svc/json.hpp"
 
 namespace tir::svc {
+
+// The JSON value lives in src/base; perfbench still spells it svc::Json.
+using tir::Json;
 
 /// One scenario cell of a job (core::plan_job maps it onto a replay).
 using ScenarioSpec = core::ScenarioSpec;

@@ -13,6 +13,7 @@
 #include "core/calibration.hpp"
 #include "core/job.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sweep.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
 #include "platform/parse.hpp"
@@ -70,16 +71,14 @@ std::string hash_hex(std::uint64_t h) {
 }
 
 Json cache_stats_json(const CacheStats& s) {
-  Json j = Json::object();
-  j.set("hits", s.hits);
-  j.set("misses", s.misses);
-  j.set("evictions", s.evictions);
-  j.set("uncacheable", s.uncacheable);
-  j.set("bytes", s.bytes);
-  j.set("peak_bytes", s.peak_bytes);
-  j.set("entries", s.entries);
-  j.set("capacity_bytes", s.capacity_bytes);
-  return j;
+  return Json::object({{"hits", s.hits},
+                       {"misses", s.misses},
+                       {"evictions", s.evictions},
+                       {"uncacheable", s.uncacheable},
+                       {"bytes", s.bytes},
+                       {"peak_bytes", s.peak_bytes},
+                       {"entries", s.entries},
+                       {"capacity_bytes", s.capacity_bytes}});
 }
 
 }  // namespace
@@ -205,18 +204,13 @@ void Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
   try {
     request = parse_request(line);
   } catch (const Error& e) {
-    Json error = Json::object();
-    error.set("type", "error");
-    error.set("error", std::string(e.what()));
-    error.set("error_code", e.code_name());
-    client->send(error);
+    client->send(Json::object(
+        {{"type", "error"}, {"error", e.what()}, {"error_code", e.code_name()}}));
     return;
   }
 
   if (request.op == "ping") {
-    Json pong = Json::object();
-    pong.set("type", "pong");
-    client->send(pong);
+    client->send(Json::object({{"type", "pong"}}));
     return;
   }
   if (request.op == "stats") {
@@ -228,17 +222,11 @@ void Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
     platforms_.clear();
     calibrations_.clear();
     results_.clear();
-    Json ok = Json::object();
-    ok.set("type", "ok");
-    ok.set("op", "flush");
-    client->send(ok);
+    client->send(Json::object({{"type", "ok"}, {"op", "flush"}}));
     return;
   }
   if (request.op == "shutdown") {
-    Json ok = Json::object();
-    ok.set("type", "ok");
-    ok.set("op", "shutdown");
-    client->send(ok);
+    client->send(Json::object({{"type", "ok"}, {"op", "shutdown"}}));
     shutdown();
     return;
   }
@@ -269,7 +257,7 @@ bool Server::replay_completed(const Job& job, std::uint64_t key) {
   std::shared_ptr<const CompletedJob> completed;
   if (!results_.get(key, completed)) return false;
   // Bit-identical replay of the stored stream, re-stamped with the new job
-  // id (the numbers were rendered %.17g once and are copied verbatim).
+  // id (each number was rendered once and its text is copied verbatim).
   ++idempotent_replays_;
   Json started = completed->started;
   started.set("job", job.request.id);
@@ -425,13 +413,12 @@ void Server::run_job(Job& job) {
       calibrate_seconds = seconds_since(t_calibrate);
     }
 
-    Json started = Json::object();
-    started.set("type", "started");
-    started.set("job", request.id);
-    started.set("trace_hash", hash_hex(trace->content_hash()));
-    started.set("trace_cache", trace_loaded ? "miss" : "hit");
-    started.set("queue_wait_seconds", queue_wait);
-    started.set("decode_seconds", decode_seconds);
+    Json started = Json::object({{"type", "started"},
+                                 {"job", request.id},
+                                 {"trace_hash", hash_hex(trace->content_hash())},
+                                 {"trace_cache", trace_loaded ? "miss" : "hit"},
+                                 {"queue_wait_seconds", queue_wait},
+                                 {"decode_seconds", decode_seconds}});
     if (degraded) started.set("degraded", true);
     if (request.calibrate) {
       started.set("calibration_cache", calibration_computed ? "miss" : "hit");
@@ -480,13 +467,12 @@ void Server::run_job(Job& job) {
     }
     if (expired) ++jobs_expired_;
 
-    Json done = Json::object();
-    done.set("type", "done");
-    done.set("job", request.id);
     std::size_t ok = 0;
     for (const core::ScenarioOutcome& o : outcomes) ok += o.ok ? 1 : 0;
-    done.set("scenarios", outcomes.size());
-    done.set("scenarios_ok", ok);
+    Json done = Json::object({{"type", "done"},
+                              {"job", request.id},
+                              {"scenarios", outcomes.size()},
+                              {"scenarios_ok", ok}});
     if (expired) done.set("expired", true);
     if (degraded) done.set("degraded", true);
     done.set("trace_cache", trace_loaded ? "miss" : "hit");
@@ -497,11 +483,10 @@ void Server::run_job(Job& job) {
 
     if (perturb) {
       // Aggregate quantiles per original ScenarioSpec.  Seeds are 64-bit
-      // draws: rendered as decimal strings, not JSON numbers, so they
-      // survive double round-tripping bit-exactly.
+      // draws, sent as decimal strings so a client that reads every JSON
+      // number as a double still gets them bit-exactly.
       const core::McReport report = core::mc_fold(plan.rows, plan.grid, outcomes);
-      Json mc = Json::object();
-      mc.set("spec", perturb->canonical());
+      Json mc = Json::object({{"spec", perturb->canonical()}});
       Json seeds_json = Json::array();
       for (const std::uint64_t seed : plan.grid.seeds.front()) {
         seeds_json.push_back(std::to_string(seed));
@@ -509,15 +494,8 @@ void Server::run_job(Job& job) {
       mc.set("seeds", std::move(seeds_json));
       Json groups = Json::array();
       for (const core::McScenarioReport& sr : report.scenarios) {
-        const obs::DistributionSummary& d = sr.simulated_time;
-        Json g = Json::object();
-        g.set("label", sr.label);
-        g.set("n", d.n);
-        const std::pair<const char*, double> fields[] = {
-            {"mean", d.mean}, {"stddev", d.stddev}, {"min", d.min}, {"max", d.max},
-            {"p5", d.p5},     {"p25", d.p25},       {"p50", d.p50}, {"p75", d.p75},
-            {"p95", d.p95},   {"ci95_lo", d.ci95_lo}, {"ci95_hi", d.ci95_hi}};
-        for (const auto& [name, value] : fields) g.set(name, value);
+        Json g = Json::object({{"label", sr.label}});
+        obs::add_summary_fields(g, sr.simulated_time);
         groups.push_back(std::move(g));
       }
       mc.set("scenarios", std::move(groups));
@@ -542,22 +520,19 @@ void Server::run_job(Job& job) {
         total_queue_wait += queue_wait;
         replay_wall += outcomes[i].result.wall_clock_seconds;
         max_queue_wait = std::max(max_queue_wait, queue_wait);
-        Json entry = Json::object();
-        entry.set("label", outcomes[i].label);
-        entry.set("report", Json::parse(obs::to_json(report)));
+        Json entry = Json::object({{"label", outcomes[i].label}});
+        entry.set("report", obs::to_json(report));
         reports.push_back(std::move(entry));
       }
-      Json s = Json::object();
-      s.set("scenarios", reported);
-      s.set("total_simulated_time", simulated);
-      s.set("total_compute", compute);
-      s.set("total_comm", comm);
-      s.set("total_wait", wait);
-      s.set("total_queue_wait", total_queue_wait);
-      s.set("total_replay_wall", replay_wall);
-      s.set("max_queue_wait", max_queue_wait);
       done.set("metrics", std::move(reports));
-      done.set("summary", std::move(s));
+      done.set("summary", Json::object({{"scenarios", reported},
+                                        {"total_simulated_time", simulated},
+                                        {"total_compute", compute},
+                                        {"total_comm", comm},
+                                        {"total_wait", wait},
+                                        {"total_queue_wait", total_queue_wait},
+                                        {"total_replay_wall", replay_wall},
+                                        {"max_queue_wait", max_queue_wait}}));
     }
     job.client->send(done);
     ++jobs_completed_;
@@ -584,29 +559,24 @@ void Server::run_job(Job& job) {
 }
 
 Json Server::stats_json() const {
-  Json s = Json::object();
-  s.set("type", "stats");
-  Json queue = Json::object();
-  queue.set("depth", queue_.size());
-  queue.set("capacity", queue_.capacity());
-  queue.set("admitted", jobs_admitted_.load());
-  queue.set("rejected", jobs_rejected_.load());
-  s.set("queue", std::move(queue));
-  Json jobs = Json::object();
-  jobs.set("completed", jobs_completed_.load());
-  jobs.set("failed", jobs_failed_.load());
-  jobs.set("expired", jobs_expired_.load());
-  jobs.set("degraded", jobs_degraded_.load());
-  jobs.set("idempotent_replays", idempotent_replays_.load());
-  jobs.set("scenarios_ok", scenarios_ok_.load());
-  jobs.set("scenarios_failed", scenarios_failed_.load());
-  s.set("jobs", std::move(jobs));
-  s.set("workers", worker_count_);
-  s.set("traces", cache_stats_json(traces_.stats()));
-  s.set("platforms", cache_stats_json(platforms_.stats()));
-  s.set("calibrations", cache_stats_json(calibrations_.stats()));
-  s.set("results", cache_stats_json(results_.stats()));
-  return s;
+  return Json::object(
+      {{"type", "stats"},
+       {"queue", Json::object({{"depth", queue_.size()},
+                               {"capacity", queue_.capacity()},
+                               {"admitted", jobs_admitted_.load()},
+                               {"rejected", jobs_rejected_.load()}})},
+       {"jobs", Json::object({{"completed", jobs_completed_.load()},
+                              {"failed", jobs_failed_.load()},
+                              {"expired", jobs_expired_.load()},
+                              {"degraded", jobs_degraded_.load()},
+                              {"idempotent_replays", idempotent_replays_.load()},
+                              {"scenarios_ok", scenarios_ok_.load()},
+                              {"scenarios_failed", scenarios_failed_.load()}})},
+       {"workers", worker_count_},
+       {"traces", cache_stats_json(traces_.stats())},
+       {"platforms", cache_stats_json(platforms_.stats())},
+       {"calibrations", cache_stats_json(calibrations_.stats())},
+       {"results", cache_stats_json(results_.stats())}});
 }
 
 }  // namespace tir::svc

@@ -4,12 +4,12 @@
 #include <regex>
 #include <string>
 
-#include "svc/json.hpp"
+#include "base/json.hpp"
 
 namespace tir::test {
 
 /// A response line with its run-to-run timing fields masked.
-inline std::string without_timings(const svc::Json& line) {
+inline std::string without_timings(const Json& line) {
   static const std::regex timing(
       R"re("(queue_wait_seconds|decode_seconds|calibrate_seconds|replay_seconds|)re"
       R"re(wall_clock_seconds|total_queue_wait|total_replay_wall|max_queue_wait)":[^,}\]]+)re");

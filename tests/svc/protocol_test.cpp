@@ -1,65 +1,19 @@
-// The wire protocol: JSON value round-trips (including the %.17g exactness
-// the bench's bit-identity check rides on), request parsing/rendering, and
-// response builders.
+// The wire protocol: request parsing/rendering (exact, range-checked
+// integers included), and response builders.  The JSON value itself is
+// tested in tests/base/json_test.cpp.
 #include "svc/protocol.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 #include <string>
-
-#include "svc/json.hpp"
+#include <utility>
 
 namespace {
 
 using namespace tir;
-using svc::Json;
-
-TEST(SvcJson, ParsesScalarsArraysObjects) {
-  const Json j = Json::parse(
-      R"({"s":"hi\n\"there\"","n":-2.5e3,"t":true,"f":false,"z":null,"a":[1,2,3]})");
-  EXPECT_EQ(j.get("s").as_string(), "hi\n\"there\"");
-  EXPECT_EQ(j.get("n").as_number(), -2500.0);
-  EXPECT_TRUE(j.get("t").as_bool());
-  EXPECT_FALSE(j.get("f").as_bool());
-  EXPECT_TRUE(j.get("z").is_null());
-  ASSERT_EQ(j.get("a").size(), 3u);
-  EXPECT_EQ(j.get("a").at(2).as_number(), 3.0);
-  EXPECT_TRUE(j.get("missing").is_null());
-}
-
-TEST(SvcJson, RejectsMalformedDocuments) {
-  EXPECT_THROW(Json::parse("{"), ParseError);
-  EXPECT_THROW(Json::parse("[1,]"), ParseError);
-  EXPECT_THROW(Json::parse("{\"a\":1} trailing"), ParseError);
-  EXPECT_THROW(Json::parse("nul"), ParseError);
-  EXPECT_THROW(Json::parse(""), ParseError);
-}
-
-TEST(SvcJson, NumbersFollowTheJsonGrammar) {
-  for (const char* ok : {"0", "-0", "0.5", "-1.5e-3", "1E+2", "2e9", "123456789012345678901"}) {
-    EXPECT_EQ(Json::parse(ok).as_number(), std::strtod(ok, nullptr)) << ok;
-  }
-  for (const char* bad : {"inf", "-inf", "nan", "Infinity", "0x1p30", "01", "+1", ".5", "1.",
-                          "1e", "1e+", "-", "1.5.2", "1e999", "-1e999"}) {
-    EXPECT_THROW(Json::parse(bad), ParseError) << bad;
-  }
-}
-
-TEST(SvcJson, DumpParseRoundTripsDoublesExactly) {
-  // %.17g round-trips every finite double bit-exactly; the service bench
-  // compares predictions that crossed the wire this way.
-  const double values[] = {0.1, 1.0 / 3.0, 6.62607015e-34, 1.7976931348623157e308,
-                           5e-324, 123456789.123456789};
-  for (const double v : values) {
-    Json j = Json::object();
-    j.set("v", v);
-    const Json back = Json::parse(j.dump());
-    EXPECT_EQ(back.get("v").as_number(), v);
-  }
-}
 
 TEST(SvcProtocol, ParseRequestFillsDefaultsAndScenarios) {
   const svc::JobRequest r = svc::parse_request(
@@ -144,6 +98,53 @@ TEST(SvcProtocol, RenderParseRoundTripsARequest) {
   EXPECT_TRUE(back.scenarios[0].contention);
   EXPECT_EQ(back.scenarios[0].watchdog_seconds, 2.5);
   EXPECT_TRUE(back.scenarios[0].rates.empty());  // "use the calibrated rate"
+}
+
+// Wire integers are read exactly and range-checked: a fraction, a value
+// that does not fit the field, or a huge exponent is a ConfigError naming
+// the key, never a silent truncation; a 64-bit seed survives the round trip.
+TEST(SvcProtocol, WireIntegersAreExactAndRangeChecked) {
+  const std::string head = R"({"op":"predict","trace":"t","scenarios":[{"rates":1e9}],)";
+  const auto calibration = [&](const std::string& field) {
+    return head + R"("calibration":{)" + field + R"(,"truth":{"rate_in_cache":1e9}}})";
+  };
+  const std::pair<const char*, std::string> bad[] = {
+      {"nprocs", head + R"("nprocs":2.5})"},
+      {"nprocs", head + R"("nprocs":4294967298})"},
+      {"nprocs", head + R"("nprocs":-2147483649})"},
+      {"mc_replicates", head + R"("perturb":"host.speed=uniform:0.05","mc_replicates":1e300})"},
+      {"iterations", calibration(R"("iterations":1e300)")},
+      {"auto_steps", calibration(R"("auto_steps":0.5)")},
+      {"instance_nprocs", calibration(R"("instance_nprocs":1e10)")},
+      {"seed", calibration(R"("seed":-1)")},
+      {"seed", calibration(R"("seed":18446744073709551616)")},
+      {"seed", calibration(R"("seed":1.5)")}};
+  for (const auto& [key, line] : bad) {
+    try {
+      (void)svc::parse_request(line);
+      ADD_FAILURE() << line << " parsed";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "' must be an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(svc::parse_request(head + R"("nprocs":8.0})").nprocs, 8);
+  EXPECT_EQ(svc::parse_request(calibration(R"("seed":9007199254740993)")).calibration.seed,
+            9007199254740993u);
+  // The existing range rules still hold.
+  EXPECT_THROW(svc::parse_request(head + R"("mc_replicates":-1})"), ConfigError);
+
+  svc::JobRequest r;
+  r.op = "predict";
+  r.trace = "t.titb";
+  r.calibrate = true;
+  r.calibration.truth.rate_in_cache = 1e9;
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993u}, std::numeric_limits<std::uint64_t>::max()}) {
+    r.calibration.seed = seed;
+    EXPECT_EQ(svc::parse_request(svc::render_request(r)).calibration.seed, seed);
+  }
 }
 
 TEST(SvcProtocol, ScenarioOutcomeRoundTripsBitExactly) {
