@@ -237,26 +237,46 @@ void BM_TimeHeapChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeHeapChurn)->Arg(74)->Arg(1024);
 
-// TITB decode alone: open a Reader on an LU B-8 trace (10 iterations,
-// ~58 k actions) and drain every rank, with no replay behind it.
+/// An LU B-8 trace (10 iterations, ~58 k actions) written to a temporary
+/// TITB file once per process, removed at exit.
+struct DecodeInput {
+  std::string path;
+  std::int64_t actions = 0;
+
+  DecodeInput() {
+    const exp::ClusterSetup bd = exp::bordereau_setup();
+    apps::LuConfig lu;
+    lu.cls = apps::nas_class('B');
+    lu.nprocs = 8;
+    lu.iterations_override = 10;
+    apps::AcquisitionConfig acq;
+    acq.granularity = hwc::Granularity::Minimal;
+    acq.compiler = hwc::kO3;
+    acq.emit_trace = true;
+    const tit::Trace trace =
+        apps::run_lu(lu, bd.platform, apps::MachineModel(bd.truth), acq).trace;
+    path = (std::filesystem::temp_directory_path() /
+            ("kernel_microbench_decode_" + std::to_string(::getpid()) + ".titb"))
+               .string();
+    titio::write_binary_trace(trace, path);
+    actions = static_cast<std::int64_t>(trace.total_actions());
+  }
+  ~DecodeInput() { std::filesystem::remove(path); }
+  DecodeInput(const DecodeInput&) = delete;
+  DecodeInput& operator=(const DecodeInput&) = delete;
+};
+
+const DecodeInput& decode_input() {
+  static const DecodeInput input;
+  return input;
+}
+
+// TITB decode alone: open a Reader on the B-8 trace and drain every rank
+// one action at a time (ActionSource::next), with no replay behind it.
 void BM_TitbDecode(benchmark::State& state) {
-  const exp::ClusterSetup bd = exp::bordereau_setup();
-  apps::LuConfig lu;
-  lu.cls = apps::nas_class('B');
-  lu.nprocs = 8;
-  lu.iterations_override = 10;
-  apps::AcquisitionConfig acq;
-  acq.granularity = hwc::Granularity::Minimal;
-  acq.compiler = hwc::kO3;
-  acq.emit_trace = true;
-  const tit::Trace trace =
-      apps::run_lu(lu, bd.platform, apps::MachineModel(bd.truth), acq).trace;
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("kernel_microbench_decode_" + std::to_string(::getpid()) + ".titb"))
-                               .string();
-  titio::write_binary_trace(trace, path);
+  const DecodeInput& in = decode_input();
   for (auto _ : state) {
-    titio::Reader reader(path);
+    titio::Reader reader(in.path);
     tit::Action a;
     std::uint64_t n = 0;
     for (int rank = 0; rank < reader.nprocs(); ++rank) {
@@ -264,9 +284,27 @@ void BM_TitbDecode(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(n);
   }
-  std::filesystem::remove(path);
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(trace.total_actions()));
+  state.SetItemsProcessed(state.iterations() * in.actions);
 }
 BENCHMARK(BM_TitbDecode);
+
+// The same drain through the batched pull the replay engines use
+// (ActionSource::next_batch): decode plus one virtual call per batch, no
+// per-action copy.
+void BM_TitbDecodeBatched(benchmark::State& state) {
+  const DecodeInput& in = decode_input();
+  for (auto _ : state) {
+    titio::Reader reader(in.path);
+    std::uint64_t n = 0;
+    for (int rank = 0; rank < reader.nprocs(); ++rank) {
+      for (auto batch = reader.next_batch(rank); !batch.empty(); batch = reader.next_batch(rank)) {
+        n += batch.size();
+      }
+    }
+    benchmark::DoNotOptimize(n);
+  }
+  state.SetItemsProcessed(state.iterations() * in.actions);
+}
+BENCHMARK(BM_TitbDecodeBatched);
 
 }  // namespace

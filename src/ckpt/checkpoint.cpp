@@ -123,13 +123,14 @@ void CheckpointRecorder::reset() {
   checkpoints_.clear();
 }
 
-bool CheckpointRecorder::next(int rank, tit::Action& out) {
-  if (!inner_.next(rank, out)) return false;
-  ranks_[static_cast<std::size_t>(rank)].pending = out;
-  return true;
+std::span<const tit::Action> CheckpointRecorder::next_batch(int rank) {
+  RankTrack& r = ranks_[static_cast<std::size_t>(rank)];
+  r.batch = inner_.next_batch(rank);
+  r.at = 0;
+  return r.batch;
 }
 
-void CheckpointRecorder::rewind() {
+void CheckpointRecorder::do_rewind() {
   inner_.rewind();
   reset();
 }
@@ -148,7 +149,7 @@ bool CheckpointRecorder::balanced() const {
 
 void CheckpointRecorder::complete(int rank, double now) {
   RankTrack& r = ranks_[static_cast<std::size_t>(rank)];
-  const tit::Action& a = r.pending;
+  const tit::Action& a = r.batch[r.at++];
   const bool had_outstanding = !r.outstanding.empty();
 
   switch (a.type) {

@@ -99,9 +99,8 @@ class CheckpointRecorder final : public titio::ActionSource, public obs::Sink {
 
   // --- ActionSource ---------------------------------------------------------
   int nprocs() const override { return inner_.nprocs(); }
-  bool next(int rank, tit::Action& out) override;
+  std::span<const tit::Action> next_batch(int rank) override;
   std::uint64_t skipped_actions() const override { return inner_.skipped_actions(); }
-  void rewind() override;
 
   // --- Sink (completion observation; everything forwards) ------------------
   void on_actor_spawn(int actor, std::string_view name, platform::HostId host) override;
@@ -124,13 +123,19 @@ class CheckpointRecorder final : public titio::ActionSource, public obs::Sink {
   const std::vector<TraceCheckpoint>& checkpoints() const { return checkpoints_; }
   std::vector<TraceCheckpoint> take_checkpoints() { return std::move(checkpoints_); }
 
+ protected:
+  void do_rewind() override;
+
  private:
   struct Outstanding {
     tit::ActionType type;
     std::int32_t partner;
   };
   struct RankTrack {
-    tit::Action pending{};               ///< delivered, not yet completed
+    /// The rank's current batch; its completions walk it in order, so
+    /// batch[at] is the action delivered and not yet completed.
+    std::span<const tit::Action> batch;
+    std::size_t at = 0;
     std::uint64_t completed = 0;         ///< k_r
     double time = 0.0;                   ///< t_r: time of last completion
     std::uint64_t collective_sites = 0;  ///< coll_r

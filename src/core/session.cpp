@@ -101,8 +101,8 @@ std::string mailbox_name(int src, int dst) {
 
 std::string describe(const RankDiag& diag) {
   std::string s = "blocked";
-  const tit::Action& a = diag.current;
-  if (diag.acting) {
+  if (diag.current != nullptr) {
+    const tit::Action& a = *diag.current;
     switch (a.type) {
       case tit::ActionType::Send:
       case tit::ActionType::Isend:
@@ -133,7 +133,7 @@ std::string describe(const RankDiag& diag) {
     }
   }
   if (diag.completed > 0) {
-    s += "; last completed: " + tit::to_line(diag.last) + " (action #" +
+    s += "; last completed: " + tit::to_line(*diag.last) + " (action #" +
          std::to_string(diag.completed - 1) + ")";
   } else {
     s += "; no action completed yet";

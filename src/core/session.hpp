@@ -99,18 +99,20 @@ std::string mailbox_name(int src, int dst);
 
 /// What a rank is doing, for the engine's deadlock/watchdog diagnosis.
 /// Plain data on purpose: formatting text per action would dominate the
-/// replay hot loop, so RankShell only records the action in progress and
+/// replay hot loop, so RankShell only points at the action in progress and
 /// describe() renders the line on the rare path that needs it.  The engine
 /// reads it only while the rank's actor is suspended, so its frame is alive.
+/// The pointers reach into the rank's current batch; `last` is re-pointed at
+/// the `held` copy before a pull ends that batch.
 struct RankDiag {
   int rank = 0;
-  Backend backend = Backend::Smpi;  ///< MSG names the mailbox p2p blocks on
-  bool acting = false;              ///< `current` is in progress
-  tit::Action current{};            ///< the action the rank is replaying
-  tit::Action last{};               ///< the last completed action
-  std::uint64_t completed = 0;      ///< actions completed
-  std::uint64_t site = 0;           ///< collective site of `current`
-  std::uint64_t requests = 0;       ///< outstanding requests when a wait began
+  Backend backend = Backend::Smpi;      ///< MSG names the mailbox p2p blocks on
+  const tit::Action* current = nullptr; ///< the action in progress, if any
+  const tit::Action* last = nullptr;    ///< the last completed action, if any
+  tit::Action held{};                   ///< `last` across a batch boundary
+  std::uint64_t completed = 0;          ///< actions completed
+  std::uint64_t site = 0;               ///< collective site of `current`
+  std::uint64_t requests = 0;           ///< outstanding requests when a wait began
 };
 
 /// "blocked on <what>; last completed: <action> (action #k)".
@@ -119,7 +121,8 @@ std::string describe(const RankDiag& diag);
 /// The per-rank bookkeeping both back-ends share, living in the rank's
 /// coroutine frame.  Construction registers the diagnoser and adopts a
 /// checkpoint's collective-site numbering and boundary time; next() closes
-/// the previous action's phase, pulls and counts the next one, opens its
+/// the previous action's phase, steps to the next action of the current
+/// batch (pulling a new batch when it runs out) and counts it, opens its
 /// phase, numbers collective sites (the static validator's numbering) and
 /// runs the spot checks.  The back-end's switch then replays action().
 class RankShell {
@@ -134,16 +137,16 @@ class RankShell {
   /// restore's boundary time (timer 0 + t is exact, so every resumed phase
   /// begins at a bitwise-identical time), 0 for a cold replay.
   double resume_sleep() const { return resume_sleep_; }
-  const tit::Action& action() const { return diag_.current; }
+  const tit::Action& action() const { return *diag_.current; }
 
   /// False once the rank's stream is exhausted.
   bool next();
 
   /// Nonblocking requests in issue order (wait takes the oldest).
-  void push_request(sim::ActivityPtr r) { requests_.push_back(std::move(r)); }
+  void push_request(sim::ActivityPtr r) { requests_.push_back(r); }
   bool has_request() const { return !requests_.empty(); }
   sim::ActivityPtr pop_request() {
-    sim::ActivityPtr r = std::move(requests_.front());
+    const sim::ActivityPtr r = requests_.front();
     requests_.pop_front();
     return r;
   }
@@ -159,18 +162,31 @@ class RankShell {
   std::uint64_t next_site_ = 0;
   std::deque<sim::ActivityPtr> requests_;
   RankDiag diag_;
+  const tit::Action* at_ = nullptr;   ///< next action of the current batch
+  const tit::Action* end_ = nullptr;  ///< end of the current batch
 };
 
 inline bool RankShell::next() {
-  if (diag_.acting) {
+  if (diag_.current != nullptr) {
     if (sink_ != nullptr) sink_->on_phase_end(diag_.rank, ctx_.now());
     diag_.last = diag_.current;
+    diag_.current = nullptr;
     ++diag_.completed;
   }
-  diag_.acting = source_.next(diag_.rank, diag_.current);
-  if (!diag_.acting) return false;
+  if (at_ == end_) {
+    // The pull below ends the batch `last` points into.
+    if (diag_.last != nullptr) {
+      diag_.held = *diag_.last;
+      diag_.last = &diag_.held;
+    }
+    const std::span<const tit::Action> batch = source_.next_batch(diag_.rank);
+    if (batch.empty()) return false;
+    at_ = batch.data();
+    end_ = batch.data() + batch.size();
+  }
+  diag_.current = at_++;
   ++actions_;
-  const tit::Action& a = diag_.current;
+  const tit::Action& a = *diag_.current;
   if (sink_ != nullptr) {
     sink_->on_phase_begin(obs::phase_event(diag_.rank, a, static_cast<std::int64_t>(next_site_)),
                           ctx_.now());

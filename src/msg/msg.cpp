@@ -56,8 +56,7 @@ void Mailboxes::send_async(sim::Ctx& ctx, BoxId box_id, double bytes) {
     RecvSlot* get = box.gets.front();
     box.gets.pop_front();
     if (obs::Sink* const sink = engine_.sink()) sink->on_mailbox_match(box.name, bytes);
-    sim::ActivityPtr comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
-    get->comm = std::move(comm);  // the receiver's reference keeps it alive
+    get->comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
     engine_.complete_now(get->matched);
     return;
   }

@@ -5,18 +5,16 @@
 // byte transfer across a route), a timer, or a gate (a pure synchronization
 // token completed explicitly, used for e.g. mailbox matching).
 //
-// Activities are shared because several parties may hold one: a
-// communication is typically referenced by its sender, its receiver, and the
-// engine's running set.  ActivityPtr is an *intrusive, non-atomic* refcount:
-// an Engine and everything it owns is confined to one thread (engine.hpp),
-// so the shared_ptr's atomic count and separate control block would be pure
-// overhead on the per-event hot path.  An ActivityPtr must therefore only be
-// copied/dropped on its engine's thread — the rule the engine already
-// imposes on every object it hands out.  The block returns to the engine's
-// ActivityArena on release; the arena counts live activities and, once the
-// engine has orphaned it, self-destructs when the last one is released — so
-// activities outliving their engine stay safe without a per-activity
-// shared_ptr copy (two atomic RMWs per activity) on the hot path.
+// Activities are owned by their engine.  It hands out slots from its own
+// store and recycles a slot the moment its activity completes, bumping the
+// slot's generation.  Everyone else (waiters, request objects, the
+// protocol layers' queues) holds an ActivityPtr: a trivially copyable
+// {slot, generation} handle with no refcount behind it.  A handle whose
+// generation no longer matches its slot's reads as done — the activity it
+// named has completed, and the slot's fields now belong to a new occupant —
+// and so does a default handle.  Handles never outlive their engine.  Like
+// everything else here, activities and their handles are confined to the
+// engine's thread (engine.hpp).
 //
 // At most a handful of waiters register on an activity; they are resumed in
 // registration order when it completes.
@@ -31,55 +29,37 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "platform/platform.hpp"
-#include "sim/pool.hpp"
 
 namespace tir::sim {
 
 using SimTime = double;
 
-class Engine;
 struct Activity;
 
-/// The engine's activity block source plus the lifetime state that lets
-/// activities outlive their engine.  The engine holds the only long-lived
-/// pointer; on destruction it either deletes the arena (no live activities)
-/// or orphans it, in which case the last ActivityPtr release deletes it.
-/// Confined to the engine's thread like everything else here.
-struct ActivityArena {
-  PoolResource<Activity> pool;
-  std::uint64_t live = 0;  ///< activities allocated and not yet released
-  bool orphaned = false;   ///< engine destroyed; last release deletes this
-};
-
-/// Intrusive refcounted handle to an Activity (see the header comment for
-/// the single-thread confinement rule).  Interface-compatible with the
-/// shared_ptr it replaced: copy/move, get(), ->, bool, nullptr compares.
+/// Generation-checked handle to an engine-owned Activity (see the header
+/// comment).  Copying one is two plain stores; nothing is counted.
 class ActivityPtr {
  public:
   ActivityPtr() = default;
   ActivityPtr(std::nullptr_t) {}  // NOLINT
-  explicit ActivityPtr(Activity* acquired);
-  ActivityPtr(const ActivityPtr& other);
-  ActivityPtr(ActivityPtr&& other) noexcept : p_(other.p_) { other.p_ = nullptr; }
-  ActivityPtr& operator=(const ActivityPtr& other);
-  ActivityPtr& operator=(ActivityPtr&& other) noexcept;
-  ~ActivityPtr();
+  /// The engine mints handles; `generation` is the slot's current one.
+  ActivityPtr(Activity* slot, std::uint32_t generation) : p_(slot), gen_(generation) {}
 
+  /// True once the activity completed (its slot was recycled), and for a
+  /// default handle.  Cheap: one load and compare.
+  bool done() const;
+  /// The slot.  Its fields are the handle's activity only while !done();
+  /// only the engine dereferences it.
   Activity* get() const { return p_; }
-  Activity& operator*() const { return *p_; }
-  Activity* operator->() const { return p_; }
-  explicit operator bool() const { return p_ != nullptr; }
-  void reset();
-
-  friend bool operator==(const ActivityPtr& a, const ActivityPtr& b) { return a.p_ == b.p_; }
+  /// True only for a default handle (a stale handle still names a slot).
   friend bool operator==(const ActivityPtr& a, std::nullptr_t) { return a.p_ == nullptr; }
 
  private:
   Activity* p_ = nullptr;
+  std::uint32_t gen_ = 0;
 };
 
 /// A registered waiter: a coroutine to resume, or a gate to complete in turn
@@ -99,21 +79,12 @@ class WaiterList {
   WaiterList() = default;
   WaiterList(const WaiterList&) = delete;
   WaiterList& operator=(const WaiterList&) = delete;
-  WaiterList(WaiterList&& other) noexcept
-      : size_(other.size_), overflow_(std::move(other.overflow_)) {
-    for (std::uint32_t i = 0; i < size_ && i < kInline; ++i) {
-      inline_[i] = std::move(other.inline_[i]);
-    }
-    other.size_ = 0;
-    other.overflow_.clear();
-  }
-  WaiterList& operator=(WaiterList&&) = delete;
 
   void push_back(Waiter w) {
     if (size_ < kInline) {
-      inline_[size_] = std::move(w);
+      inline_[size_] = w;
     } else {
-      overflow_.push_back(std::move(w));
+      overflow_.push_back(w);
     }
     ++size_;
   }
@@ -125,6 +96,13 @@ class WaiterList {
     return i < kInline ? inline_[i] : overflow_[i - kInline];
   }
 
+  /// Empties the list (the overflow keeps its capacity for the slot's next
+  /// occupant).
+  void clear() {
+    size_ = 0;
+    overflow_.clear();
+  }
+
  private:
   static constexpr std::uint32_t kInline = 2;
 
@@ -133,14 +111,16 @@ class WaiterList {
   std::vector<Waiter> overflow_;
 };
 
-struct Activity {
+/// An activity's plain fields: everything a recycled slot resets in place
+/// for its next occupant (one aggregate assignment, no destructor or
+/// constructor run).
+struct ActivityFields {
   enum class Kind : std::uint8_t { Exec, Comm, Timer, Gate };
-  enum class State : std::uint8_t { Pending, Running, Done };
+  enum class State : std::uint8_t { Pending, Running };
 
   Kind kind = Kind::Gate;
   State state = State::Pending;
-  std::uint64_t seq = 0;      ///< creation sequence (debugging/determinism)
-  std::int32_t run_slot = -1; ///< index in the engine's running set, -1 if absent
+  std::uint64_t seq = 0;        ///< creation sequence (debugging/determinism)
   std::int32_t heap_slot = -1;  ///< index in the engine's time heap, -1 if absent
 
   // Exec fields.
@@ -165,47 +145,17 @@ struct Activity {
   SimTime anchor = 0.0;    ///< time `remaining` was last materialized
   SimTime heap_key = 0.0;  ///< projected completion time (heap ordering key)
 
-  WaiterList waiters;
-
-  // Intrusive lifetime state (managed by ActivityPtr / the engine).
-  std::uint32_t refs = 0;          ///< outstanding ActivityPtr handles
-  ActivityArena* arena = nullptr;  ///< block source; deletes itself when
-                                   ///< orphaned and drained
-
-  bool done() const { return state == State::Done; }
   bool in_latency_phase() const { return kind == Kind::Comm && latency_left > 0.0; }
 };
 
-inline ActivityPtr::ActivityPtr(Activity* acquired) : p_(acquired) {
-  if (p_ != nullptr) ++p_->refs;
-}
+struct Activity : ActivityFields {
+  WaiterList waiters;
+  /// Bumped each time the engine recycles the slot; a handle minted under
+  /// an older value reads as done.  32 bits: a handle would have to sit
+  /// idle through 2^32 reuses of one slot to alias a new occupant.
+  std::uint32_t generation = 0;
+};
 
-inline ActivityPtr::ActivityPtr(const ActivityPtr& other) : p_(other.p_) {
-  if (p_ != nullptr) ++p_->refs;
-}
-
-inline void ActivityPtr::reset() {
-  Activity* const p = p_;
-  p_ = nullptr;
-  if (p != nullptr && --p->refs == 0) {
-    ActivityArena* const arena = p->arena;
-    p->~Activity();
-    arena->pool.deallocate(p);
-    if (--arena->live == 0 && arena->orphaned) delete arena;
-  }
-}
-
-inline ActivityPtr::~ActivityPtr() { reset(); }
-
-inline ActivityPtr& ActivityPtr::operator=(const ActivityPtr& other) {
-  ActivityPtr copy(other);
-  std::swap(p_, copy.p_);
-  return *this;
-}
-
-inline ActivityPtr& ActivityPtr::operator=(ActivityPtr&& other) noexcept {
-  std::swap(p_, other.p_);
-  return *this;
-}
+inline bool ActivityPtr::done() const { return p_ == nullptr || p_->generation != gen_; }
 
 }  // namespace tir::sim

@@ -114,7 +114,7 @@ bool Engine::run_until(double stop_time) {
     while (true) {
       drain_ready();
       if (first_error_) break;
-      if (running_.empty()) {
+      if (running_ == 0) {
         if (alive_actors_ > 0) report_deadlock();
         break;
       }
@@ -158,7 +158,7 @@ void Engine::check_watchdog(const std::chrono::steady_clock::time_point& start) 
       "watchdog: wall-clock limit of " + std::to_string(config_.wall_clock_limit) +
       "s exceeded (" + std::to_string(elapsed) + "s elapsed) at simulated t=" +
       std::to_string(now_) + " after " + std::to_string(steps_) + " step(s); " +
-      std::to_string(alive_actors_) + " actor(s) and " + std::to_string(running_.size()) +
+      std::to_string(alive_actors_) + " actor(s) and " + std::to_string(running_) +
       " activit(ies) still live");
 }
 
@@ -170,12 +170,22 @@ void Engine::drain_ready() {
 }
 
 ActivityPtr Engine::make_activity() {
-  ActivityArena* const arena = arena_.arena;
-  void* const mem = arena->pool.allocate();
-  Activity* const act = new (mem) Activity();
-  act->arena = arena;
-  ++arena->live;
-  return ActivityPtr(act);
+  Activity* act = nullptr;
+  if (!free_slots_.empty()) {
+    act = free_slots_.back();
+    free_slots_.pop_back();
+    // In-place reset: the waiter list was emptied at completion, so only
+    // the plain fields need their defaults back.
+    static_cast<ActivityFields&>(*act) = ActivityFields{};
+  } else {
+    if (chunk_used_ == kSlotChunk) {
+      slot_chunks_.push_back(std::make_unique<Activity[]>(kSlotChunk));
+      chunk_used_ = 0;
+    }
+    act = &slot_chunks_.back()[chunk_used_++];
+    ++fresh_slots_;
+  }
+  return ActivityPtr(act, act->generation);
 }
 
 void Engine::mark_core_dirty(std::int32_t core) {
@@ -209,20 +219,22 @@ ActivityPtr Engine::start_exec(platform::HostId host, int core, double instructi
                                double rate) {
   TIR_ASSERT(instructions >= 0.0);
   TIR_ASSERT(rate > 0.0);
-  ActivityPtr act = make_activity();
+  if (instructions <= kWorkEps) {
+    // Done at birth: nothing to wait for, so no slot — a default handle
+    // already reads as done.
+    ++seq_;
+    return {};
+  }
+  const ActivityPtr handle = make_activity();
+  Activity* const act = handle.get();
   act->kind = Activity::Kind::Exec;
   act->seq = seq_++;
   act->core_index = host_core_offset_[static_cast<std::size_t>(host)] + core;
   act->nominal_rate = rate;
   act->remaining = instructions;
-  if (instructions <= kWorkEps) {
-    act->state = Activity::State::Done;
-    return act;
-  }
-  act->state = Activity::State::Running;
-  add_running(act);
-  enroll_exec(act.get());
-  return act;
+  start_running(*act);
+  enroll_exec(act);
+  return handle;
 }
 
 Engine::CachedRoute Engine::cached_route(platform::HostId src, platform::HostId dst) {
@@ -248,7 +260,8 @@ Engine::CachedRoute Engine::cached_route(platform::HostId src, platform::HostId 
 ActivityPtr Engine::make_comm(platform::HostId src, platform::HostId dst, double bytes,
                               double lat_factor, double bw_factor, bool start_now) {
   TIR_ASSERT(bytes >= 0.0);
-  ActivityPtr act = make_activity();
+  const ActivityPtr handle = make_activity();
+  Activity* const act = handle.get();
   act->kind = Activity::Kind::Comm;
   act->seq = seq_++;
   act->remaining = std::max(bytes, kWorkEps * 2);  // zero-byte comms still pay latency
@@ -263,29 +276,27 @@ ActivityPtr Engine::make_comm(platform::HostId src, platform::HostId dst, double
     act->bw_bound = cached.min_bw * bw_factor;
   }
   TIR_ASSERT(act->bw_bound > 0.0);
-  if (start_now) start_activity(act);
-  return act;
+  if (start_now) start_activity(handle);
+  return handle;
 }
 
 ActivityPtr Engine::start_timer(double duration) {
   TIR_ASSERT(duration >= 0.0);
-  ActivityPtr act = make_activity();
+  const ActivityPtr handle = make_activity();
+  Activity* const act = handle.get();
   act->kind = Activity::Kind::Timer;
   act->seq = seq_++;
   act->deadline = now_ + duration;
-  act->state = Activity::State::Running;
-  add_running(act);
+  start_running(*act);
   act->heap_key = act->deadline;
-  heap_.insert(act.get());
-  return act;
+  heap_.insert(act);
+  return handle;
 }
 
 ActivityPtr Engine::make_gate() {
-  ActivityPtr act = make_activity();
-  act->kind = Activity::Kind::Gate;
-  act->seq = seq_++;
-  act->state = Activity::State::Pending;
-  return act;
+  const ActivityPtr handle = make_activity();
+  handle.get()->seq = seq_++;  // a reset slot is already a Pending gate
+  return handle;
 }
 
 void Engine::start_comm(Activity* a) {
@@ -325,11 +336,12 @@ void Engine::begin_transfer(Activity* a) {
   }
 }
 
-void Engine::start_activity(const ActivityPtr& act) {
+void Engine::start_activity(ActivityPtr handle) {
+  TIR_ASSERT(!handle.done());
+  Activity* const act = handle.get();
   TIR_ASSERT(act->state == Activity::State::Pending);
-  act->state = Activity::State::Running;
-  add_running(act);
-  if (act->kind == Activity::Kind::Comm) start_comm(act.get());
+  start_running(*act);
+  if (act->kind == Activity::Kind::Comm) start_comm(act);
 }
 
 void Engine::release_resources(Activity& act) {
@@ -374,62 +386,52 @@ void Engine::release_resources(Activity& act) {
   }
 }
 
-void Engine::complete_now(const ActivityPtr& act) {
-  TIR_ASSERT(!act->done());
-  if (act->run_slot >= 0) {
-    remove_running(*act);
-    release_resources(*act);
+void Engine::complete_now(ActivityPtr handle) {
+  TIR_ASSERT(!handle.done());
+  Activity& act = *handle.get();
+  if (act.state == Activity::State::Running) {
+    --running_;
+    release_resources(act);
   }
-  act->state = Activity::State::Done;
-  complete(*act);
+  complete(act);
 }
 
-void Engine::chain(const ActivityPtr& source, const ActivityPtr& gate) {
-  if (source->done()) {
-    if (!gate->done()) complete_now(gate);
+void Engine::chain(ActivityPtr source, ActivityPtr gate) {
+  if (source.done()) {
+    if (!gate.done()) complete_now(gate);
   } else {
-    source->waiters.push_back(Waiter{{}, gate});
+    source.get()->waiters.push_back(Waiter{{}, gate});
   }
 }
 
-void Engine::add_running(const ActivityPtr& act) {
-  act->run_slot = static_cast<std::int32_t>(running_.size());
-  running_.push_back(act);
+void Engine::start_running(Activity& act) {
+  act.state = Activity::State::Running;
+  ++running_;
   if (config_.sink != nullptr) {
-    config_.sink->on_activity_start(static_cast<obs::ActivityKind>(act->kind), act->seq, now_);
+    config_.sink->on_activity_start(static_cast<obs::ActivityKind>(act.kind), act.seq, now_);
   }
-}
-
-void Engine::remove_running(Activity& act) {
-  TIR_ASSERT(act.run_slot >= 0);
-  const auto slot = static_cast<std::size_t>(act.run_slot);
-  // The slot is null when advance_to stole the reference just above.
-  TIR_ASSERT(slot < running_.size() &&
-             (running_[slot] == nullptr || running_[slot].get() == &act));
-  if (slot != running_.size() - 1) {
-    running_[slot] = std::move(running_.back());
-    running_[slot]->run_slot = static_cast<std::int32_t>(slot);
-  }
-  running_.pop_back();
-  act.run_slot = -1;
 }
 
 void Engine::complete(Activity& act) {
   if (config_.sink != nullptr) {
     config_.sink->on_activity_finish(static_cast<obs::ActivityKind>(act.kind), act.seq, now_);
   }
-  // Wake waiters in registration order. Chained gates complete recursively;
-  // take ownership of the waiter list first since completing a chained gate
-  // may re-enter complete().
-  WaiterList waiters = std::move(act.waiters);
+  // Recycle first: from here on every handle to this activity reads done.
+  // Waking the waiters allocates no activity, so the slot is not reused
+  // while the loop below still walks its list.  Waiters wake in
+  // registration order; a chained gate completes recursively.
+  ++act.generation;
+  WaiterList& waiters = act.waiters;
   for (std::uint32_t i = 0; i < waiters.size(); ++i) {
     Waiter& w = waiters[i];
     if (w.chain != nullptr) {
-      if (!w.chain->done()) complete_now(w.chain);
+      if (!w.chain.done()) complete_now(w.chain);
     } else if (w.handle) {
       ready_.push_back(w.handle);
     }
   }
+  waiters.clear();
+  free_slots_.push_back(&act);
 }
 
 void Engine::retime(Activity* a, double new_rate) {
@@ -499,7 +501,7 @@ void Engine::advance_to(double t) {
   // Pop everything due at t.  "Due" keeps the historical tolerance: work
   // activities complete with up to kWorkEps residual (key within
   // kWorkEps/rate of t), timers and latency phases within the relative
-  // time slack.  Completion mutates the heap and the running set, so due
+  // time slack.  Completion mutates the heap and recycles slots, so due
   // activities are collected first.
   finished_.clear();
   while (!heap_.empty()) {
@@ -524,13 +526,8 @@ void Engine::advance_to(double t) {
     finished_.push_back(a);
   }
   for (Activity* const a : finished_) {
-    // Steal the running set's reference instead of copying it (one refcount
-    // round-trip per completion saved); the slot's hole is filled right away
-    // by remove_running, before complete() can re-enter.
-    const ActivityPtr keep = std::move(running_[static_cast<std::size_t>(a->run_slot)]);
-    remove_running(*a);
+    --running_;
     release_resources(*a);
-    a->state = Activity::State::Done;
     complete(*a);
   }
   finished_.clear();
@@ -569,8 +566,8 @@ void Engine::report_deadlock() const {
   if (alive_actors_ > kMaxDetailed) {
     detail += "\n  ... " + std::to_string(alive_actors_ - kMaxDetailed) + " more";
   }
-  if (!running_.empty()) {
-    detail += "\n  (" + std::to_string(running_.size()) +
+  if (running_ > 0) {
+    detail += "\n  (" + std::to_string(running_) +
               " activit(ies) exist but none can make progress)";
   }
   throw DeadlockError("deadlock at t=" + std::to_string(now_) + ": " +

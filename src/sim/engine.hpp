@@ -16,14 +16,15 @@
 // progress is projected lazily (Activity::anchor/heap_key), the next event
 // comes from an indexed min-heap instead of a linear scan, rate refreshes
 // touch only dirtied cores and — under Resolve::Incremental — only the
-// dirtied components of the max-min sharing graph, and activity allocations
-// are pooled.  Per-event cost is O(changed · log n), not O(running flows).
+// dirtied components of the max-min sharing graph, and activities live in
+// engine-owned slots recycled at completion (sim/activity.hpp).  Per-event
+// cost is O(changed · log n), not O(running flows).
 //
 // The engine is single-threaded and deterministic: identical inputs produce
 // bit-identical simulated schedules, in either Resolve mode.
 //
 // Thread safety (docs/architecture.md): an Engine and everything it owns —
-// actors, activity pools, the time heap, the max-min solver — is strictly
+// actors, activity slots, the time heap, the max-min solver — is strictly
 // confined to the thread that constructed it; no engine state is global or
 // shared between instances.  Concurrent *engines* are therefore safe and
 // the unit of parallelism in core::Sweep: one engine per session per
@@ -43,7 +44,6 @@
 #include "sim/activity.hpp"
 #include "sim/coro.hpp"
 #include "sim/maxmin.hpp"
-#include "sim/pool.hpp"
 #include "sim/timeheap.hpp"
 
 namespace tir::sim {
@@ -80,12 +80,13 @@ struct EngineConfig {
   Resolve resolve = Resolve::Incremental;
 };
 
-/// Awaitable for a single activity.
+/// Awaitable for a single activity.  Checks the handle, not the slot: a
+/// completed activity's slot may already hold another one.
 struct ActivityAwaiter {
-  Activity* act;
-  bool await_ready() const noexcept { return act->done(); }
+  ActivityPtr act;
+  bool await_ready() const noexcept { return act.done(); }
   void await_suspend(std::coroutine_handle<> h) {
-    act->waiters.push_back(Waiter{h, nullptr});
+    act.get()->waiters.push_back(Waiter{h, nullptr});
   }
   void await_resume() const noexcept {}
 };
@@ -132,9 +133,9 @@ class Engine {
   std::uint64_t activities_created() const { return seq_; } ///< total activities
   /// Solver instrumentation (partial/full solve counts, flows visited).
   const MaxMinSolver::Counters& solver_counters() const { return solver_.counters(); }
-  /// Activity blocks obtained from the system allocator; plateaus once the
-  /// pool's working set is warm (see sim/pool.hpp).
-  std::uint64_t fresh_activity_allocations() const { return arena_.arena->pool.fresh_allocations(); }
+  /// Activity slots ever created; plateaus at the peak number of live
+  /// activities, since completion recycles a slot.
+  std::uint64_t fresh_activity_allocations() const { return fresh_slots_; }
 
   /// Create an actor pinned to (host, core). Returns its index.
   int spawn(std::string name, platform::HostId host, int core, ActorFn fn);
@@ -169,15 +170,16 @@ class Engine {
   /// Pure synchronization token (not time-consuming); complete it manually.
   ActivityPtr make_gate();
 
-  /// Move a Pending activity into the running set.
-  void start_activity(const ActivityPtr& act);
+  /// Start a Pending activity (a rendezvous comm once its match is made).
+  void start_activity(ActivityPtr act);
 
   /// Complete a Gate (or any activity) immediately, waking its waiters.
-  void complete_now(const ActivityPtr& act);
+  /// The handle must not be done.
+  void complete_now(ActivityPtr act);
 
   /// Complete `gate` when `source` completes (now, if it already has).
   /// Used by request objects to track the communication they stand for.
-  void chain(const ActivityPtr& source, const ActivityPtr& gate);
+  void chain(ActivityPtr source, ActivityPtr gate);
 
   // --- internal (used by coroutine plumbing) ------------------------------
   void on_actor_done(int actor_index, std::exception_ptr exception);
@@ -191,6 +193,7 @@ class Engine {
 
   void drain_ready();
   void check_watchdog(const std::chrono::steady_clock::time_point& start) const;
+  /// A reset slot (recycled or fresh) and its handle.
   ActivityPtr make_activity();
   void enroll_exec(Activity* a);
   void start_comm(Activity* a);
@@ -206,9 +209,10 @@ class Engine {
   void advance_to(double t);
   /// Drop an activity's hold on cores / flows / the heap.
   void release_resources(Activity& act);
+  /// Wake the waiters and recycle the slot.
   void complete(Activity& act);
-  void add_running(const ActivityPtr& act);
-  void remove_running(Activity& act);
+  /// Mark running, count it for the deadlock check, tell the sink.
+  void start_running(Activity& act);
   /// Route plus its precomputed bottleneck bandwidth (min over links).
   struct CachedRoute {
     const platform::Route* route = nullptr;
@@ -218,38 +222,27 @@ class Engine {
   void emit_diagnoses() const;
   [[noreturn]] void report_deadlock() const;
 
-  /// Owns the activity arena.  Declared first so it is destroyed last: every
-  /// other member (actors' coroutine frames, the running set, waiter chains)
-  /// may hold ActivityPtrs whose release returns blocks to the arena.  If
-  /// handles still live outside the engine at that point, the arena is
-  /// orphaned instead and self-destructs on the last release.
-  struct ArenaOwner {
-    ActivityArena* arena = new ActivityArena();
-    ~ArenaOwner() {
-      if (arena->live == 0) {
-        delete arena;
-      } else {
-        arena->orphaned = true;
-      }
-    }
-    ArenaOwner() = default;
-    ArenaOwner(const ArenaOwner&) = delete;
-    ArenaOwner& operator=(const ArenaOwner&) = delete;
-  };
-  ArenaOwner arena_;
-
   const platform::Platform& platform_;
   EngineConfig config_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t steps_ = 0;
 
+  // The slot store: fixed-size chunks (stable addresses; the heap, core and
+  // transfer lists point into them) and a free list of recycled slots.
+  // Declared before the actors so it is destroyed after their frames.
+  static constexpr std::size_t kSlotChunk = 64;
+  std::vector<std::unique_ptr<Activity[]>> slot_chunks_;
+  std::size_t chunk_used_ = kSlotChunk;
+  std::vector<Activity*> free_slots_;
+  std::uint64_t fresh_slots_ = 0;
+
   std::vector<std::unique_ptr<ActorRec>> actors_;
   int alive_actors_ = 0;
   std::exception_ptr first_error_;
 
   ReadyQueue ready_;
-  std::vector<ActivityPtr> running_;
+  std::size_t running_ = 0;  // activities started and not yet complete
   TimeHeap heap_;
 
   std::vector<int> core_load_;         // active execs per flattened core
@@ -271,9 +264,7 @@ class Engine {
                                        // is a pure function of the event
                                        // sequence, identical across Resolve
                                        // modes)
-  std::vector<Activity*> finished_;  // scratch: completions of one step (kept
-                                     // alive by their running_ slots until the
-                                     // completion loop steals the reference)
+  std::vector<Activity*> finished_;  // scratch: completions of one step
 
   bool running_loop_ = false;
 };
@@ -307,11 +298,8 @@ class Ctx {
   /// Suspend for a fixed simulated duration.
   ActivityAwaiter sleep(double duration) { return wait(engine_.start_timer(duration)); }
 
-  /// Wait for one activity. Keeps the pointer alive across the await.
-  ActivityAwaiter wait(ActivityPtr act) {
-    keepalive_ = std::move(act);
-    return ActivityAwaiter{keepalive_.get()};
-  }
+  /// Wait for one activity (at once, if its handle is done).
+  ActivityAwaiter wait(ActivityPtr act) { return ActivityAwaiter{act}; }
 
   /// Install a diagnosis callback, called only when the engine must explain
   /// why this actor is blocked (deadlock/watchdog reports).  Higher layers
@@ -330,7 +318,6 @@ class Ctx {
   std::string name_;
   platform::HostId host_;
   int core_;
-  ActivityPtr keepalive_;  // last awaited activity (single outstanding wait)
   std::function<std::string()> diagnoser_;
 };
 

@@ -1,13 +1,5 @@
 // Flat allocation infrastructure for the simulation kernel's hot path.
 //
-// PoolResource<T>: recycling free list for the engine's Activity blocks.
-// The engine churns through one Activity per simulated event; with the
-// default allocator every make_comm/start_exec is a malloc and the matching
-// completion a free, right on the hot loop.  PoolResource keeps freed
-// blocks on one free list instead, so steady-state replay reuses a small
-// working set of blocks and performs no allocator calls at all.  Its one
-// caller is Engine::make_activity, so every block is sizeof(T).
-//
 // SpanArena: slotted storage for many small arrays backed by one flat
 // buffer.  The max-min solver keeps a route (a few LinkIds) per flow and a
 // member list per link; as individual std::vectors those are one heap
@@ -17,60 +9,18 @@
 // buffer (holes are reclaimed by shrink_to_fit), and slot ids are stable so
 // they can be keyed by the caller's own id-recycling scheme.
 //
-// Lifetime: the engine's PoolResource lives inside an ActivityArena
-// (sim/activity.hpp) that also counts the activities still allocated from
-// it, and every Activity points back at its arena.  When the engine is
-// destroyed with activities still referenced from outside, the arena is
-// marked orphaned instead of freed, and the last ActivityPtr release deletes
-// it.  Deallocation back into a pool the engine has abandoned is therefore
-// safe.
-//
 // Single-threaded by design, like the engine itself.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace tir::sim {
-
-template <class T>
-class PoolResource {
- public:
-  PoolResource() = default;
-  PoolResource(const PoolResource&) = delete;
-  PoolResource& operator=(const PoolResource&) = delete;
-  ~PoolResource() {
-    for (void* p : free_) ::operator delete(p);
-  }
-
-  /// Raw storage for one T; construct it with placement new.
-  void* allocate() {
-    if (!free_.empty()) {
-      void* const p = free_.back();
-      free_.pop_back();
-      return p;
-    }
-    ++fresh_;
-    return ::operator new(sizeof(T));
-  }
-
-  /// Takes back the storage of a destroyed T.
-  void deallocate(void* p) { free_.push_back(p); }
-
-  /// Blocks obtained from the system allocator (i.e. free-list misses).
-  /// A steady-state replay should see this plateau after warm-up.
-  std::uint64_t fresh_allocations() const { return fresh_; }
-
- private:
-  std::vector<void*> free_;
-  std::uint64_t fresh_ = 0;
-};
 
 /// Many small arrays in one flat buffer; see the header comment.
 ///

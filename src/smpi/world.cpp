@@ -57,7 +57,7 @@ sim::ActivityPtr World::make_transfer(int src, int dst, double bytes, bool start
   return engine_.make_comm(rank_host(src), rank_host(dst), bytes, lf, bf, start_now);
 }
 
-void World::fulfil(const Message& msg, const Request& request) {
+void World::fulfil(const Message& msg, Request request) {
   if (msg.rendezvous) engine_.start_activity(msg.comm);
   engine_.chain(msg.comm, request);
 }
@@ -101,7 +101,7 @@ Request World::isend(sim::Ctx& ctx, int me, int dst, double bytes, int tag) {
   msg.comm = make_transfer(me, dst, bytes, /*start_now=*/!msg.rendezvous);
 
   // Request semantics: eager isend is complete as soon as the data left the
-  // user buffer (immediately, in simulated terms) — the shared pre-completed
+  // user buffer (immediately, in simulated terms) — the shared completed
   // gate stands for it; a rendezvous isend tracks the transfer, so the comm
   // itself is the request (no per-message gate either way).
   Request req = msg.rendezvous ? msg.comm : eager_done_;

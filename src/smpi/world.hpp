@@ -106,7 +106,7 @@ class World {
 
   /// Attach a matched message to a posted request: start rendezvous
   /// transfers, chain completion.
-  void fulfil(const Message& msg, const Request& request);
+  void fulfil(const Message& msg, Request request);
 
   /// The binomial-tree broadcast behind bcast and allreduce (uncounted in
   /// WorldStats::collectives).
@@ -118,8 +118,10 @@ class World {
   std::vector<int> rank_cores_;
   std::vector<RankState> ranks_;
   WorldStats stats_;
-  /// Shared pre-completed gate returned by every eager isend: the request is
-  /// complete the moment the call returns, so no per-message gate is needed.
+  /// Returned by every eager isend: the request is complete the moment the
+  /// call returns, so no per-message gate is needed.  A gate completed at
+  /// construction — its handle reads done from then on, and its one
+  /// start/finish pair keeps the sink's event count what it always was.
   Request eager_done_;
 };
 

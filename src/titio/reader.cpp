@@ -348,17 +348,26 @@ void Reader::fill_batch(int rank, Cursor& cursor) {
   }
 }
 
-bool Reader::next(int rank, tit::Action& out) {
+std::span<const tit::Action> Reader::next_batch(int rank) {
   if (rank < 0 || rank >= nprocs_) {
     throw Error("rank p" + std::to_string(rank) + " out of range (nprocs=" +
                 std::to_string(nprocs_) + "): " + path_);
   }
   Cursor& cursor = cursors_[static_cast<std::size_t>(rank)];
   for (;;) {
-    if (cursor.batch_pos < cursor.batch.size()) {
-      out = cursor.batch[cursor.batch_pos++];
-      --cursor.remaining;
-      if (cursor.remaining == 0 && cursor.trailing) {
+    std::size_t n = cursor.batch.size() - cursor.batch_pos;
+    if (n > 0) {
+      const tit::Action* const first = cursor.batch.data() + cursor.batch_pos;
+      // A batch flagged `trailing` ends with its frame's last action, whose
+      // delivery raises (strict) or records (recover) the trailing-bytes
+      // diagnostic.  That action is held back and delivered alone by the
+      // next pull, so the diagnostic fires at the same action index as it
+      // does unbatched.
+      const bool frame_end = cursor.trailing && n == cursor.remaining;
+      if (frame_end && n > 1) --n;
+      cursor.batch_pos += n;
+      cursor.remaining -= n;
+      if (frame_end && cursor.remaining == 0) {
         cursor.trailing = false;
         if (!options_.recover) {
           throw ParseError("frame payload size disagrees with its action count (rank p" +
@@ -368,7 +377,7 @@ bool Reader::next(int rank, tit::Action& out) {
         // damaged (trailing bytes) without retracting them.
         ++skipped_frames_;
       }
-      return true;
+      return {first, n};
     }
     if (cursor.defer != nullptr) {
       // The CRC passed but the payload stopped decoding (a writer bug or a
@@ -389,7 +398,7 @@ bool Reader::next(int rank, tit::Action& out) {
         release(cursor.prefetched);
         std::vector<tit::Action>().swap(cursor.batch);
         cursor.batch_pos = 0;
-        return false;
+        return {};
       }
     }
     fill_batch(rank, cursor);
@@ -508,14 +517,24 @@ bool is_binary_trace(const std::string& path) {
   return in.gcount() == 4 && get_u32(magic.data()) == kMagic;
 }
 
-tit::Trace read_binary_trace(const std::string& path) {
-  Reader reader(path);
-  tit::Trace trace(reader.nprocs());
-  tit::Action a;
-  for (int r = 0; r < reader.nprocs(); ++r) {
-    while (reader.next(r, a)) trace.push(a);
+tit::Trace Reader::materialize() {
+  tit::Trace trace(nprocs_);
+  for (int r = 0; r < nprocs_; ++r) {
+    std::vector<tit::Action>& seq = trace.actions(r);
+    // Capped by the file size (an action encodes to at least one byte), so
+    // a forged index cannot demand an absurd reservation.
+    seq.reserve(static_cast<std::size_t>(std::min(actions_of(r), file_size_)));
+    for (std::span<const tit::Action> batch = next_batch(r); !batch.empty();
+         batch = next_batch(r)) {
+      seq.insert(seq.end(), batch.begin(), batch.end());
+    }
   }
   return trace;
+}
+
+tit::Trace read_binary_trace(const std::string& path) {
+  Reader reader(path);
+  return reader.materialize();
 }
 
 }  // namespace tir::titio

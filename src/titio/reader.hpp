@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <exception>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,11 +26,12 @@ struct ReaderOptions {
   /// At minimum one frame per *active* rank is held regardless (a cursor
   /// cannot serve actions without its current frame).
   std::size_t buffer_bytes = 1u << 20;
-  /// Actions decoded per batch from the current frame.  next() serves out of
-  /// the decoded batch, so the varint decode loop and its error handling run
-  /// once per `decode_batch` actions instead of once per action.  Observable
-  /// behavior (delivered actions, thrown errors, recovery accounting) is
-  /// identical for any value; 1 reproduces unbatched decoding.  The batch
+  /// Actions decoded per batch from the current frame; next_batch() hands
+  /// the batch out in place, so the varint decode loop, its error handling
+  /// and the virtual pull run once per `decode_batch` actions instead of
+  /// once per action.  Observable behavior (delivered action sequence,
+  /// thrown errors and the action index they fire at, recovery accounting)
+  /// is identical for any value; 1 reproduces unbatched decoding.  The batch
   /// buffer (decode_batch Actions per rank) is not counted against
   /// buffer_bytes.  Values < 1 are treated as 1.
   std::size_t decode_batch = 64;
@@ -51,7 +53,14 @@ class Reader final : public ActionSource {
   explicit Reader(const std::string& path, ReaderOptions options = {});
 
   int nprocs() const override { return nprocs_; }
-  bool next(int rank, tit::Action& out) override;
+  /// The rest of the rank's current decoded batch, in place (see
+  /// ActionSource::next_batch for the span's lifetime and error timing).
+  std::span<const tit::Action> next_batch(int rank) override;
+
+  /// Drain every rank's remaining actions into one in-memory Trace, batch
+  /// by batch, each rank's vector reserved from actions_of().  Errors and
+  /// recovery accounting are those of draining through next().
+  tit::Trace materialize();
 
   std::uint64_t total_actions() const { return total_actions_; }
   /// TITB format version of the file (1 or 2; format.hpp).

@@ -40,13 +40,8 @@ SharedTrace SharedTrace::load(const std::string& path, ReaderOptions options, in
   }
   Reader reader(path, options);
   const std::uint64_t hash = reader.content_hash();
-  tit::Trace trace(reader.nprocs());
-  tit::Action a;
-  for (int r = 0; r < reader.nprocs(); ++r) {
-    while (reader.next(r, a)) trace.push(a);
-  }
-  return SharedTrace(std::make_shared<const tit::Trace>(std::move(trace)),
-                     reader.skipped_actions(), hash);
+  auto trace = std::make_shared<const tit::Trace>(reader.materialize());
+  return SharedTrace(std::move(trace), reader.skipped_actions(), hash);
 }
 
 }  // namespace tir::titio

@@ -3,14 +3,20 @@
 // A replay is per-rank sequential: each simulated rank walks its own action
 // stream front to back, never looking ahead and never revisiting.  That
 // access pattern is exactly what lets a reader stay bounded-memory, so the
-// interface is one per-rank cursor: `next(rank, out)`.  The engines no
-// longer care whether the actions live in RAM (MemorySource over the
-// classic tit::Trace) or stream off disk a frame at a time (titio::Reader).
+// interface is one per-rank cursor.  Its one virtual pull,
+// `next_batch(rank)`, hands out a run of the rank's actions in place — the
+// rank's whole remaining sequence for MemorySource, one decoded batch for
+// titio::Reader — so the replay engines pay one virtual call per batch and
+// copy no action.  `next(rank, out)` is a plain one-action adapter over it
+// for tools and tests.  The engines no longer care whether the actions live
+// in RAM (MemorySource over the classic tit::Trace) or stream off disk a
+// frame at a time (titio::Reader).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/error.hpp"
@@ -24,10 +30,38 @@ class ActionSource {
 
   virtual int nprocs() const = 0;
 
+  /// Pull `rank`'s next run of actions: non-empty until that rank's stream
+  /// is exhausted, empty from then on.  The span stays valid until the same
+  /// rank's next pull (next_batch, next, rewind or seek); other ranks' pulls
+  /// leave it alone.  Ranks have independent cursors and may be pulled in
+  /// any interleaving (the engines interleave them per simulated event).
+  /// Errors fire at the same action index whatever the batch size: a span
+  /// ends right before the action whose delivery raises one (docs/
+  /// trace_format.md).
+  virtual std::span<const tit::Action> next_batch(int rank) = 0;
+
   /// Pull `rank`'s next action into `out`; false once that rank's stream is
-  /// exhausted. Ranks have independent cursors and may be pulled in any
-  /// interleaving (the engines interleave them per simulated event).
-  virtual bool next(int rank, tit::Action& out) = 0;
+  /// exhausted.  Serves out of the rank's current batch.  Drain a rank
+  /// through next() or through next_batch(), not both.
+  bool next(int rank, tit::Action& out) {
+    const auto r = static_cast<std::size_t>(rank);
+    if (r >= stash_.size()) {
+      stash_.resize(static_cast<std::size_t>(nprocs()));
+      if (r >= stash_.size()) {
+        throw Error("rank p" + std::to_string(rank) + " out of range (nprocs=" +
+                    std::to_string(nprocs()) + ")");
+      }
+    }
+    Stash& s = stash_[r];
+    if (s.at == s.end) {
+      const std::span<const tit::Action> batch = next_batch(rank);
+      if (batch.empty()) return false;
+      s.at = batch.data();
+      s.end = batch.data() + batch.size();
+    }
+    out = *s.at++;
+    return true;
+  }
 
   /// Actions known to exist but not delivered because the source dropped
   /// damaged data (corrupt-frame recovery). Replay surfaces this as
@@ -37,13 +71,11 @@ class ActionSource {
 
   /// Reset every rank cursor to the start of the stream so the same source
   /// object can feed another replay.  Single-pass sources (the streaming
-  /// titio::Reader) cannot restart and keep the default, which throws
-  /// ConfigError.
-  virtual void rewind() {
-    throw ConfigError(
-        "this ActionSource was already consumed by a previous replay and "
-        "cannot be rewound; open a fresh source (or use a rewindable one: "
-        "MemorySource, SharedTrace cursors)");
+  /// titio::Reader) cannot restart and keep the default do_rewind, which
+  /// throws ConfigError.
+  void rewind() {
+    stash_.clear();
+    do_rewind();
   }
 
   /// Called by the replay session when it starts consuming this source.
@@ -62,11 +94,19 @@ class ActionSource {
   /// Sources that cannot reposition keep the default do_seek, which throws
   /// ConfigError.
   void seek(const std::vector<std::uint64_t>& positions) {
+    stash_.clear();
     do_seek(positions);
     session_started_ = false;
   }
 
  protected:
+  virtual void do_rewind() {
+    throw ConfigError(
+        "this ActionSource was already consumed by a previous replay and "
+        "cannot be rewound; open a fresh source (or use a rewindable one: "
+        "MemorySource, SharedTrace cursors)");
+  }
+
   virtual void do_seek(const std::vector<std::uint64_t>& /*positions*/) {
     throw ConfigError(
         "this ActionSource cannot seek; checkpoint restore needs a "
@@ -89,6 +129,12 @@ class ActionSource {
   }
 
  private:
+  /// next()'s unserved rest of each rank's last batch.
+  struct Stash {
+    const tit::Action* at = nullptr;
+    const tit::Action* end = nullptr;
+  };
+  std::vector<Stash> stash_;
   bool session_started_ = false;
 };
 
@@ -108,19 +154,20 @@ class MemorySource final : public ActionSource {
 
   int nprocs() const override { return static_cast<int>(seqs_.size()); }
 
-  bool next(int rank, tit::Action& out) override {
+  /// The rank's whole remaining sequence, in place.
+  std::span<const tit::Action> next_batch(int rank) override {
     const std::vector<tit::Action>& seq = *seqs_[static_cast<std::size_t>(rank)];
     std::size_t& i = pos_[static_cast<std::size_t>(rank)];
-    if (i >= seq.size()) return false;
-    out = seq[i++];
-    return true;
+    const std::span<const tit::Action> rest(seq.data() + i, seq.size() - i);
+    i = seq.size();
+    return rest;
   }
 
   std::uint64_t skipped_actions() const override { return load_skipped_; }
 
-  void rewind() override { pos_.assign(pos_.size(), 0); }
-
  protected:
+  void do_rewind() override { pos_.assign(pos_.size(), 0); }
+
   void do_seek(const std::vector<std::uint64_t>& positions) override {
     std::vector<std::size_t> limits(seqs_.size());
     for (std::size_t r = 0; r < limits.size(); ++r) limits[r] = seqs_[r]->size();
@@ -131,8 +178,7 @@ class MemorySource final : public ActionSource {
   }
 
  private:
-  /// Per-rank sequences resolved once: next() runs once per replayed
-  /// action, so an out-of-line Trace::actions lookup there is pure overhead.
+  /// Per-rank sequences resolved once, so a pull is two index loads.
   void index(const tit::Trace& trace) {
     for (int r = 0; r < trace.nprocs(); ++r) seqs_.push_back(&trace.actions(r));
     pos_.assign(seqs_.size(), 0);

@@ -6,11 +6,19 @@
 //
 // The ctest hard timeout (and ASan/UBSan in the sanitizer CI job) turn
 // "never hangs or corrupts memory" into a checkable property.
+//
+// PullEquivalence checks the batched pull on the same damaged files: for
+// any decode batch size, draining through ActionSource::next_batch gives
+// exactly what the unbatched reader (decode_batch 1, drained through next)
+// gives — the same actions, the same error at the same action index, the
+// same recovery accounting.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "base/error.hpp"
@@ -20,6 +28,7 @@
 #include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/reader.hpp"
+#include "titio/source.hpp"
 #include "titio/writer.hpp"
 
 namespace tir::titio {
@@ -160,6 +169,108 @@ TEST_P(FaultInjection, ReplayOfDamagedTraceTerminatesWithTypedError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultInjection, ::testing::Range<std::uint64_t>(1, 25));
+
+/// Everything a drain of a (possibly damaged) TITB file can observe.
+struct DrainOutcome {
+  std::vector<tit::Action> actions;  ///< every served action, rank by rank
+  std::string error_class;           ///< dynamic type of the error, "" if none
+  std::string error_message;
+  std::uint64_t error_index = 0;     ///< actions served before the error
+  std::uint64_t skipped_frames = 0;
+  std::uint64_t skipped_actions = 0;
+
+  bool operator==(const DrainOutcome&) const = default;
+};
+
+/// Drains every rank, stopping at the first error, through next_batch
+/// (`batched`) or the one-action next().
+DrainOutcome drain_outcome(const fs::path& path, bool recover, std::size_t decode_batch,
+                           bool batched) {
+  DrainOutcome out;
+  ReaderOptions opt;
+  opt.recover = recover;
+  opt.decode_batch = decode_batch;
+  std::unique_ptr<Reader> reader;
+  try {
+    reader = std::make_unique<Reader>(path.string(), opt);
+    for (int r = 0; r < reader->nprocs(); ++r) {
+      if (batched) {
+        for (auto batch = reader->next_batch(r); !batch.empty(); batch = reader->next_batch(r)) {
+          out.actions.insert(out.actions.end(), batch.begin(), batch.end());
+        }
+      } else {
+        tit::Action a;
+        while (reader->next(r, a)) out.actions.push_back(a);
+      }
+    }
+  } catch (const Error& e) {
+    out.error_class = typeid(e).name();
+    out.error_message = e.what();
+    out.error_index = out.actions.size();
+  }
+  if (reader != nullptr) {
+    out.skipped_frames = reader->skipped_frames();
+    out.skipped_actions = reader->skipped_actions();
+  }
+  return out;
+}
+
+class PullEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PullEquivalence, BatchedPullMatchesUnbatchedOnDamagedFiles) {
+  const fs::path path = test::unique_temp_path("titio_pull", ".titb");
+  write_binary_trace(sample_trace(), path.string(), WriterOptions{96});
+  std::vector<char> bytes = slurp(path);
+  rng::Sequence rand(GetParam());  // the same damage as FaultInjection's reader case
+  inject_fault(bytes, rand);
+  spit(path, bytes);
+
+  for (const bool recover : {false, true}) {
+    const DrainOutcome ref = drain_outcome(path, recover, 1, /*batched=*/false);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
+      for (const bool batched : {false, true}) {
+        const DrainOutcome got = drain_outcome(path, recover, batch, batched);
+        EXPECT_EQ(got.actions, ref.actions)
+            << "recover=" << recover << " batch=" << batch << " batched=" << batched;
+        EXPECT_EQ(got.error_class, ref.error_class) << "batch=" << batch;
+        EXPECT_EQ(got.error_message, ref.error_message) << "batch=" << batch;
+        EXPECT_EQ(got.error_index, ref.error_index) << "batch=" << batch;
+        EXPECT_EQ(got.skipped_frames, ref.skipped_frames) << "batch=" << batch;
+        EXPECT_EQ(got.skipped_actions, ref.skipped_actions) << "batch=" << batch;
+      }
+    }
+  }
+  fs::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PullEquivalence, ::testing::Range<std::uint64_t>(1, 25));
+
+TEST(PullEquivalence, MemorySourceAfterSeekServesTheSuffixEitherWay) {
+  const tit::Trace trace = sample_trace();
+  const std::vector<std::uint64_t> positions = {5, 17, 0};
+  MemorySource by_next(trace);
+  MemorySource by_batch(trace);
+  tit::Action a;
+  // A half-served next() batch must not leak past the seek.
+  ASSERT_TRUE(by_next.next(0, a));
+  ASSERT_TRUE(by_next.next(1, a));
+  by_next.seek(positions);
+  by_batch.seek(positions);
+  for (int r = 0; r < kNprocs; ++r) {
+    const std::vector<tit::Action>& all = trace.actions(r);
+    const std::vector<tit::Action> suffix(
+        all.begin() + static_cast<std::ptrdiff_t>(positions[static_cast<std::size_t>(r)]),
+        all.end());
+    std::vector<tit::Action> got_next;
+    while (by_next.next(r, a)) got_next.push_back(a);
+    std::vector<tit::Action> got_batch;
+    for (auto batch = by_batch.next_batch(r); !batch.empty(); batch = by_batch.next_batch(r)) {
+      got_batch.insert(got_batch.end(), batch.begin(), batch.end());
+    }
+    EXPECT_EQ(got_next, suffix) << "rank " << r;
+    EXPECT_EQ(got_batch, suffix) << "rank " << r;
+  }
+}
 
 }  // namespace
 }  // namespace tir::titio

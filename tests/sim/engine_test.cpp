@@ -1,5 +1,6 @@
 // Core engine behaviour: execution timing, timers, core time-sharing,
-// actor scheduling determinism, deadlock detection, exception propagation.
+// actor scheduling determinism, deadlock detection, exception propagation,
+// and the activity handles (stale after completion, slots recycled).
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -229,6 +230,79 @@ TEST(Engine, MixedWorkloadDeterministicUnderContention) {
   const double first = run_once();
   EXPECT_DOUBLE_EQ(first, run_once());
   EXPECT_GT(first, 0.0);
+}
+
+TEST(EngineHandles, RecycledSlotReadsDoneAndItsNewOccupantIsUnaffected) {
+  const platform::Platform p = two_hosts();
+  Engine eng(p);
+  const ActivityPtr stale = eng.make_gate();
+  EXPECT_FALSE(stale.done());
+  eng.complete_now(stale);
+  EXPECT_TRUE(stale.done());
+
+  const ActivityPtr occupant = eng.make_gate();
+  ASSERT_EQ(occupant.get(), stale.get()) << "completion recycles the slot";
+  EXPECT_TRUE(stale.done());
+  EXPECT_FALSE(occupant.done());
+
+  bool waited = false;
+  eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
+    EXPECT_TRUE(ctx.wait(stale).await_ready()) << "a stale wait must not suspend";
+    co_await ctx.wait(stale);
+    waited = true;
+  });
+  eng.run();
+  EXPECT_TRUE(waited);
+  EXPECT_DOUBLE_EQ(eng.now(), 0.0);
+
+  // chain(stale, gate) completes the gate at once.
+  const ActivityPtr gate = eng.make_gate();
+  eng.chain(stale, gate);
+  EXPECT_TRUE(gate.done());
+
+  // Neither the stale wait nor the stale chain touched the new occupant.
+  EXPECT_FALSE(occupant.done());
+  EXPECT_TRUE(occupant.get()->waiters.empty());
+  EXPECT_EQ(occupant.get()->state, Activity::State::Pending);
+  eng.complete_now(occupant);
+  EXPECT_TRUE(occupant.done());
+}
+
+TEST(EngineHandles, DefaultHandleReadsDone) {
+  const platform::Platform p = two_hosts();
+  Engine eng(p);
+  const ActivityPtr none;
+  EXPECT_TRUE(none.done());
+  EXPECT_TRUE(none == nullptr);
+  bool waited = false;
+  eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
+    co_await ctx.wait(none);
+    waited = true;
+  });
+  eng.run();
+  EXPECT_TRUE(waited);
+  const ActivityPtr gate = eng.make_gate();
+  eng.chain(none, gate);
+  EXPECT_TRUE(gate.done());
+}
+
+TEST(EngineHandles, SequentialActivitiesReuseOneSlot) {
+  // One live activity at a time: exec, comm and done-at-birth exec, 10,000
+  // rounds.  Completion recycles the slot, so one slot serves them all and
+  // nothing accumulates until the engine goes away.
+  const platform::Platform p = two_hosts();
+  Engine eng(p);
+  constexpr int kRounds = 10000;
+  eng.spawn("a", 0, 0, [](Ctx& ctx) -> Coro {
+    for (int i = 0; i < kRounds; ++i) {
+      co_await ctx.execute(1e3);
+      co_await ctx.wait(ctx.engine().make_comm(0, 1, 1e3));
+      co_await ctx.execute(0.0);
+    }
+  });
+  eng.run();
+  EXPECT_EQ(eng.activities_created(), 3u * kRounds);
+  EXPECT_EQ(eng.fresh_activity_allocations(), 1u);
 }
 
 TEST(Engine, SpawnRequiresValidCore) {

@@ -2,9 +2,11 @@
 // pure performance knob, so delivered actions, error timing and recovery
 // accounting must be bit-identical for every value — including batches that
 // straddle a frame's CRC boundary, single-action frames, a decode failure
-// surfacing mid-batch, and session restarts with a half-served batch.
+// surfacing mid-batch, a frame with trailing bytes, and session restarts
+// with a half-served batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -111,6 +113,54 @@ FrameRef corrupt_kth_action(const fs::path& path, int rank, std::uint64_t k) {
   throw std::runtime_error("no frame of that rank");
 }
 
+/// Make rank `rank`'s first frame claim one action fewer than its payload
+/// holds, in its preamble, its index entry and the footer total, with every
+/// CRC still valid: decoding the last claimed action leaves trailing bytes.
+/// Needs single-byte action counts (frames of 2..127 actions).  Returns the
+/// frame's new action count.
+std::uint64_t understate_action_count(const fs::path& path, int rank) {
+  std::vector<char> bytes = slurp(path);
+  auto* const base = reinterpret_cast<std::uint8_t*>(bytes.data());
+  const Reader reader(path.string());
+  const auto want = static_cast<std::uint32_t>(rank);
+  const auto frame = std::find_if(reader.frames().begin(), reader.frames().end(),
+                                  [&](const FrameRef& f) { return f.rank == want; });
+  if (frame == reader.frames().end() || frame->actions < 2 || frame->actions > 127) {
+    throw std::runtime_error("no frame to shorten");
+  }
+  // Frame preamble: kind byte, rank varint, then the action count.
+  std::size_t pos = static_cast<std::size_t>(frame->offset) + 1;
+  binio::get_varint(base, bytes.size(), pos);
+  --base[pos];
+  // Index: kind, entry count (twice), payload size, then one
+  // (rank, offset delta, actions, payload size) entry per frame, in file order.
+  pos = static_cast<std::size_t>(reader.index_offset()) + 1;
+  binio::get_varint(base, bytes.size(), pos);
+  binio::get_varint(base, bytes.size(), pos);
+  const auto payload_bytes = static_cast<std::size_t>(binio::get_varint(base, bytes.size(), pos));
+  const std::size_t payload = pos;
+  const auto index = static_cast<std::size_t>(frame - reader.frames().begin());
+  for (std::size_t i = 0; i <= index; ++i) {
+    binio::get_varint(base, bytes.size(), pos);  // rank
+    binio::get_varint(base, bytes.size(), pos);  // offset delta
+    if (i == index) --base[pos];
+    binio::get_varint(base, bytes.size(), pos);  // actions
+    binio::get_varint(base, bytes.size(), pos);  // payload size
+  }
+  const std::uint32_t crc = binio::crc32(base + payload, payload_bytes);
+  for (int b = 0; b < 4; ++b) {
+    base[payload + payload_bytes + static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>(crc >> (8 * b));
+  }
+  // Footer (v2): index offset, checkpoint offset, total actions, end magic.
+  std::uint8_t* const total = base + bytes.size() - kFooterBytesV2 + 16;
+  std::size_t b = 0;
+  while (total[b] == 0) total[b++] = 0xFF;  // borrow
+  --total[b];
+  spit(path, bytes);
+  return frame->actions - 1;
+}
+
 TEST(BatchedDecode, AnyBatchSizeDeliversTheSameActions) {
   // 64-action frames and batch sizes that do not divide 64: every few
   // fills, a batch is clamped at the frame's CRC boundary and the next
@@ -204,6 +254,54 @@ TEST(BatchedDecode, RecoverModeResyncsMidBatchAndCountsLoss) {
     EXPECT_EQ(reader.skipped_actions(), bad.actions - k);
     EXPECT_EQ(reader.skipped_actions_of(0), bad.actions - k);
     EXPECT_EQ(reader.skipped_actions_of(1), 0u);
+  }
+  fs::remove(path);
+}
+
+TEST(BatchedDecode, TrailingBytesFireAtTheSameActionForEveryBatchAndPull) {
+  // The frame's last claimed action is held back and delivered by a pull of
+  // its own, so the trailing-bytes error (strict) or damaged-frame count
+  // (recover) comes at the same action for every batch size, through
+  // next_batch as through next.
+  const fs::path path = write_sample("trailing", 40, 16);
+  ASSERT_EQ(Reader(path.string()).version(), kVersion);
+  const std::uint64_t claimed = understate_action_count(path, 0);
+  for (const bool recover : {false, true}) {
+    // 13 leaves a two-action tail batch: one action, then the last alone.
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{13},
+                                    std::size_t{16}, std::size_t{64}}) {
+      for (const bool batched : {false, true}) {
+        ReaderOptions opt;
+        opt.decode_batch = batch;
+        opt.recover = recover;
+        Reader reader(path.string(), opt);
+        std::vector<tit::Action> got;
+        bool threw = false;
+        try {
+          if (batched) {
+            for (auto b = reader.next_batch(0); !b.empty(); b = reader.next_batch(0)) {
+              got.insert(got.end(), b.begin(), b.end());
+            }
+          } else {
+            tit::Action a;
+            while (reader.next(0, a)) got.push_back(a);
+          }
+        } catch (const ParseError&) {
+          threw = true;
+        }
+        SCOPED_TRACE(testing::Message() << "recover=" << recover << " batch=" << batch
+                                        << " batched=" << batched);
+        if (recover) {
+          EXPECT_FALSE(threw);
+          EXPECT_EQ(got.size(), 39u);  // every claimed action, none retracted
+          EXPECT_EQ(reader.skipped_frames(), 1u);
+          EXPECT_EQ(reader.skipped_actions(), 0u);
+        } else {
+          EXPECT_TRUE(threw);
+          EXPECT_EQ(got.size(), claimed - 1);  // raised by the frame's last action
+        }
+      }
+    }
   }
   fs::remove(path);
 }
