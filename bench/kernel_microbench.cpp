@@ -159,6 +159,56 @@ void BM_MaxMinPartialReSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxMinPartialReSolve)->Arg(1000)->Arg(10000);
 
+// The replay's own solver load: n concurrent flows between hosts of a
+// 4-cabinet cluster (1 GbE node links, 10 GbE cabinet uplinks), caps 0.5x
+// (an SMPI small message) or 1.0x (an MSG transfer) the node link, one flow
+// replaced by a fresh random pair per iteration.  At n = 16 most node links
+// and the uplinks are slack, so solve_partial() fills a handful of flows; at
+// n = 64 the uplinks bind and couple most flows.
+void BM_MaxMinSlackLinks(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  platform::Platform p;
+  platform::ClusterSpec spec;
+  spec.prefix = "h";
+  spec.nodes = 64;
+  spec.link_bandwidth = 1.25e8;
+  platform::build_cabinet_cluster(p, spec, 4, 1.25e9, 2e-6);
+  const auto hosts = static_cast<std::uint64_t>(spec.nodes);
+  std::vector<platform::Route> routes;  // [src * hosts + dst]
+  for (std::uint64_t src = 0; src < hosts; ++src) {
+    for (std::uint64_t dst = 0; dst < hosts; ++dst) {
+      routes.push_back(p.route(static_cast<platform::HostId>(src),
+                               static_cast<platform::HostId>(dst)));
+    }
+  }
+
+  sim::MaxMinSolver s;
+  s.reset_links(p.links());
+  std::uint64_t lcg = 12345;
+  const auto add_random_flow = [&](std::size_t i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::uint64_t src = (lcg >> 33) % hosts;
+    const std::uint64_t dst = (src + 1 + (lcg >> 17) % (hosts - 1)) % hosts;
+    const double cap = (i % 2 == 0 ? 0.5 : 1.0) * spec.link_bandwidth;
+    return s.add_flow(routes[src * hosts + dst].links, cap);
+  };
+  std::vector<int> ids;
+  for (std::size_t i = 0; i < n; ++i) ids.push_back(add_random_flow(i));
+  s.solve_partial();
+
+  std::size_t victim = 0;
+  for (auto _ : state) {
+    s.remove_flow(ids[victim]);
+    ids[victim] = add_random_flow(victim);
+    benchmark::DoNotOptimize(s.solve_partial().size());
+    victim = (victim + 1) % n;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["flows_per_solve"] =
+      static_cast<double>(s.counters().flows_visited) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_MaxMinSlackLinks)->Arg(16)->Arg(64);
+
 void BM_Allreduce(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   const platform::Platform p = flat(n);

@@ -6,6 +6,7 @@
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
+#include "base/string_util.hpp"
 
 namespace tir::platform {
 namespace {
@@ -139,13 +140,12 @@ PerturbationSpec PerturbationSpec::parse(const std::string& text) {
     const std::string key = clause.substr(0, eq);
     const std::string value = clause.substr(eq + 1);
     if (key == "seed") {
-      const char* begin = value.c_str();
-      char* endp = nullptr;
-      const unsigned long long s = std::strtoull(begin, &endp, 10);
-      if (endp == begin || *endp != '\0' || value[0] == '-') {
+      // The whole value, decimal digits only, within 64 bits.
+      try {
+        spec.seed = str::to_u64(value, "seed");
+      } catch (const ParseError&) {
         throw ConfigError("perturbation spec: malformed seed '" + value + "'");
       }
-      spec.seed = static_cast<std::uint64_t>(s);
     } else if (key == "link.bw") {
       spec.link_bandwidth = parse_distribution(value, clause);
     } else if (key == "link.lat") {

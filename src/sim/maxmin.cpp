@@ -10,6 +10,12 @@ namespace tir::sim {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Relative headroom a link's capacity must have over the sum of its member
+/// flows' caps to count as slack.  It must exceed the 1e-12 freeze epsilon
+/// with room for the rounding of `remaining -= level` over a solve's rounds
+/// (docs/simulation_kernel.md, "Slack links").
+constexpr double kSlackMargin = 1e-9;
+
 template <class V>
 std::size_t capacity_bytes(const V& v) {
   return v.capacity() * sizeof(typename V::value_type);
@@ -35,7 +41,11 @@ inline void sort_ids(std::vector<int>& v) {
 
 void MaxMinSolver::reset_links(std::span<const platform::Link> links) {
   link_capacity_.resize(links.size());
-  for (std::size_t i = 0; i < links.size(); ++i) link_capacity_[i] = links[i].bandwidth;
+  link_slack_.resize(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    link_capacity_[i] = links[i].bandwidth;
+    link_slack_[i] = links[i].bandwidth > 0.0 ? 1 : 0;  // no members yet
+  }
   link_remaining_.resize(links.size());
   link_nflows_.assign(links.size(), 0);
   // A new platform invalidates the persistent flow set.
@@ -50,6 +60,7 @@ void MaxMinSolver::reset_links(std::span<const platform::Link> links) {
   active_count_ = 0;
   link_dirty_.assign(links.size(), 0);
   dirty_links_.clear();
+  new_flows_.clear();
   link_mark_.assign(links.size(), 0);
   flow_mark_.clear();
   epoch_ = 0;
@@ -143,6 +154,28 @@ void MaxMinSolver::mark_dirty(platform::LinkId l) {
   dirty_links_.push_back(l);
 }
 
+void MaxMinSolver::update_slack(platform::LinkId l, bool added) {
+  const auto li = static_cast<std::size_t>(l);
+  // An add only raises the load and a removal only lowers it: a binding
+  // link stays binding on an add, a slack one slack on a removal.
+  if (added == (link_slack_[li] == 0)) {
+    if (added) mark_dirty(l);
+    return;
+  }
+  // Exact: summed afresh from the member list.  A running total would let a
+  // 1e18 cap cancel the small caps beside it when it leaves.  A partial sum
+  // of caps never exceeds the whole, so the sum stops once it binds.
+  const double capacity = link_capacity_[li];
+  double load = 0.0;
+  for (const LinkEntry& e : link_flows_.get(static_cast<std::int32_t>(l))) {
+    load += flow_cap_[static_cast<std::size_t>(e.flow)];
+    if (capacity <= load * (1.0 + kSlackMargin)) break;
+  }
+  const char was_slack = link_slack_[li];
+  link_slack_[li] = capacity > load * (1.0 + kSlackMargin) ? 1 : 0;
+  if (was_slack == 0 || link_slack_[li] == 0) mark_dirty(l);
+}
+
 int MaxMinSolver::add_flow(std::span<const platform::LinkId> route, double cap) {
   TIR_ASSERT(cap > 0.0 && cap < kInf);
   std::int32_t id;
@@ -170,8 +203,10 @@ int MaxMinSolver::add_flow(std::span<const platform::LinkId> route, double cap) 
     TIR_ASSERT(static_cast<std::size_t>(li) < link_flows_.slot_count());
     slots[p] = static_cast<std::int32_t>(
         link_flows_.append(li, LinkEntry{id, static_cast<std::int32_t>(p)}));
-    mark_dirty(l);
+    update_slack(l, true);
   }
+  // Queued on its own: a flow on slack links only dirties nothing.
+  new_flows_.push_back(id);
   ++active_count_;
   return id;
 }
@@ -192,7 +227,7 @@ void MaxMinSolver::remove_flow(int id) {
       route_slots_.at(moved->flow, static_cast<std::uint32_t>(moved->pos)) =
           static_cast<std::int32_t>(pos);
     }
-    mark_dirty(route[p]);
+    update_slack(route[p], false);
   }
   routes_.clear_slot(id);
   route_slots_.clear_slot(id);
@@ -204,60 +239,93 @@ void MaxMinSolver::remove_flow(int id) {
 
 void MaxMinSolver::collect_affected() {
   affected_.clear();
+  touched_links_.clear();
   // Epoch-stamped BFS over the bipartite sharing graph: a dirty link pulls
   // in every flow crossing it; each such flow pulls in the rest of its
-  // route; repeat.  The fixpoint is exactly the union of the connected
-  // components touched by the mutations since the last solve.
+  // route; repeat.  Slack links never bind, so the walk does not expand
+  // through them: the fixpoint is the union of the components, joined by
+  // non-slack links only, that the mutations since the last solve touched.
   //
   // The BFS visits every component link and every component flow exactly
-  // once, so it doubles as the filling prepare pass: each first-seen link's
-  // scratch is reset here and each visited flow counts itself onto its
-  // links, leaving touched_links_/link_remaining_/link_nflows_ ready for
-  // run_filling() with no second pass over the routes.
+  // once, so it doubles as the filling prepare pass: each first-seen
+  // non-slack link's scratch is reset here and each visited flow counts
+  // itself onto its non-slack links, leaving touched_links_/link_remaining_/
+  // link_nflows_ ready for run_filling() with no second pass over the routes.
   next_epoch();
-  std::size_t head = 0;
-  // dirty_links_ doubles as the BFS queue of links to expand.
-  for (const platform::LinkId l : dirty_links_) {
+  const auto touch = [this](platform::LinkId l) {
     const auto li = static_cast<std::size_t>(l);
+    if (link_mark_[li] == epoch_) return;
     link_mark_[li] = epoch_;
     link_remaining_[li] = link_capacity_[li];
     link_nflows_[li] = 0;
-  }
-  while (head < dirty_links_.size()) {
-    const auto li = static_cast<std::int32_t>(dirty_links_[head++]);
-    for (const LinkEntry& e : link_flows_.get(li)) {
-      const auto fi = static_cast<std::size_t>(e.flow);
-      if (flow_mark_[fi] == epoch_) continue;
-      flow_mark_[fi] = epoch_;
-      affected_.push_back(e.flow);
-      for (const platform::LinkId l2 : routes_.get(e.flow)) {
-        const auto l2i = static_cast<std::size_t>(l2);
-        if (link_mark_[l2i] != epoch_) {
-          link_mark_[l2i] = epoch_;
-          link_remaining_[l2i] = link_capacity_[l2i];
-          link_nflows_[l2i] = 0;
-          dirty_links_.push_back(l2);
-        }
-        ++link_nflows_[l2i];
+    touched_links_.push_back(l);
+  };
+  const auto visit = [this, &touch](int id) {
+    const auto fi = static_cast<std::size_t>(id);
+    if (flow_mark_[fi] == epoch_) return;
+    flow_mark_[fi] = epoch_;
+    bool coupled = false;
+    for (const platform::LinkId l : routes_.get(id)) {
+      const auto li = static_cast<std::size_t>(l);
+      if (link_slack_[li] == 0) {
+        touch(l);
+        coupled = true;
+      } else if (link_mark_[li] != epoch_) {
+        // Not walked and not in touched_links_; an infinite remaining
+        // capacity keeps its share above every level, so filling passes
+        // over it without a check.
+        link_mark_[li] = epoch_;
+        link_remaining_[li] = kInf;
+        link_nflows_[li] = 0;
       }
+      ++link_nflows_[li];
+    }
+    if (coupled) {
+      affected_.push_back(id);
+    } else if (flow_rate_[fi] != flow_cap_[fi]) {
+      // Nothing on its route can bind: filling would freeze it at its cap.
+      flow_rate_[fi] = flow_cap_[fi];
+      changed_.push_back(id);
+      ++counters_.rate_changes;
+    }
+  };
+  for (const int id : new_flows_) {
+    if (flow_active_[static_cast<std::size_t>(id)] != 0) visit(id);
+  }
+  new_flows_.clear();
+  for (const platform::LinkId l : dirty_links_) {
+    const auto li = static_cast<std::size_t>(l);
+    link_dirty_[li] = 0;
+    if (link_slack_[li] == 0) {
+      touch(l);
+    } else {
+      // Turned slack by a removal: its survivors may rise, but it couples
+      // nothing any more.
+      for (const LinkEntry& e : link_flows_.get(static_cast<std::int32_t>(l))) visit(e.flow);
+    }
+  }
+  dirty_links_.clear();
+  // touched_links_ doubles as the BFS queue of links to expand; expanded,
+  // it is exactly the component's non-slack link set.
+  for (std::size_t head = 0; head < touched_links_.size(); ++head) {
+    for (const LinkEntry& e : link_flows_.get(static_cast<std::int32_t>(touched_links_[head]))) {
+      visit(e.flow);
     }
   }
   // A deterministic flow order makes the partial path reproduce the full
   // path's arithmetic freeze-for-freeze (see run_filling).
   sort_ids(affected_);
-  for (const platform::LinkId l : dirty_links_) link_dirty_[static_cast<std::size_t>(l)] = 0;
-  // The expanded queue is exactly the component's link set: hand it to the
-  // filling rounds as the touched set.
-  std::swap(touched_links_, dirty_links_);
-  dirty_links_.clear();
 }
 
 std::span<const int> MaxMinSolver::solve_partial() {
   ++counters_.partial_solves;
   changed_.clear();
-  if (dirty_links_.empty()) return changed_;
+  if (dirty_links_.empty() && new_flows_.empty()) return changed_;
   collect_affected();  // also prepares the link scratch (see its comment)
   run_filling(affected_);
+  // changed_ accumulates in visit and freeze order; hand it back sorted by
+  // id so the engine's key updates are ordered identically on both paths.
+  sort_ids(changed_);
   return changed_;
 }
 
@@ -272,7 +340,9 @@ std::span<const int> MaxMinSolver::solve_all() {
   }
   for (const platform::LinkId l : dirty_links_) link_dirty_[static_cast<std::size_t>(l)] = 0;
   dirty_links_.clear();
+  new_flows_.clear();
   solve_subset(affected_);
+  sort_ids(changed_);
   return changed_;
 }
 
@@ -360,9 +430,6 @@ void MaxMinSolver::run_filling(std::span<const int> ids) {
     }
     TIR_ASSERT(froze_someone);  // progress guarantee
   }
-  // changed_ accumulates in freeze order; hand it back sorted by id so the
-  // engine's key updates are ordered identically on both solve paths.
-  sort_ids(changed_);
 }
 
 void MaxMinSolver::shrink_to_fit() {
@@ -384,6 +451,7 @@ void MaxMinSolver::shrink_to_fit() {
     flow_active_.clear();
     free_ids_.clear();
     flow_mark_.clear();
+    new_flows_.clear();  // every queued id is gone with the registry
     link_flows_.reset();
     link_flows_.ensure_slots(links);
   } else {
@@ -396,8 +464,10 @@ void MaxMinSolver::shrink_to_fit() {
   flow_active_.shrink_to_fit();
   free_ids_.shrink_to_fit();
   flow_mark_.shrink_to_fit();
+  link_slack_.shrink_to_fit();
   link_dirty_.shrink_to_fit();
   dirty_links_.shrink_to_fit();
+  new_flows_.shrink_to_fit();
   link_mark_.shrink_to_fit();
   affected_.clear();
   affected_.shrink_to_fit();
@@ -412,9 +482,10 @@ std::size_t MaxMinSolver::scratch_bytes() const {
          capacity_bytes(link_nflows_) + capacity_bytes(flow_frozen_) +
          routes_.capacity_bytes() + route_slots_.capacity_bytes() + capacity_bytes(flow_cap_) +
          capacity_bytes(flow_rate_) + capacity_bytes(flow_active_) + capacity_bytes(free_ids_) +
-         link_flows_.capacity_bytes() + capacity_bytes(link_dirty_) +
-         capacity_bytes(dirty_links_) + capacity_bytes(link_mark_) + capacity_bytes(flow_mark_) +
-         capacity_bytes(affected_) + capacity_bytes(touched_links_) + capacity_bytes(changed_);
+         link_flows_.capacity_bytes() + capacity_bytes(link_slack_) +
+         capacity_bytes(link_dirty_) + capacity_bytes(dirty_links_) + capacity_bytes(new_flows_) +
+         capacity_bytes(link_mark_) + capacity_bytes(flow_mark_) + capacity_bytes(affected_) +
+         capacity_bytes(touched_links_) + capacity_bytes(changed_);
 }
 
 }  // namespace tir::sim

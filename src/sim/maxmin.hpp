@@ -21,9 +21,20 @@
 //     components, a component-local solve is *exact*, not an approximation:
 //     solve_partial() after any mutation sequence yields bit-identical rates
 //     to a from-scratch solve() over the same flows (tested in
-//     tests/property).  solve_all() re-solves every component through the
-//     same code path and is the reference the differential engine test
-//     pins the incremental path against.
+//     tests/property).  solve_all() re-solves every flow over every link
+//     through the same filling core and is the reference the differential
+//     engine test pins the incremental path against.
+//
+//     Slack links.  A link whose capacity exceeds the sum of its member
+//     flows' caps by more than kSlackMargin can never bind: it never sets a
+//     filling level and never freezes a flow.  solve_partial() therefore
+//     neither walks through a slack link (it does not join flows into one
+//     component) nor fills over it, and a mutation dirties a link only if
+//     the link is non-slack before or after it.  A flow whose every link is
+//     slack runs at exactly its cap without entering filling.  The verdict
+//     is re-derived from the link's member list whenever a mutation of that
+//     link could flip it, never kept as a running sum
+//     (docs/simulation_kernel.md, "Slack links").
 //
 // The Solver owns scratch buffers so steady-state solving does not allocate;
 // shrink_to_fit() releases their high-water-mark capacity between traces.
@@ -118,9 +129,17 @@ class MaxMinSolver {
 
   void next_epoch();
   void mark_dirty(platform::LinkId l);
-  /// BFS over the bipartite flow/link graph from the dirty links; fills
-  /// affected_ with the reachable flow ids, sorted ascending, and prepares
-  /// touched_links_ and the per-link filling scratch as it goes.
+  /// Re-derives link `l`'s slack verdict from its member list after a flow
+  /// was `added` to or removed from it, and dirties `l` unless it is slack
+  /// both before and after.
+  void update_slack(platform::LinkId l, bool added);
+  /// BFS over the bipartite flow/link graph, seeded from the queued new
+  /// flows and the flows on dirty links, expanding through non-slack links
+  /// only.  Fills affected_ with the reachable flows that cross a non-slack
+  /// link, sorted ascending, and prepares touched_links_ (the non-slack
+  /// links reached) and the per-link filling scratch as it goes, giving
+  /// slack route links an infinite remaining capacity; a reached flow on
+  /// slack links only is set to its cap on the spot.
   void collect_affected();
   /// Prepares the per-link scratch for `ids`' links, then run_filling().
   void solve_subset(std::span<const int> ids);
@@ -151,8 +170,10 @@ class MaxMinSolver {
   std::size_t active_count_ = 0;
 
   // Dirty tracking and solve scratch.
+  std::vector<char> link_slack_;  // per link: capacity > Σ member caps · (1 + margin)
   std::vector<char> link_dirty_;
   std::vector<platform::LinkId> dirty_links_;
+  std::vector<int> new_flows_;  // added since the last solve (may hold removed ids)
   std::vector<std::uint32_t> link_mark_;  // epoch stamps (BFS + reset)
   std::vector<std::uint32_t> flow_mark_;
   std::uint32_t epoch_ = 0;

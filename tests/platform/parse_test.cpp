@@ -1,6 +1,7 @@
 #include "platform/parse.hpp"
 
 #include "platform/clusters.hpp"
+#include "platform/model.hpp"
 
 #include <gtest/gtest.h>
 
@@ -211,6 +212,25 @@ TEST(ParseWrite, GrapheneHierarchyRoundTrips) {
   EXPECT_EQ(copy.route(0, 1).links.size(), original.route(0, 1).links.size());
   EXPECT_NEAR(copy.route(0, 1).latency, original.route(0, 1).latency, 1e-12);
   EXPECT_EQ(copy.route(0, 4).links.size(), original.route(0, 4).links.size());
+}
+
+// The perturbation seed is the whole value, decimal digits only, within 64
+// bits: an out-of-range seed used to saturate silently to 2^64 - 1, and a
+// leading blank or sign was accepted.
+TEST(Parse, PerturbationSeedIsStrictDecimal) {
+  EXPECT_EQ(PerturbationSpec::parse("seed=0").seed, 0u);
+  EXPECT_EQ(PerturbationSpec::parse("seed=18446744073709551615").seed,
+            18446744073709551615ULL);
+  EXPECT_EQ(PerturbationSpec::parse("seed=42;link.bw=normal:0.1").seed, 42u);
+  for (const char* bad : {"seed=18446744073709551616", "seed=99999999999999999999999",
+                          "seed= 5", "seed=+5", "seed=-1", "seed=", "seed=5x", "seed=0x10"}) {
+    try {
+      PerturbationSpec::parse(bad);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed seed"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace

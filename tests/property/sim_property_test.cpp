@@ -2,6 +2,7 @@
 // randomized problems, core time-sharing across widths, comm conservation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "base/rng.hpp"
@@ -246,6 +247,96 @@ TEST_P(SoaIncrementalProperty, PartialSolveBitIdenticalToSolveAllUnderChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomChurnSeeds, SoaIncrementalProperty,
+                         ::testing::Range<std::uint64_t>(1, 33));
+
+// ---------- slack links under churn ---------------------------------------
+//
+// The same two-solver churn, but with caps sized like the replay's (0.5x or
+// 1.0x the narrowest link on the route, some smaller, a few 1e18), so links
+// keep flipping between slack (capacity above the sum of its flows' caps)
+// and non-slack as flows come and go.  The partial path prunes slack links
+// from its walk and its filling; solve_all() fills every flow over every
+// link, so any rate the pruning moves shows up as an inequality here.
+
+class SlackChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SlackChurnProperty, PrunedPartialSolveBitIdenticalToSolveAll) {
+  rng::Sequence rand(GetParam());
+  const int n_links = 3 + static_cast<int>(rand.next_u64() % 8);
+
+  std::vector<platform::Link> links(static_cast<std::size_t>(n_links));
+  for (int l = 0; l < n_links; ++l) {
+    links[static_cast<std::size_t>(l)].id = l;
+    links[static_cast<std::size_t>(l)].bandwidth = rand.next_uniform(10.0, 1000.0);
+  }
+
+  MaxMinSolver partial;
+  partial.reset_links(links);
+  MaxMinSolver full;
+  full.reset_links(links);
+
+  struct Live {
+    int id;
+    std::vector<platform::LinkId> route;
+  };
+  std::vector<Live> live;
+
+  const auto expect_identical = [&] {
+    for (const Live& f : live) {
+      EXPECT_EQ(partial.rate(f.id), full.rate(f.id)) << "flow id " << f.id;
+    }
+  };
+
+  const int n_ops = 80;
+  for (int op = 0; op < n_ops; ++op) {
+    const bool add = live.empty() || rand.next_u64() % 5 < 3;
+    if (add) {
+      const int route_len = 1 + static_cast<int>(rand.next_u64() % 3);
+      std::vector<platform::LinkId> all(static_cast<std::size_t>(n_links));
+      std::iota(all.begin(), all.end(), 0);
+      double narrowest = 1e300;
+      for (int i = 0; i < route_len; ++i) {
+        const auto pick = i + static_cast<int>(rand.next_u64() % (all.size() - i));
+        std::swap(all[static_cast<std::size_t>(i)], all[static_cast<std::size_t>(pick)]);
+        narrowest = std::min(narrowest, links[static_cast<std::size_t>(all[i])].bandwidth);
+      }
+      Live f;
+      f.route.assign(all.begin(), all.begin() + route_len);
+      const std::uint64_t kind = rand.next_u64() % 8;
+      double cap = 0.5 * narrowest;  // an SMPI small message
+      if (kind == 0) {
+        cap = 1e18;  // uncapped
+      } else if (kind == 1) {
+        cap = 1.0 + static_cast<double>(rand.next_u64() % 100);
+      } else if (kind < 4) {
+        cap = narrowest;  // an MSG transfer
+      }
+      f.id = partial.add_flow(f.route, cap);
+      ASSERT_EQ(full.add_flow(f.route, cap), f.id);  // same recycling
+      live.push_back(std::move(f));
+    } else {
+      const auto victim = static_cast<std::size_t>(rand.next_u64() % live.size());
+      partial.remove_flow(live[victim].id);
+      full.remove_flow(live[victim].id);
+      live[victim] = std::move(live.back());
+      live.pop_back();
+    }
+    if (rand.next_u64() % 9 == 0) {
+      partial.shrink_to_fit();
+      full.shrink_to_fit();
+    }
+    if (rand.next_u64() % 3 == 0) continue;  // let dirt accumulate
+    partial.solve_partial();
+    full.solve_all();
+    expect_identical();
+  }
+  partial.solve_partial();
+  full.solve_all();
+  expect_identical();
+  EXPECT_LT(partial.counters().flows_visited, full.counters().flows_visited);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomChurnSeeds, SlackChurnProperty,
                          ::testing::Range<std::uint64_t>(1, 33));
 
 // ---------- core time-sharing across widths ------------------------------

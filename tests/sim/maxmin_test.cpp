@@ -266,5 +266,136 @@ TEST(MaxMinIncremental, ShrinkToFitPreservesActiveFlows) {
   EXPECT_DOUBLE_EQ(s.rate(b), 100.0);
 }
 
+// ---------- slack links ---------------------------------------------------
+//
+// A link whose capacity exceeds the sum of its flows' caps can never bind;
+// the partial path neither walks nor fills through it.
+
+TEST(MaxMinSlack, LoneFlowOnSlackLinksRunsAtItsCapUnfilled) {
+  const auto links = make_links({100.0, 80.0});
+  MaxMinSolver s;
+  s.reset_links(links);
+  const platform::LinkId r[] = {0, 1};
+  const int f = s.add_flow(r, 30.0);
+  const auto changed = s.solve_partial();
+  ASSERT_EQ(changed.size(), 1u);
+  EXPECT_EQ(changed[0], f);
+  EXPECT_EQ(s.rate(f), 30.0);  // exactly its cap
+  EXPECT_EQ(s.counters().flows_visited, 0u);
+  // The reference fills it and agrees.
+  EXPECT_TRUE(s.solve_all().empty());
+  EXPECT_EQ(s.counters().flows_visited, 1u);
+}
+
+TEST(MaxMinSlack, SlackLinkDoesNotCoupleItsFlows) {
+  // Link 0 (capacity 100) carries a and b, caps 30 + 30: slack.  Link 1
+  // (capacity 40) is shared by b, c and d and binds.  Removing c re-solves
+  // b and d through link 1 but must not walk on to a through slack link 0.
+  const auto links = make_links({100.0, 40.0});
+  MaxMinSolver s;
+  s.reset_links(links);
+  const platform::LinkId ra[] = {0};
+  const platform::LinkId rb[] = {0, 1};
+  const platform::LinkId r1[] = {1};
+  const int a = s.add_flow(ra, 30.0);
+  const int b = s.add_flow(rb, 30.0);
+  const int c = s.add_flow(r1, 30.0);
+  const int d = s.add_flow(r1, 30.0);
+  s.solve_partial();
+  EXPECT_EQ(s.rate(a), 30.0);
+  EXPECT_DOUBLE_EQ(s.rate(b), 40.0 / 3.0);
+  EXPECT_DOUBLE_EQ(s.rate(d), 40.0 / 3.0);
+  const std::uint64_t visited = s.counters().flows_visited;
+  s.remove_flow(c);
+  const auto changed = s.solve_partial();
+  ASSERT_EQ(changed.size(), 2u);
+  EXPECT_EQ(changed[0], b);
+  EXPECT_EQ(changed[1], d);
+  EXPECT_EQ(s.rate(b), 20.0);
+  EXPECT_EQ(s.rate(d), 20.0);
+  EXPECT_EQ(s.counters().flows_visited - visited, 2u);  // b and d, not a
+  EXPECT_EQ(s.rate(a), 30.0);
+}
+
+TEST(MaxMinSlack, RemovalThatTurnsALinkSlackRaisesTheSurvivor) {
+  const auto links = make_links({10.0});
+  MaxMinSolver s;
+  s.reset_links(links);
+  const platform::LinkId r[] = {0};
+  const int a = s.add_flow(r, 8.0);
+  const int b = s.add_flow(r, 8.0);
+  s.solve_partial();
+  EXPECT_EQ(s.rate(a), 5.0);
+  EXPECT_EQ(s.rate(b), 5.0);
+  // 8 < 10: the link is slack after the removal but was not before, so the
+  // removal must still dirty it.
+  s.remove_flow(a);
+  const auto changed = s.solve_partial();
+  ASSERT_EQ(changed.size(), 1u);
+  EXPECT_EQ(changed[0], b);
+  EXPECT_EQ(s.rate(b), 8.0);
+}
+
+TEST(MaxMinSlack, HugeCapsDoNotSkewTheVerdict) {
+  // 40 + 50 + 70 = 160 > 150: the link binds once the 1e18 flow leaves.  A
+  // running total would read 1e18 + 40 + 50 + 70 - 1e18 = 128 (the small
+  // caps round away next to 1e18) and call the link slack.
+  const auto links = make_links({150.0});
+  MaxMinSolver s;
+  s.reset_links(links);
+  const platform::LinkId r[] = {0};
+  const int huge = s.add_flow(r, 1e18);
+  const int f40 = s.add_flow(r, 40.0);
+  const int f50 = s.add_flow(r, 50.0);
+  const int f70 = s.add_flow(r, 70.0);
+  s.solve_partial();
+  s.remove_flow(huge);
+  s.solve_partial();
+  EXPECT_EQ(s.rate(f40), 40.0);
+  EXPECT_EQ(s.rate(f50), 50.0);
+  EXPECT_EQ(s.rate(f70), 60.0);  // 150 - 40 - 50, not its cap
+  MaxMinSolver ref;
+  ref.reset_links(links);
+  ref.add_flow(r, 40.0);
+  ref.add_flow(r, 50.0);
+  ref.add_flow(r, 70.0);
+  ref.solve_all();
+  EXPECT_EQ(s.rate(f70), ref.rate(2));
+
+  // And the other way: with 10 + 20 left the link is slack, and both flows
+  // run at their caps without being filled.
+  s.remove_flow(f70);
+  s.remove_flow(f50);
+  const int f20 = s.add_flow(r, 20.0);
+  const std::uint64_t visited = s.counters().flows_visited;
+  s.solve_partial();
+  EXPECT_EQ(s.rate(f40), 40.0);
+  EXPECT_EQ(s.rate(f20), 20.0);
+  EXPECT_EQ(s.counters().flows_visited, visited);
+}
+
+TEST(MaxMinSlack, QueuedFlowRemovedBeforeItsSolveIsForgotten) {
+  const auto links = make_links({100.0});
+  MaxMinSolver s;
+  s.reset_links(links);
+  const platform::LinkId r[] = {0};
+  // Added and removed before any solve, then the registry is dropped: the
+  // queued id must not outlive it.
+  s.remove_flow(s.add_flow(r, 10.0));
+  s.shrink_to_fit();
+  EXPECT_TRUE(s.solve_partial().empty());
+  s.remove_flow(s.add_flow(r, 10.0));
+  s.reset_links(links);
+  EXPECT_TRUE(s.solve_partial().empty());
+  // A recycled id queued twice is still solved once.
+  const int a = s.add_flow(r, 10.0);
+  s.remove_flow(a);
+  const int b = s.add_flow(r, 25.0);
+  EXPECT_EQ(a, b);
+  const auto changed = s.solve_partial();
+  ASSERT_EQ(changed.size(), 1u);
+  EXPECT_EQ(s.rate(b), 25.0);
+}
+
 }  // namespace
 }  // namespace tir::sim
