@@ -154,10 +154,8 @@ int main(int argc, char** argv) {
       // A TITB v2 trace may already carry checkpoints for this scenario
       // (adopt_file validates prefix hashes); otherwise record them now.
       const bool is_titb = titio::is_binary_trace(trace_path);
-      core::ReplayConfig recording_cfg = cfg;
-      recording_cfg.sink = nullptr;
-      ckpt::ReplayCursor cursor(titio::SharedTrace(std::move(trace)), platform, recording_cfg,
-                                job.backend);
+      ckpt::ReplayCursor cursor(titio::SharedTrace(std::move(trace)), platform, cfg,
+                                job.backend);  // the cursor ignores cfg.sink
       const std::size_t adopted = is_titb ? cursor.adopt_file(trace_path) : 0;
       if (adopted == 0) {
         cursor.record();

@@ -1,10 +1,12 @@
 #include "base/fault.hpp"
 
+#include <limits>
 #include <memory>
 #include <mutex>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
+#include "base/string_util.hpp"
 
 namespace tir::fault {
 
@@ -114,8 +116,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const std::string value = trimmed(token.substr(eq + 1));
     if (name == "seed") {
       try {
-        plan.seed_ = std::stoull(value);
-      } catch (const std::exception&) {
+        plan.seed_ = str::to_u64(value, "seed");
+      } catch (const ParseError&) {
         throw ConfigError("fault plan '" + spec + "': bad seed '" + value + "'");
       }
       continue;
@@ -132,8 +134,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const std::string prob =
         value.substr(c1 + 1, c2 == std::string::npos ? std::string::npos : c2 - c1 - 1);
     try {
-      rule.probability = std::stod(prob);
-    } catch (const std::exception&) {
+      rule.probability = str::to_double(prob, "probability");
+    } catch (const ParseError&) {
       throw ConfigError("fault plan '" + spec + "': bad probability '" + prob + "'");
     }
     if (!(rule.probability >= 0.0 && rule.probability <= 1.0)) {
@@ -142,14 +144,17 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     }
     if (c2 != std::string::npos) {
       const std::string max = value.substr(c2 + 1);
+      std::uint64_t parsed = 0;
       try {
-        const long long parsed = std::stoll(max);
-        if (parsed < 1) throw std::out_of_range("non-positive");
-        rule.max_fires = static_cast<std::uint32_t>(parsed);
-      } catch (const std::exception&) {
+        parsed = str::to_u64(max, "max_fires");
+      } catch (const ParseError&) {
+        // Left 0: reported below together with the out-of-range counts.
+      }
+      if (parsed < 1 || parsed > std::numeric_limits<std::uint32_t>::max()) {
         throw ConfigError("fault plan '" + spec + "': bad max_fires '" + max + "' for point " +
                           name + " (expected a positive integer)");
       }
+      rule.max_fires = static_cast<std::uint32_t>(parsed);
     }
     plan.rules_.push_back(std::move(rule));
   }

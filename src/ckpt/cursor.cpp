@@ -1,12 +1,169 @@
 #include "ckpt/cursor.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <limits>
 #include <unordered_map>
 
 #include "base/error.hpp"
 #include "base/log.hpp"
+#include "obs/sink.hpp"
 
 namespace tir::ckpt {
+
+namespace {
+
+std::uint64_t pair_key(std::int32_t src, std::int32_t dst) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+         static_cast<std::uint32_t>(dst);
+}
+
+/// The streaming cut-finder of one cold recording (checkpoint.hpp): each
+/// phase end completes trace.actions(rank)[completed] of the trace being
+/// replayed, and the counters that action moves decide whether the cut
+/// after it is balanced.
+class CutFinder final : public obs::Sink {
+ public:
+  CutFinder(const tit::Trace& trace, core::Backend backend, std::uint64_t interval)
+      : trace_(trace),
+        backend_(backend),
+        interval_(std::max<std::uint64_t>(interval, 1)),
+        ranks_(static_cast<std::size_t>(trace.nprocs())),
+        at_coll_max_(ranks_.size()),
+        next_target_(interval_) {
+    for (RankTrack& r : ranks_) r.prefix_hash = prefix_hash_seed();
+  }
+
+  void on_phase_end(int rank, double now) override;
+
+  std::vector<TraceCheckpoint> take_checkpoints() { return std::move(checkpoints_); }
+
+ private:
+  struct Outstanding {
+    tit::ActionType type;
+    std::int32_t partner;
+  };
+  struct RankTrack {
+    std::uint64_t completed = 0;         ///< k_r
+    double time = 0.0;                   ///< t_r: time of last completion
+    std::uint64_t collective_sites = 0;  ///< coll_r
+    std::uint64_t prefix_hash = 0;
+    std::deque<Outstanding> outstanding; ///< mirror of the engine's queue
+  };
+
+  void bump_pair(std::int32_t src, std::int32_t dst, std::int64_t delta);
+  bool balanced() const;
+  void take_cut();
+
+  const tit::Trace& trace_;
+  core::Backend backend_;
+  std::uint64_t interval_;
+
+  std::vector<RankTrack> ranks_;
+  std::unordered_map<std::uint64_t, std::int64_t> pair_diff_;  ///< sent - recvd
+  std::size_t nonzero_pairs_ = 0;
+  std::uint64_t coll_max_ = 0;   ///< max coll_r over ranks
+  std::size_t at_coll_max_;      ///< ranks with coll_r == coll_max
+  std::size_t ranks_with_outstanding_ = 0;
+  std::uint64_t total_completed_ = 0;
+  std::uint64_t next_target_;
+  std::vector<TraceCheckpoint> checkpoints_;
+};
+
+void CutFinder::bump_pair(std::int32_t src, std::int32_t dst, std::int64_t delta) {
+  std::int64_t& v = pair_diff_[pair_key(src, dst)];
+  const bool was = v != 0;
+  v += delta;
+  const bool is = v != 0;
+  if (was != is) nonzero_pairs_ += is ? 1 : std::size_t(-1);
+}
+
+bool CutFinder::balanced() const {
+  return nonzero_pairs_ == 0 && ranks_with_outstanding_ == 0 && at_coll_max_ == ranks_.size();
+}
+
+void CutFinder::on_phase_end(int rank, double now) {
+  RankTrack& r = ranks_[static_cast<std::size_t>(rank)];
+  const std::vector<tit::Action>& seq = trace_.actions(rank);
+  TIR_ASSERT(r.completed < seq.size());  // one phase end per replayed action
+  const tit::Action& a = seq[static_cast<std::size_t>(r.completed)];
+  const bool had_outstanding = !r.outstanding.empty();
+
+  switch (a.type) {
+    case tit::ActionType::Send:
+      bump_pair(rank, a.partner, +1);
+      break;
+    case tit::ActionType::Isend:
+      bump_pair(rank, a.partner, +1);
+      r.outstanding.push_back(Outstanding{a.type, a.partner});
+      break;
+    case tit::ActionType::Recv:
+      bump_pair(a.partner, rank, -1);
+      break;
+    case tit::ActionType::Irecv:
+      if (backend_ == core::Backend::Msg) {
+        // The old back-end services irecv as a blocking mailbox receive:
+        // the message has arrived when the action completes.
+        bump_pair(a.partner, rank, -1);
+      } else {
+        // SMPI posts the receive; the data lands at the matching wait.
+        r.outstanding.push_back(Outstanding{a.type, a.partner});
+      }
+      break;
+    case tit::ActionType::Wait:
+      if (!r.outstanding.empty()) {
+        const Outstanding done = r.outstanding.front();
+        r.outstanding.pop_front();
+        if (done.type == tit::ActionType::Irecv) bump_pair(done.partner, rank, -1);
+      }
+      break;
+    case tit::ActionType::WaitAll:
+      for (const Outstanding& done : r.outstanding) {
+        if (done.type == tit::ActionType::Irecv) bump_pair(done.partner, rank, -1);
+      }
+      r.outstanding.clear();
+      break;
+    default:
+      if (tit::is_collective(a.type)) {
+        ++r.collective_sites;
+        if (r.collective_sites - 1 == coll_max_) {
+          // This rank moves past the frontier.
+          coll_max_ = r.collective_sites;
+          at_coll_max_ = 1;
+        } else if (r.collective_sites == coll_max_) {
+          ++at_coll_max_;
+        }
+      }
+      break;
+  }
+
+  const bool has_outstanding = !r.outstanding.empty();
+  if (had_outstanding != has_outstanding) {
+    ranks_with_outstanding_ += has_outstanding ? 1 : std::size_t(-1);
+  }
+
+  ++r.completed;
+  r.time = now;
+  r.prefix_hash = titio::fold_action_hash(r.prefix_hash, a);
+  ++total_completed_;
+  if (total_completed_ >= next_target_ && balanced()) take_cut();
+}
+
+void CutFinder::take_cut() {
+  TraceCheckpoint c;
+  c.ranks.reserve(ranks_.size());
+  for (const RankTrack& r : ranks_) {
+    c.time = std::max(c.time, r.time);
+    c.ranks.push_back(CkptRankState{r.completed, r.time, r.collective_sites, r.prefix_hash});
+  }
+  // A cut at the same instant as the previous one adds nothing (and would
+  // break the ascending-time invariant consumers rely on).
+  if (!checkpoints_.empty() && c.time <= checkpoints_.back().time) return;
+  checkpoints_.push_back(std::move(c));
+  next_target_ = total_completed_ + interval_;
+}
+
+}  // namespace
 
 ReplayCursor::ReplayCursor(titio::SharedTrace trace, const platform::Platform& platform,
                            core::ReplayConfig config, core::Backend backend)
@@ -16,17 +173,21 @@ ReplayCursor::ReplayCursor(titio::SharedTrace trace, const platform::Platform& p
       backend_(backend),
       fingerprint_(scenario_fingerprint(backend, platform, config_)) {
   // The cursor drives these itself; a caller-provided resume/stop would
-  // silently skew every query.
+  // silently skew every query, and run() sets the sink of every replay.
   config_.resume = nullptr;
   config_.stop_time = std::numeric_limits<double>::infinity();
+  config_.sink = nullptr;
 }
 
 core::ReplayResult ReplayCursor::record(const RecordOptions& options) {
-  titio::SharedTrace::Cursor source = trace_.cursor();
-  RecordOutcome outcome = record_replay(source, platform_, config_, backend_, options);
-  current_ = nullptr;
-  set_ = std::move(outcome.set);
-  return outcome.result;
+  check_seekable(nprocs(), platform_, config_);
+  CutFinder finder(trace_.trace(), backend_, options.action_interval);
+  current_ = nullptr;  // recordings replay cold, from action 0
+  const core::ReplayResult result = run(std::numeric_limits<double>::infinity(), &finder);
+  set_.fingerprint = fingerprint_;
+  set_.nprocs = nprocs();
+  set_.checkpoints = finder.take_checkpoints();
+  return result;
 }
 
 std::size_t ReplayCursor::adopt(const CheckpointSet& set) {
@@ -137,80 +298,6 @@ QueryResult ReplayCursor::query(double from, double to) {
     q.timelines[static_cast<std::size_t>(r)] = obs::slice(sink.intervals(r), from, to);
   }
   return q;
-}
-
-WindowSweepResult window_sweep(const titio::SharedTrace& trace,
-                               const std::vector<core::Scenario>& scenarios, double from,
-                               double to, const core::SweepOptions& options) {
-  if (to < from || from < 0.0) {
-    throw ConfigError("window_sweep window is inverted or negative: [" + std::to_string(from) +
-                      ", " + std::to_string(to) + "]");
-  }
-  const std::size_t n = scenarios.size();
-  WindowSweepResult result;
-  result.windows.resize(n);
-  if (n == 0) return result;
-
-  // Scenarios with the same fingerprint share one recording: record once
-  // (only up to `to` — later checkpoints can never serve this window) and
-  // every member forks its windowed run from the snapshot nearest `from`.
-  std::unordered_map<std::uint64_t, CheckpointSet> sets;
-  std::vector<std::uint64_t> fp(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!scenarios[i].platform) continue;  // core::sweep reports it
-    fp[i] = scenario_fingerprint(scenarios[i].backend, *scenarios[i].platform,
-                                 scenarios[i].config);
-    if (sets.count(fp[i]) != 0) continue;
-    CheckpointSet set;
-    try {
-      titio::SharedTrace::Cursor source = trace.cursor();
-      core::ReplayConfig recording = scenarios[i].config;
-      recording.sink = nullptr;
-      recording.resume = nullptr;
-      recording.stop_time = to;
-      set = record_replay(source, *scenarios[i].platform, recording, scenarios[i].backend)
-                .set;
-    } catch (const ConfigError&) {
-      // Not seekable (contended sharing, oversubscribed hosts): this group
-      // replays its window cold.  Still windowed — just no warm prefix.
-    }
-    sets.emplace(fp[i], std::move(set));
-  }
-
-  std::vector<core::ResumeState> resumes(n);
-  std::vector<std::unique_ptr<obs::TimelineSink>> sinks(n);
-  std::vector<core::Scenario> windowed = scenarios;
-  for (std::size_t i = 0; i < n; ++i) {
-    sinks[i] = std::make_unique<obs::TimelineSink>();
-    windowed[i].config.sink = sinks[i].get();
-    windowed[i].config.stop_time = to;
-    windowed[i].config.resume = nullptr;
-    const auto it = sets.find(fp[i]);
-    if (it == sets.end()) continue;
-    const TraceCheckpoint* snap = it->second.nearest_before(from);
-    if (snap == nullptr) continue;
-    resumes[i].time = snap->time;
-    for (const CkptRankState& r : snap->ranks) {
-      resumes[i].positions.push_back(r.position);
-      resumes[i].times.push_back(r.time);
-      resumes[i].collective_sites.push_back(r.collective_sites);
-    }
-    windowed[i].config.resume = &resumes[i];
-  }
-
-  result.outcomes = core::sweep(trace, windowed, options);
-  for (std::size_t i = 0; i < n; ++i) {
-    QueryResult& q = result.windows[i];
-    q.from = from;
-    q.to = to;
-    if (!result.outcomes[i].ok) continue;
-    q.result = result.outcomes[i].result;
-    q.timelines.resize(static_cast<std::size_t>(trace.nprocs()));
-    for (int r = 0; r < trace.nprocs() && r < sinks[i]->nranks(); ++r) {
-      q.timelines[static_cast<std::size_t>(r)] = obs::slice(sinks[i]->intervals(r), from, to);
-    }
-  }
-  return result;
 }
 
 }  // namespace tir::ckpt

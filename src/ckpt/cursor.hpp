@@ -18,19 +18,12 @@
 // sim::Engine::run_until).  Correctness bar: seek-then-replay is bitwise
 // identical to cold replay — times, windowed timelines — enforced by the
 // differential suite (tests/ckpt) on both back-ends.
-//
-// window_sweep is the sweep-shaped consumer: N scenarios over one trace,
-// each asked for the same time window.  Scenarios with identical
-// fingerprints share one recording (the "fork from a warm snapshot"
-// optimization); the sweep itself is the unchanged core::sweep.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
-#include "core/sweep.hpp"
 #include "obs/timeline.hpp"
 #include "titio/shared.hpp"
 
@@ -49,7 +42,9 @@ struct QueryResult {
 class ReplayCursor {
  public:
   /// The platform is borrowed and must outlive the cursor; trace and config
-  /// are captured by value (SharedTrace is a cheap shared handle).
+  /// are captured by value (SharedTrace is a cheap shared handle).  The
+  /// cursor drives config.resume, config.stop_time and config.sink itself
+  /// and ignores the caller's values; pass a sink to run_until/run_to_end.
   ReplayCursor(titio::SharedTrace trace, const platform::Platform& platform,
                core::ReplayConfig config, core::Backend backend = core::Backend::Smpi);
 
@@ -57,7 +52,8 @@ class ReplayCursor {
   std::uint64_t fingerprint() const { return fingerprint_; }
   const CheckpointSet& checkpoints() const { return set_; }
 
-  /// One cold replay that records checkpoints (replaces any held set).
+  /// One cold replay that records checkpoints (replaces any held set): a
+  /// cut-finder sink reads each completed action from the trace itself.
   /// Throws ConfigError when the scenario is not seekable (check_seekable).
   core::ReplayResult record(const RecordOptions& options = {});
 
@@ -105,22 +101,5 @@ class ReplayCursor {
   CheckpointSet set_;
   const TraceCheckpoint* current_ = nullptr;  ///< points into set_
 };
-
-/// Sweep-shaped windowed extraction: replay every scenario of the grid but
-/// only materialize the window [from, to].  Scenarios with identical
-/// scenario fingerprints share ONE checkpoint recording (recorded up to
-/// `to` and no further) and each forks its windowed run from the warm
-/// snapshot nearest `from`; scenarios that are not seekable
-/// (check_seekable) silently fall back to a cold windowed replay.  The
-/// replays themselves go through the unchanged core::sweep worker pool
-/// (options.jobs etc. apply); each scenario's config.sink/resume/stop_time
-/// are overridden by this function.
-struct WindowSweepResult {
-  std::vector<core::ScenarioOutcome> outcomes;  ///< input order, as core::sweep
-  std::vector<QueryResult> windows;             ///< sliced timelines (ok cells)
-};
-WindowSweepResult window_sweep(const titio::SharedTrace& trace,
-                               const std::vector<core::Scenario>& scenarios, double from,
-                               double to, const core::SweepOptions& options = {});
 
 }  // namespace tir::ckpt

@@ -196,15 +196,6 @@ void Reader::account(std::ptrdiff_t delta) {
   peak_buffered_ = std::max(peak_buffered_, buffered_);
 }
 
-void Reader::drop_prefetches() {
-  for (Cursor& cursor : cursors_) {
-    if (!cursor.has_prefetch) continue;
-    account(-static_cast<std::ptrdiff_t>(cursor.prefetched.capacity()));
-    release(cursor.prefetched);
-    cursor.has_prefetch = false;
-  }
-}
-
 void Reader::read_payload(const FrameRef& frame, std::vector<std::uint8_t>& payload) {
   // Re-parse the frame preamble and cross-check it against the index: a
   // frame that moved or shrank means either side is corrupt.
@@ -260,54 +251,25 @@ bool Reader::advance_frame(int rank, Cursor& cursor) {
   while (cursor.next_frame < list.size()) {
     const FrameRef& frame = frames_[list[cursor.next_frame++]];
 
-    // Invariant: buffered_ is the sum of payload+prefetched capacities over
-    // every cursor.
+    // Invariant: buffered_ is the sum of payload capacities over every
+    // cursor.
     account(-static_cast<std::ptrdiff_t>(cursor.payload.capacity()));
-    if (cursor.has_prefetch) {
-      // The prefetched buffer becomes the current one; its bytes stay counted.
-      cursor.payload.swap(cursor.prefetched);
-      release(cursor.prefetched);
-      cursor.has_prefetch = false;
-    } else {
+    release(cursor.payload);
+    try {
+      read_payload(frame, cursor.payload);
+    } catch (const CorruptFrameError&) {
+      if (!options_.recover) throw;
       release(cursor.payload);
-      // Mandatory load: if the budget is exhausted, reclaim every cursor's
-      // prefetched frame first (those can be re-read on demand; the current
-      // frame cannot wait).
-      if (buffered_ + frame.payload_bytes + 4 > options_.buffer_bytes) drop_prefetches();
-      try {
-        read_payload(frame, cursor.payload);
-      } catch (const CorruptFrameError&) {
-        if (!options_.recover) throw;
-        release(cursor.payload);
-        count_skip(rank, frame.actions);
-        continue;
-      }
-      account(static_cast<std::ptrdiff_t>(cursor.payload.capacity()));
+      count_skip(rank, frame.actions);
+      continue;
     }
+    account(static_cast<std::ptrdiff_t>(cursor.payload.capacity()));
     cursor.pos = 0;
     cursor.remaining = frame.actions;
     cursor.batch.clear();
     cursor.batch_pos = 0;
     cursor.defer = nullptr;
     cursor.trailing = false;
-
-    // Prefetch the following frame while the disk is warm, budget permitting.
-    if (cursor.next_frame < list.size()) {
-      const FrameRef& upcoming = frames_[list[cursor.next_frame]];
-      if (buffered_ + upcoming.payload_bytes + 4 <= options_.buffer_bytes) {
-        try {
-          read_payload(upcoming, cursor.prefetched);
-          cursor.has_prefetch = true;
-          account(static_cast<std::ptrdiff_t>(cursor.prefetched.capacity()));
-        } catch (const CorruptFrameError&) {
-          if (!options_.recover) throw;
-          // Leave it un-prefetched: its mandatory load above does the
-          // skip accounting exactly once.
-          release(cursor.prefetched);
-          cursor.has_prefetch = false;
-        }
-      }
-    }
     return true;
   }
   return false;
@@ -392,10 +354,8 @@ std::span<const tit::Action> Reader::next_batch(int rank) {
     if (cursor.remaining == 0) {
       if (!advance_frame(rank, cursor)) {
         // Stream exhausted: release this cursor's buffers.
-        account(-static_cast<std::ptrdiff_t>(cursor.payload.capacity() +
-                                             cursor.prefetched.capacity()));
+        account(-static_cast<std::ptrdiff_t>(cursor.payload.capacity()));
         release(cursor.payload);
-        release(cursor.prefetched);
         std::vector<tit::Action>().swap(cursor.batch);
         cursor.batch_pos = 0;
         return {};

@@ -2,11 +2,9 @@
 //
 // On open, the reader loads only the header and the index (a few bytes per
 // frame); action payloads stay on disk.  Each rank has an independent
-// cursor that decodes the current frame in place and, budget permitting,
-// prefetches the raw bytes of its next frame so the hot path rarely waits
-// on a cold seek.  Peak memory is index + at most two frames per rank and
-// is further capped by ReaderOptions::buffer_bytes: when the budget is
-// exhausted, cursors simply skip the prefetch and load frames on demand.
+// cursor that loads its current frame when it reaches it and decodes it in
+// place.  Peak memory is the index plus one frame payload per rank (and
+// one decoded batch per rank, ReaderOptions::decode_batch).
 #pragma once
 
 #include <cstdint>
@@ -22,18 +20,14 @@
 namespace tir::titio {
 
 struct ReaderOptions {
-  /// Soft budget for buffered frame payloads across every rank cursor.
-  /// At minimum one frame per *active* rank is held regardless (a cursor
-  /// cannot serve actions without its current frame).
-  std::size_t buffer_bytes = 1u << 20;
   /// Actions decoded per batch from the current frame; next_batch() hands
   /// the batch out in place, so the varint decode loop, its error handling
   /// and the virtual pull run once per `decode_batch` actions instead of
   /// once per action.  Observable behavior (delivered action sequence,
   /// thrown errors and the action index they fire at, recovery accounting)
   /// is identical for any value; 1 reproduces unbatched decoding.  The batch
-  /// buffer (decode_batch Actions per rank) is not counted against
-  /// buffer_bytes.  Values < 1 are treated as 1.
+  /// buffer (decode_batch Actions per rank) is not counted in
+  /// buffered_bytes().  Values < 1 are treated as 1.
   std::size_t decode_batch = 64;
   /// Best-effort mode: on a corrupt action frame (CRC mismatch, truncation,
   /// index disagreement), resync to the rank's next frame via the
@@ -87,7 +81,8 @@ class Reader final : public ActionSource {
   std::uint64_t skipped_actions() const override { return skipped_actions_; }
   std::uint64_t skipped_actions_of(int rank) const;
 
-  /// Currently buffered payload bytes across all cursors.
+  /// Currently buffered payload bytes across all cursors: at most one
+  /// frame's payload per rank.
   std::size_t buffered_bytes() const { return buffered_; }
   /// High-water mark of buffered_bytes() since open.
   std::size_t peak_buffered_bytes() const { return peak_buffered_; }
@@ -111,8 +106,6 @@ class Reader final : public ActionSource {
     std::size_t pos = 0;                   ///< decode position in payload
     std::uint64_t remaining = 0;           ///< actions of current frame not yet delivered
     std::size_t next_frame = 0;            ///< index into frames-of-this-rank
-    std::vector<std::uint8_t> prefetched;  ///< next frame's payload, CRC-checked
-    bool has_prefetch = false;
 
     // Batched decode (ReaderOptions::decode_batch): actions decoded ahead
     // of delivery from the current frame.  `defer` holds a decode error hit
@@ -130,7 +123,6 @@ class Reader final : public ActionSource {
   bool advance_frame(int rank, Cursor& cursor);
   void fill_batch(int rank, Cursor& cursor);
   void account(std::ptrdiff_t delta);
-  void drop_prefetches();
   void count_skip(int rank, std::uint64_t actions);
 
   std::ifstream in_;

@@ -30,6 +30,12 @@ TEST(FaultPlan, ParsesSeedRulesAndMaxFires) {
   EXPECT_EQ(plan.rules()[0].max_fires, 64u);  // default cap
   EXPECT_EQ(plan.rules()[1].kind, Kind::Reset);
   EXPECT_EQ(plan.rules()[1].max_fires, 7u);
+
+  // The extremes of both integer fields are accepted as written.
+  const FaultPlan wide = FaultPlan::parse("seed=18446744073709551615;p=reset:1:4294967295");
+  EXPECT_EQ(wide.seed(), 18446744073709551615ull);
+  ASSERT_EQ(wide.rules().size(), 1u);
+  EXPECT_EQ(wide.rules()[0].max_fires, 4294967295u);
 }
 
 TEST(FaultPlan, AcceptsCommaSeparatorsAndWhitespace) {
@@ -63,6 +69,17 @@ TEST(FaultPlan, MalformedSpecsThrowConfigError) {
   EXPECT_THROW(FaultPlan::parse("svc.net.write=short:-0.1"), ConfigError);
   EXPECT_THROW(FaultPlan::parse("svc.net.write=short:0.5:nope"), ConfigError);
   EXPECT_THROW(FaultPlan::parse("=short:0.5"), ConfigError);             // empty point
+  // Every number is parsed whole: no sign wrap, no trailing junk, no hex
+  // float, and max_fires must fit its 32 bits.
+  EXPECT_THROW(FaultPlan::parse("seed=-1"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("seed=12abc"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("seed=18446744073709551616"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("svc.net.read=reset:0.5x"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("svc.net.read=reset:0x1p-1"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("svc.net.read=reset:1:3abc"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("svc.net.read=reset:1:4294967296"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("svc.net.read=reset:1:0"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("svc.net.read=reset:1:-1"), ConfigError);
 }
 
 TEST(FaultPlan, EmptySpecIsAnEmptyPlan) {

@@ -3,8 +3,7 @@
 // replay it forked from — simulated times and windowed timelines — on BOTH
 // back-ends.  Plus the persistence layer (TITB v2 checkpoint records,
 // backward-compatible v1 reads, corruption degradation), fingerprint
-// discrimination, prefix-hash-validated adoption after a tail append, and
-// the sweep-shaped consumer window_sweep.
+// discrimination and prefix-hash-validated adoption after a tail append.
 #include "ckpt/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "apps/cg.hpp"
 #include "base/error.hpp"
 #include "ckpt/cursor.hpp"
-#include "core/sweep.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
 #include "support/temp_dir.hpp"
@@ -167,7 +165,8 @@ TEST_P(CkptDifferential, QueryMatchesColdSlice) {
 }
 
 // The cursor is re-entrant: the same query twice in a row (and after an
-// intervening different query) gives identical answers.
+// intervening different query, or a refused inverted one) gives identical
+// answers.
 TEST_P(CkptDifferential, RepeatedQueriesAreDeterministic) {
   const platform::Platform p = cluster(4);
   const titio::SharedTrace trace(cg());
@@ -179,6 +178,7 @@ TEST_P(CkptDifferential, RepeatedQueriesAreDeterministic) {
   const QueryResult a = cursor.query(T / 2, 0.75 * T);
   cursor.query(0.0, T / 8);  // unrelated query in between
   const QueryResult b = cursor.query(T / 2, 0.75 * T);
+  EXPECT_THROW(cursor.query(0.75 * T, T / 2), ConfigError) << "inverted window";
   ASSERT_EQ(a.timelines.size(), b.timelines.size());
   EXPECT_EQ(a.result.simulated_time, b.result.simulated_time);
   for (std::size_t r = 0; r < a.timelines.size(); ++r) {
@@ -439,70 +439,6 @@ TEST(CkptAdopt, SaveAndAdoptFileRoundTrip) {
   ReplayCursor stranger(trace, p, other, core::Backend::Smpi);
   EXPECT_EQ(stranger.adopt_file(path.string()), 0u);
   fs::remove(path);
-}
-
-// --- window_sweep ----------------------------------------------------------
-
-// Prefix sharing across a scenario grid, exercised CONCURRENTLY (jobs > 1,
-// which is what the TSan job replays): every windowed timeline must equal
-// the cold full replay sliced to the window, including the contended
-// scenario that silently falls back to a cold windowed replay.
-TEST(CkptSweep, WindowSweepMatchesColdSlicesAcrossBackendsAndSharing) {
-  const platform::Platform p = cluster(4);
-  const titio::SharedTrace trace(cg());
-
-  std::vector<core::Scenario> scenarios;
-  for (const double rate : {1e9, 1.5e9}) {
-    for (const core::Backend backend : {core::Backend::Smpi, core::Backend::Msg}) {
-      core::Scenario sc;
-      sc.platform = &p;
-      sc.config.rates = {rate};
-      sc.backend = backend;
-      sc.label = "r" + std::to_string(rate) + (backend == core::Backend::Smpi ? "s" : "m");
-      scenarios.push_back(std::move(sc));
-    }
-  }
-  core::Scenario contended;  // not seekable: cold windowed fallback path
-  contended.platform = &p;
-  contended.config.rates = {1e9};
-  contended.config.sharing = sim::Sharing::MaxMin;
-  contended.label = "contended";
-  scenarios.push_back(std::move(contended));
-
-  // Cold reference: full replay per scenario.
-  std::vector<obs::TimelineSink> cold_sinks(scenarios.size());
-  double T = 0.0;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    core::ReplayConfig cfg = scenarios[i].config;
-    cfg.sink = &cold_sinks[i];
-    titio::SharedTrace::Cursor source = trace.cursor();
-    T = std::max(T, core::replay(scenarios[i].backend, source, p, cfg).simulated_time);
-  }
-
-  const double from = 0.4 * T;
-  const double to = 0.7 * T;
-  core::SweepOptions options;
-  options.jobs = 4;
-  const WindowSweepResult result = window_sweep(trace, scenarios, from, to, options);
-  ASSERT_EQ(result.outcomes.size(), scenarios.size());
-  ASSERT_EQ(result.windows.size(), scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    ASSERT_TRUE(result.outcomes[i].ok) << result.outcomes[i].error;
-    EXPECT_EQ(result.outcomes[i].label, scenarios[i].label);
-    for (int r = 0; r < trace.nprocs(); ++r) {
-      expect_same_intervals(obs::slice(cold_sinks[i].intervals(r), from, to),
-                            result.windows[i].timelines[static_cast<std::size_t>(r)],
-                            scenarios[i].label + " rank " + std::to_string(r));
-    }
-  }
-}
-
-TEST(CkptSweep, InvertedWindowThrows) {
-  const titio::SharedTrace trace(pingpong(2));
-  EXPECT_THROW(window_sweep(trace, {}, 2.0, 1.0), ConfigError);
-  const platform::Platform p = cluster(4);
-  ReplayCursor cursor(trace, p, base_config(), core::Backend::Smpi);
-  EXPECT_THROW(cursor.query(2.0, 1.0), ConfigError);
 }
 
 }  // namespace

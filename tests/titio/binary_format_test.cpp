@@ -3,10 +3,13 @@
 // and the reader's bounded-buffer accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
@@ -278,8 +281,14 @@ TEST(BinaryFormat, ReaderBufferingStaysWithinBudget) {
   const fs::path path = temp_file("budget");
   write_binary_trace(trace, path.string(), WriterOptions{128});
 
-  const std::size_t budget = 16u << 10;  // 16 KiB across all cursors
-  Reader reader(path.string(), ReaderOptions{budget});
+  Reader reader(path.string());
+  // A cursor holds only the frame it is decoding: the largest frame payload
+  // (plus its CRC) of each rank bounds what the reader ever buffers.
+  std::vector<std::size_t> largest(static_cast<std::size_t>(nprocs), 0);
+  for (const FrameRef& f : reader.frames()) {
+    largest[f.rank] = std::max<std::size_t>(largest[f.rank], f.payload_bytes + 4);
+  }
+  const std::size_t bound = std::accumulate(largest.begin(), largest.end(), std::size_t{0});
   tit::Action a;
   // Interleave ranks the way the engines do.
   bool any = true;
@@ -288,7 +297,7 @@ TEST(BinaryFormat, ReaderBufferingStaysWithinBudget) {
     for (int r = 0; r < nprocs; ++r) any = reader.next(r, a) || any;
   }
   EXPECT_GT(reader.peak_buffered_bytes(), 0u);
-  EXPECT_LE(reader.peak_buffered_bytes(), budget);
+  EXPECT_LE(reader.peak_buffered_bytes(), bound);
   EXPECT_EQ(reader.buffered_bytes(), 0u);  // all cursors drained and released
   fs::remove(path);
 }

@@ -111,6 +111,29 @@ TEST(Recovery, StrictModeNamesOffsetAndRankOfCorruptFrame) {
   fs::remove(path);
 }
 
+// A frame is read when its rank reaches it, so strict mode serves every
+// action of the frames before the damaged one and throws at the next pull.
+TEST(Recovery, StrictModeServesEveryActionBeforeTheCorruptFrame) {
+  const fs::path path = write_sample("strict_late");
+  const FrameRef bad = corrupt_frame_of(path, /*rank=*/0, /*idx=*/1);
+  Reader reader(path.string());
+  std::uint64_t before_bad = 0;
+  for (const FrameRef& f : reader.frames()) {
+    if (f.rank == 0 && f.offset < bad.offset) before_bad += f.actions;
+  }
+  ASSERT_GT(before_bad, 0u);
+  std::uint64_t served = 0;
+  tit::Action a;
+  try {
+    while (reader.next(0, a)) ++served;
+    FAIL() << "expected CorruptFrameError";
+  } catch (const CorruptFrameError& e) {
+    EXPECT_EQ(e.offset(), bad.offset);
+  }
+  EXPECT_EQ(served, before_bad);
+  fs::remove(path);
+}
+
 TEST(Recovery, RecoverModeSkipsFrameAndCountsLoss) {
   const fs::path path = write_sample("skip");
   const FrameRef bad = corrupt_frame_of(path, /*rank=*/0);

@@ -1,10 +1,13 @@
 // Streaming replay: a titio::Reader driving the engines must be
 // indistinguishable from the materialized path (bit-identical simulated
-// time on both back-ends), and its memory must stay bounded by the
-// configured buffer budget even for multi-million-action traces.
+// time on both back-ends), and its memory must stay bounded by one frame
+// per rank even for multi-million-action traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <numeric>
+#include <vector>
 
 #include "apps/cg.hpp"
 #include "apps/jacobi.hpp"
@@ -31,6 +34,16 @@ platform::Platform cluster(int n) {
   return p;
 }
 
+/// What a reader may buffer at most: the largest frame payload (plus its
+/// CRC) of each rank, since a cursor holds only the frame it is decoding.
+std::size_t one_frame_per_rank(const Reader& reader) {
+  std::vector<std::size_t> largest(static_cast<std::size_t>(reader.nprocs()), 0);
+  for (const FrameRef& f : reader.frames()) {
+    largest[f.rank] = std::max<std::size_t>(largest[f.rank], f.payload_bytes + 4);
+  }
+  return std::accumulate(largest.begin(), largest.end(), std::size_t{0});
+}
+
 core::ReplayConfig config() {
   core::ReplayConfig cfg;
   cfg.rates = {1e9};
@@ -46,9 +59,9 @@ void expect_stream_matches_memory(const tit::Trace& trace, const std::string& ta
 
   const double mem_smpi = core::replay(core::Backend::Smpi, trace, p, cfg).simulated_time;
   const double mem_msg = core::replay(core::Backend::Msg, trace, p, cfg).simulated_time;
-  Reader smpi_reader(path.string(), ReaderOptions{64u << 10});
+  Reader smpi_reader(path.string());
   const double str_smpi = core::replay(core::Backend::Smpi, smpi_reader, p, cfg).simulated_time;
-  Reader msg_reader(path.string(), ReaderOptions{64u << 10});
+  Reader msg_reader(path.string());
   const double str_msg = core::replay(core::Backend::Msg, msg_reader, p, cfg).simulated_time;
 
   // Bit-identical, not merely close: the engines see the exact same actions
@@ -68,7 +81,7 @@ TEST(StreamingReplay, MatchesMaterializedOnJacobi) {
 }
 
 TEST(StreamingReplay, FiveMillionActionsWithinAFewMegabytes) {
-  // A trace far larger than the reader's buffer budget: 8 ranks x 640k
+  // A trace far larger than what the reader buffers: 8 ranks x 640k
   // actions (5.12M), written straight to disk without ever materializing.
   // Mostly tiny computes, with a balanced send/recv ring every 1000
   // iterations so the rank cursors genuinely interleave.
@@ -96,14 +109,16 @@ TEST(StreamingReplay, FiveMillionActionsWithinAFewMegabytes) {
   }
   ASSERT_GE(expected, 5000000u);
 
-  const std::size_t budget = 4u << 20;  // 4 MiB
-  Reader reader(path.string(), ReaderOptions{budget});
+  Reader reader(path.string());
   ASSERT_EQ(reader.total_actions(), expected);
+  const std::size_t bound = one_frame_per_rank(reader);
+  EXPECT_LT(bound, std::size_t{4} << 20);
   const core::ReplayResult result =
       core::replay(core::Backend::Msg, reader, cluster(nprocs), config());
   EXPECT_EQ(result.actions_replayed, expected);
   EXPECT_GT(result.simulated_time, 0.0);
-  EXPECT_LE(reader.peak_buffered_bytes(), budget);
+  EXPECT_GT(reader.peak_buffered_bytes(), 0u);
+  EXPECT_LE(reader.peak_buffered_bytes(), bound);
   fs::remove(path);
 }
 
