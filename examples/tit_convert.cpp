@@ -20,7 +20,6 @@
 #include <string>
 
 #include "base/error.hpp"
-#include "base/string_util.hpp"
 #include "base/units.hpp"
 #include "cli_args.hpp"
 #include "tit/trace.hpp"
@@ -34,39 +33,19 @@ using namespace tir;
 
 int text2bin(const std::string& manifest_path, const std::string& out_path, int nprocs) {
   namespace fs = std::filesystem;
-  const std::vector<std::string> files = tit::read_manifest(manifest_path);
-  const bool shared = files.size() == 1;
-  if (shared && nprocs <= 0) {
+  const tit::Manifest manifest = tit::resolve_manifest(manifest_path, nprocs);
+  if (manifest.nprocs == 0) {
     // A usage error, not an I/O one: the invocation is missing an argument.
     std::fprintf(stderr,
                  "tit-convert: single-file manifest %s needs an explicit NPROCS argument\n",
                  manifest_path.c_str());
     return 2;
   }
-  const int count = shared ? nprocs : static_cast<int>(files.size());
-  const fs::path base_dir = fs::path(manifest_path).parent_path();
-
-  titio::Writer writer(out_path, count);
-  for (const std::string& f : files) {
-    const std::string path = (base_dir / f).string();
-    std::ifstream in(path);
-    if (!in) throw Error("cannot open trace file: " + path);
-    std::string raw;
-    int line_no = 0;
-    while (std::getline(in, raw)) {
-      ++line_no;
-      const std::string_view text = str::trim(raw);
-      if (text.empty() || text.front() == '#') continue;
-      try {
-        writer.add(tit::parse_line(text));
-      } catch (const Error& e) {
-        throw ParseError(f + ":" + std::to_string(line_no) + ": " + e.what());
-      }
-    }
-  }
+  titio::Writer writer(out_path, manifest.nprocs);
+  tit::for_each_action(manifest, [&](const tit::Action& a) { writer.add(a); });
   writer.finish();
   std::printf("%s: %llu actions, %d ranks -> %s (%s)\n", manifest_path.c_str(),
-              static_cast<unsigned long long>(writer.actions_written()), count,
+              static_cast<unsigned long long>(writer.actions_written()), manifest.nprocs,
               out_path.c_str(),
               units::format_bytes(static_cast<double>(fs::file_size(out_path))).c_str());
   return 0;

@@ -30,12 +30,25 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
-std::uint32_t load_u32_le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+template <typename T>
+void put_le(std::vector<std::uint8_t>& out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
 }
 
 }  // namespace
+
+std::uint64_t take_u64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+  if (pos > size || size - pos < 8) throw ParseError("truncated 8-byte field");
+  const std::uint64_t v = get_u64(data + pos);
+  pos += 8;
+  return v;
+}
+
+void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) { put_le(out, v); }
+void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) { put_le(out, v); }
+void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) { put_le(out, v); }
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   while (v >= 0x80) {
@@ -43,11 +56,6 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
     v >>= 7;
   }
   out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  put_varint(out, (u << 1) ^ static_cast<std::uint64_t>(v >> 63));
 }
 
 std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
@@ -63,18 +71,13 @@ std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::s
   throw ParseError("overlong varint");
 }
 
-std::int64_t get_varint_signed(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  const std::uint64_t u = get_varint(data, size, pos);
-  return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (; size >= 8; p += 8, size -= 8) {
-    const std::uint32_t lo = load_u32_le(p) ^ c;
-    const std::uint32_t hi = load_u32_le(p + 4);
+    const std::uint32_t lo = get_u32(p) ^ c;
+    const std::uint32_t hi = get_u32(p + 4);
     c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
         t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }

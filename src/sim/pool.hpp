@@ -81,19 +81,8 @@ class SpanArena {
     return {buf_.data() + s.start, n};
   }
 
-  /// Drops the slot's last element.
-  void pop_back(std::int32_t slot) { --slots_[idx(slot)].len; }
-
-  void push_back(std::int32_t slot, T v) {
-    Slot& s = slots_[idx(slot)];
-    if (s.len == s.cap) relocate(s, grow_cap(s.cap));
-    buf_[s.start + s.len] = v;
-    ++s.len;
-  }
-
-  /// push_back that also returns the element's position in the slot — the
-  /// back-pointer schemes this arena serves need it, and returning it here
-  /// avoids a second slot lookup for size().
+  /// Appends `v` and returns its position in the slot: the back-pointer
+  /// schemes this arena serves need it.
   std::uint32_t append(std::int32_t slot, T v) {
     Slot& s = slots_[idx(slot)];
     if (s.len == s.cap) relocate(s, grow_cap(s.cap));
@@ -101,16 +90,9 @@ class SpanArena {
     return s.len++;
   }
 
-  /// Removes element `pos` by swapping the last element into its place.
-  void swap_erase(std::int32_t slot, std::uint32_t pos) {
-    Slot& s = slots_[idx(slot)];
-    --s.len;
-    if (pos != s.len) buf_[s.start + pos] = buf_[s.start + s.len];
-  }
-
-  /// swap_erase that reports the moved-in element (so the caller can fix a
-  /// back-pointer): returns the element now at `pos`, or nullptr if `pos`
-  /// was the last.  One slot lookup instead of size()+at()+swap_erase().
+  /// Removes element `pos` by swapping the last element into its place and
+  /// reports the moved-in element (so the caller can fix a back-pointer):
+  /// returns the element now at `pos`, or nullptr if `pos` was the last.
   T* swap_erase_get(std::int32_t slot, std::uint32_t pos) {
     Slot& s = slots_[idx(slot)];
     --s.len;

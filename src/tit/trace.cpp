@@ -1,5 +1,6 @@
 #include "tit/trace.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -272,8 +273,8 @@ TraceStats stats(const Trace& trace) {
   return s;
 }
 
-Trace parse_trace(std::istream& in, int nprocs) {
-  Trace trace(nprocs);
+void for_each_action(std::istream& in, const std::string& where,
+                     const std::function<void(const Action&)>& emit) {
   std::string raw;
   int line_no = 0;
   while (std::getline(in, raw)) {
@@ -281,11 +282,16 @@ Trace parse_trace(std::istream& in, int nprocs) {
     const std::string_view text = str::trim(raw);
     if (text.empty() || text.front() == '#') continue;
     try {
-      trace.push(parse_line(text));
+      emit(parse_line(text));
     } catch (const Error& e) {
-      throw ParseError("line " + std::to_string(line_no) + ": " + e.what());
+      throw ParseError(where + std::to_string(line_no) + ": " + e.what());
     }
   }
+}
+
+Trace parse_trace(std::istream& in, int nprocs) {
+  Trace trace(nprocs);
+  for_each_action(in, "line ", [&](const Action& a) { trace.push(a); });
   return trace;
 }
 
@@ -325,38 +331,35 @@ std::vector<std::string> read_manifest(const std::string& manifest_path) {
   return files;
 }
 
-Trace load_trace(const std::string& manifest_path, int nprocs) {
-  namespace fs = std::filesystem;
-  const std::vector<std::string> files = read_manifest(manifest_path);
-  const fs::path base_dir = fs::path(manifest_path).parent_path();
+Manifest resolve_manifest(const std::string& manifest_path, int nprocs) {
+  Manifest manifest;
+  manifest.files = read_manifest(manifest_path);
+  manifest.dir = std::filesystem::path(manifest_path).parent_path().string();
+  manifest.nprocs =
+      manifest.files.size() == 1 ? std::max(nprocs, 0) : static_cast<int>(manifest.files.size());
+  return manifest;
+}
 
-  const bool shared = files.size() == 1;
-  if (shared && nprocs <= 0) {
-    throw Error("single-file manifest needs an explicit process count: " + manifest_path);
-  }
-  const int count = shared ? nprocs : static_cast<int>(files.size());
-  if (!shared && nprocs > 0 && nprocs != count) {
-    throw Error("manifest lists " + std::to_string(count) + " trace files but " +
-                std::to_string(nprocs) + " processes were requested");
-  }
-  Trace trace(count);
-  for (const std::string& f : files) {
-    const std::string path = (base_dir / f).string();
+void for_each_action(const Manifest& manifest, const std::function<void(const Action&)>& emit) {
+  for (const std::string& f : manifest.files) {
+    const std::string path = (std::filesystem::path(manifest.dir) / f).string();
     std::ifstream in(path);
     if (!in) throw Error("cannot open trace file: " + path);
-    std::string raw;
-    int line_no = 0;
-    while (std::getline(in, raw)) {
-      ++line_no;
-      const std::string_view text = str::trim(raw);
-      if (text.empty() || text.front() == '#') continue;
-      try {
-        trace.push(parse_line(text));
-      } catch (const Error& e) {
-        throw ParseError(f + ":" + std::to_string(line_no) + ": " + e.what());
-      }
-    }
+    for_each_action(in, f + ":", emit);
   }
+}
+
+Trace load_trace(const std::string& manifest_path, int nprocs) {
+  const Manifest manifest = resolve_manifest(manifest_path, nprocs);
+  if (manifest.nprocs == 0) {
+    throw Error("single-file manifest needs an explicit process count: " + manifest_path);
+  }
+  if (manifest.files.size() > 1 && nprocs > 0 && nprocs != manifest.nprocs) {
+    throw Error("manifest lists " + std::to_string(manifest.nprocs) + " trace files but " +
+                std::to_string(nprocs) + " processes were requested");
+  }
+  Trace trace(manifest.nprocs);
+  for_each_action(manifest, [&](const Action& a) { trace.push(a); });
   return trace;
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -51,6 +52,13 @@ void add_to_stats(TraceStats& s, const Action& a);
 /// Throws ParseError with the offending text.
 Action parse_line(std::string_view line);
 
+/// The one text-trace line loop: hand every action of `in` to `emit`, in
+/// line order, one action per line, '#' comments and blank lines skipped.
+/// A line that does not parse, or that `emit` refuses with a tir::Error,
+/// throws ParseError prefixed "<where><line number>: ".
+void for_each_action(std::istream& in, const std::string& where,
+                     const std::function<void(const Action&)>& emit);
+
 /// Parse a whole trace from text: one action per line, '#' comments and
 /// blank lines ignored. nprocs fixes the rank count (ranks must be < nprocs).
 Trace parse_trace(std::istream& in, int nprocs);
@@ -68,6 +76,23 @@ Trace load_trace(const std::string& manifest_path, int nprocs = -1);
 /// Read a manifest: the listed trace file names (relative to the manifest's
 /// directory), blank lines skipped. Throws on unreadable/empty manifests.
 std::vector<std::string> read_manifest(const std::string& manifest_path);
+
+/// A manifest resolved: its trace files and the rank count they hold.
+struct Manifest {
+  std::vector<std::string> files;  ///< as listed, relative to `dir`
+  std::string dir;                 ///< the manifest's directory
+  /// files.size() for one file per rank; for a single-file manifest (all
+  /// ranks share it, paper §3.3) the count given, or 0 when none was.
+  int nprocs = 0;
+};
+
+/// Read the manifest at `manifest_path` and settle its rank count; `nprocs`
+/// counts only for a single-file manifest.  Throws as read_manifest.
+Manifest resolve_manifest(const std::string& manifest_path, int nprocs);
+
+/// for_each_action over every file of `manifest`, in manifest order; error
+/// lines are prefixed "<file>:<line number>: ".
+void for_each_action(const Manifest& manifest, const std::function<void(const Action&)>& emit);
 
 /// Fail-fast structural validation: every send has a matching recv (per
 /// ordered pair), collective participation agrees, partners in range,

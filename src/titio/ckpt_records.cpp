@@ -1,5 +1,6 @@
 #include "titio/ckpt_records.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <fstream>
@@ -15,35 +16,6 @@ namespace tir::titio {
 namespace {
 
 constexpr std::uint64_t kCkptPayloadVersion = 1;
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t take_u64(const std::vector<std::uint8_t>& payload, std::size_t& pos) {
-  if (pos + 8 > payload.size()) throw ParseError("checkpoint payload truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(payload[pos + i]) << (8 * i);
-  pos += 8;
-  return v;
-}
-
-double take_f64(const std::vector<std::uint8_t>& payload, std::size_t& pos) {
-  return std::bit_cast<double>(take_u64(payload, pos));
-}
 
 void validate_block(const CheckpointBlock& block) {
   if (block.nprocs <= 0) {
@@ -64,16 +36,16 @@ std::vector<std::uint8_t> encode_checkpoint_payload(const std::vector<Checkpoint
   binio::put_varint(out, kCkptPayloadVersion);
   for (const CheckpointBlock& block : blocks) {
     validate_block(block);
-    put_u64(out, block.fingerprint);
+    binio::put_u64(out, block.fingerprint);
     binio::put_varint(out, static_cast<std::uint64_t>(block.nprocs));
     binio::put_varint(out, block.checkpoints.size());
     for (const TraceCheckpoint& c : block.checkpoints) {
-      put_f64(out, c.time);
+      binio::put_f64(out, c.time);
       for (const CkptRankState& r : c.ranks) {
         binio::put_varint(out, r.position);
-        put_f64(out, r.time);
+        binio::put_f64(out, r.time);
         binio::put_varint(out, r.collective_sites);
-        put_u64(out, r.prefix_hash);
+        binio::put_u64(out, r.prefix_hash);
       }
     }
   }
@@ -90,23 +62,31 @@ std::vector<CheckpointBlock> decode_checkpoint_payload(const std::vector<std::ui
   // Blocks are self-delimiting: decode until the payload is exhausted.
   while (pos < payload.size()) {
     CheckpointBlock block;
-    block.fingerprint = take_u64(payload, pos);
+    block.fingerprint = binio::take_u64(payload.data(), payload.size(), pos);
     const std::uint64_t nprocs = binio::get_varint(payload.data(), payload.size(), pos);
     if (nprocs == 0 || nprocs > 0x7FFFFFFFu) {
       throw ParseError("bad checkpoint block nprocs " + std::to_string(nprocs));
     }
     block.nprocs = static_cast<int>(nprocs);
+    // A checkpoint takes at least 8 + 18 bytes per rank (a time, and per
+    // rank two one-byte varints and two 8-byte fields): refuse counts the
+    // remaining bytes cannot hold before sizing anything from them.
     const std::uint64_t count = binio::get_varint(payload.data(), payload.size(), pos);
+    if (count > (payload.size() - pos) / (8 + 18 * nprocs)) {
+      throw ParseError("checkpoint block claims " + std::to_string(count) +
+                       " checkpoints of " + std::to_string(nprocs) + " ranks in " +
+                       std::to_string(payload.size() - pos) + " bytes");
+    }
     block.checkpoints.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
       TraceCheckpoint c;
-      c.time = take_f64(payload, pos);
+      c.time = std::bit_cast<double>(binio::take_u64(payload.data(), payload.size(), pos));
       c.ranks.resize(static_cast<std::size_t>(nprocs));
       for (CkptRankState& r : c.ranks) {
         r.position = binio::get_varint(payload.data(), payload.size(), pos);
-        r.time = take_f64(payload, pos);
+        r.time = std::bit_cast<double>(binio::take_u64(payload.data(), payload.size(), pos));
         r.collective_sites = binio::get_varint(payload.data(), payload.size(), pos);
-        r.prefix_hash = take_u64(payload, pos);
+        r.prefix_hash = binio::take_u64(payload.data(), payload.size(), pos);
       }
       block.checkpoints.push_back(std::move(c));
     }
@@ -116,12 +96,14 @@ std::vector<CheckpointBlock> decode_checkpoint_payload(const std::vector<std::ui
 }
 
 std::vector<CheckpointBlock> read_checkpoints(Reader& reader) {
-  const std::vector<std::uint8_t> payload = reader.read_checkpoint_payload();
-  if (payload.empty()) return {};
+  // Never fatal: checkpoints only accelerate seeks, so a damaged frame or
+  // payload degrades to "no checkpoints" with a warning.
   try {
+    const std::vector<std::uint8_t> payload = reader.read_checkpoint_payload();
+    if (payload.empty()) return {};
     return decode_checkpoint_payload(payload);
   } catch (const ParseError& e) {
-    TIR_LOG(Warn, std::string("ignoring undecodable checkpoint payload (") + e.what() +
+    TIR_LOG(Warn, std::string("ignoring damaged checkpoint frame (") + e.what() +
                       "); seeks fall back to cold replay");
     return {};
   }
@@ -136,74 +118,48 @@ void append_checkpoints(const std::string& path, const std::vector<CheckpointBlo
   if (blocks.empty()) return;
   for (const CheckpointBlock& block : blocks) validate_block(block);
 
-  std::uint16_t version = 0;
-  std::uint64_t index_offset = 0;
-  std::uint64_t ckpt_offset = 0;
-  std::uint64_t total_actions = 0;
-  std::vector<CheckpointBlock> merged;
+  // The new tail: checkpoint frame, index, v2 footer.  The index references
+  // action-frame offsets only, and those never move: it is the one the file
+  // had.  A damaged existing checkpoint frame reads as empty, so the
+  // rewrite also heals corrupt checkpoint tails.
+  std::vector<std::uint8_t> tail;
+  std::uint64_t rewrite_pos = 0;
+  bool upgrade = false;
   {
-    // Validates header/footer/index and collects what the tail rewrite
-    // needs.  A damaged existing checkpoint frame degrades to empty here,
-    // so the rewrite below also heals corrupt checkpoint tails.
-    Reader reader(path);
-    version = reader.version();
-    index_offset = reader.index_offset();
-    ckpt_offset = reader.ckpt_offset();
-    total_actions = reader.total_actions();
-    merged = read_checkpoints(reader);
-  }
-  for (const CheckpointBlock& block : blocks) {
-    bool replaced = false;
-    for (CheckpointBlock& have : merged) {
-      if (have.fingerprint == block.fingerprint) {
-        have = block;
-        replaced = true;
-        break;
+    Reader reader(path);  // validates header, footer and index
+    std::vector<CheckpointBlock> merged = read_checkpoints(reader);
+    for (const CheckpointBlock& block : blocks) {
+      const auto same = std::find_if(merged.begin(), merged.end(), [&](const CheckpointBlock& b) {
+        return b.fingerprint == block.fingerprint;
+      });
+      if (same != merged.end()) {
+        *same = block;
+      } else {
+        merged.push_back(block);
       }
     }
-    if (!replaced) merged.push_back(block);
+    rewrite_pos = reader.ckpt_offset() != 0 ? reader.ckpt_offset() : reader.index_offset();
+    put_frame(tail, kCheckpointFrame, merged.size(), merged.size(),
+              encode_checkpoint_payload(merged));
+    const std::uint64_t new_index_offset = rewrite_pos + tail.size();
+    const std::vector<FrameRef>& frames = reader.frames();
+    put_frame(tail, kIndexFrame, frames.size(), frames.size(), encode_index(frames));
+    binio::put_u64(tail, new_index_offset);
+    binio::put_u64(tail, rewrite_pos);  // ckpt_offset of the v2 footer
+    binio::put_u64(tail, reader.total_actions());
+    binio::put_u32(tail, kEndMagic);
+    upgrade = reader.version() == kVersionV1;
   }
-
-  const std::size_t footer_bytes = version == kVersionV1 ? kFooterBytesV1 : kFooterBytesV2;
-  const std::uint64_t file_size = std::filesystem::file_size(path);
 
   std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
   if (!io) throw Error("cannot open binary trace for checkpoint append: " + path);
-
-  // The index payload references action-frame offsets only, and those never
-  // move — copy the index frame verbatim to its new position.
-  std::vector<std::uint8_t> index_raw(
-      static_cast<std::size_t>(file_size - footer_bytes - index_offset));
-  io.seekg(static_cast<std::streamoff>(index_offset));
-  io.read(reinterpret_cast<char*>(index_raw.data()),
-          static_cast<std::streamsize>(index_raw.size()));
-  if (io.gcount() != static_cast<std::streamsize>(index_raw.size())) {
-    throw Error("cannot read index frame for checkpoint append: " + path);
-  }
-
-  const std::uint64_t rewrite_pos = ckpt_offset != 0 ? ckpt_offset : index_offset;
-  const std::vector<std::uint8_t> payload = encode_checkpoint_payload(merged);
-  std::vector<std::uint8_t> tail;
-  tail.push_back(kCheckpointFrame);
-  binio::put_varint(tail, merged.size());
-  binio::put_varint(tail, merged.size());
-  binio::put_varint(tail, payload.size());
-  tail.insert(tail.end(), payload.begin(), payload.end());
-  put_u32(tail, binio::crc32(payload.data(), payload.size()));
-  const std::uint64_t new_index_offset = rewrite_pos + tail.size();
-  tail.insert(tail.end(), index_raw.begin(), index_raw.end());
-  put_u64(tail, new_index_offset);
-  put_u64(tail, rewrite_pos);  // ckpt_offset of the v2 footer
-  put_u64(tail, total_actions);
-  put_u32(tail, kEndMagic);
-
   io.seekp(static_cast<std::streamoff>(rewrite_pos));
   io.write(reinterpret_cast<const char*>(tail.data()), static_cast<std::streamsize>(tail.size()));
-  if (version == kVersionV1) {
+  if (upgrade) {
     // Upgrade in place: only the version field changes, after the v2 tail
     // is fully written.
     std::vector<std::uint8_t> v2;
-    put_u16(v2, kVersion);
+    binio::put_u16(v2, kVersion);
     io.seekp(4);
     io.write(reinterpret_cast<const char*>(v2.data()), static_cast<std::streamsize>(v2.size()));
   }
@@ -212,7 +168,7 @@ void append_checkpoints(const std::string& path, const std::vector<CheckpointBlo
   io.close();
 
   const std::uint64_t new_size = rewrite_pos + tail.size();
-  if (new_size < file_size) std::filesystem::resize_file(path, new_size);
+  if (new_size < std::filesystem::file_size(path)) std::filesystem::resize_file(path, new_size);
 }
 
 }  // namespace tir::titio

@@ -17,11 +17,6 @@
 //                 prefix_hash u64
 //
 // (f64 = raw little-endian IEEE-754 bytes; u64 = little-endian.)
-//
-// Appending checkpoints rewrites only the file tail (checkpoint frame +
-// index frame + footer): action frames never move, so
-// Reader::content_hash — the service cache key — is invariant under
-// append_checkpoints.  A v1 file is upgraded to v2 in place.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +73,8 @@ std::vector<CheckpointBlock> read_checkpoints(const std::string& path);
 
 /// Merge `blocks` into the trace at `path` (replacing any existing block
 /// with the same fingerprint) by rewriting the file tail in place: the new
-/// checkpoint frame, the verbatim index frame, and a v2 footer.  A v1 file
+/// checkpoint frame, the file's index re-encoded (encode_index: the same
+/// bytes for any index a Writer wrote), and a v2 footer.  A v1 file
 /// is upgraded to v2 (header version patched).  Action frames and
 /// Reader::content_hash are unchanged.  Throws tir::Error on I/O failure,
 /// tir::ParseError if the file is not a loadable TITB trace, tir::Error on

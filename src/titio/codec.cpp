@@ -1,6 +1,5 @@
 #include "titio/format.hpp"
 
-#include <bit>
 #include <cmath>
 #include <string>
 
@@ -18,12 +17,43 @@ bool fits_varint(double v) {
   return v == static_cast<double>(static_cast<std::int64_t>(v));
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+}  // namespace
+
+FrameHead parse_frame_head(const std::uint8_t* data, std::size_t size) {
+  if (size == 0) throw ParseError("truncated frame preamble");
+  FrameHead head;
+  head.kind = data[0];
+  std::size_t pos = 1;
+  head.id = binio::get_varint(data, size, pos);
+  head.count = binio::get_varint(data, size, pos);
+  head.payload_bytes = binio::get_varint(data, size, pos);
+  head.preamble_bytes = pos;
+  return head;
 }
 
-}  // namespace
+std::vector<std::uint8_t> encode_index(const std::vector<FrameRef>& frames) {
+  std::vector<std::uint8_t> index;
+  std::uint64_t prev_offset = 0;
+  for (const FrameRef& f : frames) {
+    binio::put_varint(index, f.rank);
+    binio::put_varint(index, f.offset - prev_offset);
+    binio::put_varint(index, f.actions);
+    binio::put_varint(index, f.payload_bytes);
+    prev_offset = f.offset;
+  }
+  return index;
+}
+
+void put_frame(std::vector<std::uint8_t>& out, std::uint8_t kind, std::uint64_t id,
+               std::uint64_t count, std::span<const std::uint8_t> payload) {
+  out.reserve(out.size() + kMaxFramePreamble + payload.size() + 4);
+  out.push_back(kind);
+  binio::put_varint(out, id);
+  binio::put_varint(out, count);
+  binio::put_varint(out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  binio::put_u32(out, binio::crc32(payload.data(), payload.size()));
+}
 
 void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a) {
   std::uint8_t flags = 0;
@@ -43,14 +73,14 @@ void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a) {
   if (flags & kHasPartner) binio::put_varint(out, static_cast<std::uint64_t>(a.partner));
   if (flags & kHasVolume) {
     if (flags & kVolumeF64) {
-      put_f64(out, a.volume);
+      binio::put_f64(out, a.volume);
     } else {
       binio::put_varint(out, static_cast<std::uint64_t>(a.volume));
     }
   }
   if (flags & kHasVolume2) {
     if (flags & kVolume2F64) {
-      put_f64(out, a.volume2);
+      binio::put_f64(out, a.volume2);
     } else {
       binio::put_varint(out, static_cast<std::uint64_t>(a.volume2));
     }

@@ -1,37 +1,28 @@
-// The TITB binary Time-Independent Trace format, version 2.
+// The TITB binary Time-Independent Trace format, version 2
+// (docs/trace_format.md is the specification).
 //
 // Layout (all fixed-width integers little-endian):
 //
 //   File        := Header ActionFrame* [CheckpointFrame] IndexFrame Footer
 //   Header      := magic u32 ("TITB")  version u16  flags u16  nprocs u32
-//   ActionFrame := 'A' u8  rank varint  action_count varint
-//                  payload_size varint  payload  crc32(payload) u32
-//   CheckpointFrame := 'C' u8  block_count varint  block_count varint
-//                  payload_size varint  payload  crc32(payload) u32
-//   IndexFrame  := 'I' u8  entry_count varint  entry_count varint
-//                  payload_size varint  payload  crc32(payload) u32
+//   Frame       := kind u8  id varint  count varint  payload_size varint
+//                  payload  crc32(payload) u32
+//   ActionFrame := Frame of kind 'A', id = rank, count = actions
+//   CheckpointFrame := Frame of kind 'C', id = count = blocks
+//   IndexFrame  := Frame of kind 'I', id = count = entries
 //   Footer v1   := index_offset u64  total_actions u64  end magic u32 ("TITE")
 //   Footer v2   := index_offset u64  ckpt_offset u64  total_actions u64
 //                  end magic u32 ("TITE")
 //
-// Version 2 (docs/trace_format.md §version 2) adds the optional checkpoint
-// frame: replay snapshots (src/ckpt) keyed by scenario fingerprint, placed
-// between the last action frame and the index so every action offset — and
-// therefore Reader::content_hash — is unchanged by appending checkpoints.
-// ckpt_offset is 0 when the file carries no checkpoints.  Readers accept
-// both versions; a v1 file is upgraded in place by rewriting its tail
-// (checkpoint frame + index + v2 footer) and patching the header version.
+// Version 2 adds the optional checkpoint frame (ckpt_records.hpp) between
+// the last action frame and the index, so appending checkpoints moves no
+// action frame and leaves Reader::content_hash unchanged; ckpt_offset is 0
+// when there is none.  Readers accept both versions.
 //
-// An action-frame payload is a run of actions of ONE rank, so the issuing
-// rank is stored once per frame rather than once per action.  Each index
-// payload entry is (rank varint, start-offset delta varint, action_count
-// varint, payload_size varint) for one action frame, in file order: a
-// reader seeks the footer, loads the single index frame, and from then on
-// needs only one frame per rank in memory at a time.  Every frame payload
-// is CRC-32 protected, so truncation and bit rot are detected per frame,
-// not discovered as garbage actions.
-//
-// Action encoding inside a payload (docs/trace_format.md has the rationale):
+// An action-frame payload is a run of actions of ONE rank.  Each index
+// entry is (rank, start-offset delta, action_count, payload_size) varints
+// for one action frame, in file order, so a reader needs the index plus one
+// frame per rank in memory.  Every payload is CRC-32 protected.
 //
 //   action := type u8  flags u8  [partner varint]  [volume]  [volume2]
 //
@@ -43,6 +34,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/binio.hpp"
@@ -75,6 +67,24 @@ inline constexpr std::uint8_t kVolumeNone = 1u << 3;  ///< volume = tit::kNoVolu
 inline constexpr std::uint8_t kHasVolume2 = 1u << 4;  ///< volume2 field follows
 inline constexpr std::uint8_t kVolume2F64 = 1u << 5;  ///< volume2 is a raw LE double
 
+/// The preamble every frame kind shares (Frame above).
+struct FrameHead {
+  std::uint8_t kind = 0;
+  std::uint64_t id = 0;
+  std::uint64_t count = 0;
+  std::uint64_t payload_bytes = 0;  ///< as declared; the reader bounds-checks it
+  std::size_t preamble_bytes = 0;   ///< encoded length of the four fields
+};
+
+/// Parse a frame preamble from data[0, size): the only preamble parser.
+/// Throws tir::ParseError when a field is cut short or malformed.
+FrameHead parse_frame_head(const std::uint8_t* data, std::size_t size);
+
+/// Append one whole frame to `out`: the preamble, the payload and the
+/// CRC-32 of the payload.  The only preamble writer.
+void put_frame(std::vector<std::uint8_t>& out, std::uint8_t kind, std::uint64_t id,
+               std::uint64_t count, std::span<const std::uint8_t> payload);
+
 /// One action frame as recorded in the index.
 struct FrameRef {
   std::uint64_t offset = 0;         ///< file offset of the frame's kind byte
@@ -82,6 +92,10 @@ struct FrameRef {
   std::uint64_t payload_bytes = 0;  ///< payload size (excl. preamble and CRC)
   std::uint32_t rank = 0;           ///< issuing rank of every action inside
 };
+
+/// The index-frame payload of `frames` (file order): one (rank, offset
+/// delta, action count, payload size) varint entry per action frame.
+std::vector<std::uint8_t> encode_index(const std::vector<FrameRef>& frames);
 
 /// Append one action (proc implied by the enclosing frame's rank).
 void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a);
@@ -93,10 +107,9 @@ void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a);
 /// A raw little-endian double from data[pos...), advancing pos.
 inline double decode_f64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
   if (pos + 8 > size) throw_bad_action("truncated double in action payload");
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
+  const double v = std::bit_cast<double>(binio::get_u64(data + pos));
   pos += 8;
-  return std::bit_cast<double>(bits);
+  return v;
 }
 
 /// Decode one action from payload[pos...), advancing pos. The issuing rank

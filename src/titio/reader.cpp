@@ -5,26 +5,25 @@
 
 #include "base/binio.hpp"
 #include "base/error.hpp"
-#include "base/log.hpp"
 
 namespace tir::titio {
 
 namespace {
 
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+/// The bounds rule for every frame body: `payload_bytes` of payload and a
+/// 4-byte CRC fit between `body` and `end`.  A declared size is compared
+/// with the bytes that remain and never added to an offset, so no declared
+/// size can wrap past the check.
+bool body_fits(std::uint64_t body, std::uint64_t end, std::uint64_t payload_bytes) {
+  return body <= end && end - body >= 4 && payload_bytes <= end - body - 4;
 }
 
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
+/// Damage `what` to the `kind` frame at `offset` of `path`.
+CorruptFrameError bad_frame(std::uint8_t kind, const char* what, const std::string& path,
+                            std::uint64_t offset, int rank) {
+  const char* const name =
+      kind == kActionFrame ? "action" : kind == kIndexFrame ? "index" : "checkpoint";
+  return CorruptFrameError(std::string(name) + " frame " + what + ": " + path, offset, rank);
 }
 
 /// Actually release a vector's storage (`v = {}` and clear() keep capacity).
@@ -44,19 +43,19 @@ Reader::Reader(const std::string& path, ReaderOptions options)
   }
 
   std::array<std::uint8_t, kHeaderBytes> header{};
-  in_.seekg(0);
-  in_.read(reinterpret_cast<char*>(header.data()), header.size());
-  if (!in_) throw ParseError("cannot read binary trace header: " + path);
-  if (get_u32(header.data()) != kMagic) {
+  if (!read_at(0, header.data(), header.size())) {
+    throw ParseError("cannot read binary trace header: " + path);
+  }
+  if (binio::get_u32(header.data()) != kMagic) {
     throw ParseError("not a TITB binary trace (bad magic): " + path);
   }
-  version_ = get_u16(header.data() + 4);
+  version_ = binio::get_u16(header.data() + 4);
   if (version_ != kVersion && version_ != kVersionV1) {
     throw ParseError("unsupported TITB version " + std::to_string(version_) + " (expected " +
                      std::to_string(kVersionV1) + " or " + std::to_string(kVersion) + "): " +
                      path);
   }
-  const std::uint32_t nprocs = get_u32(header.data() + 8);
+  const std::uint32_t nprocs = binio::get_u32(header.data() + 8);
   if (nprocs == 0 || nprocs > 0x7FFFFFFFu) {
     throw ParseError("bad process count " + std::to_string(nprocs) + ": " + path);
   }
@@ -71,105 +70,81 @@ Reader::Reader(const std::string& path, ReaderOptions options)
             " bytes): " + path,
         file_size_);
   }
+  const std::uint64_t index_end = file_size_ - footer_bytes;
   std::array<std::uint8_t, kFooterBytesV2> footer{};
-  in_.seekg(static_cast<std::streamoff>(file_size_ - footer_bytes));
-  in_.read(reinterpret_cast<char*>(footer.data()), static_cast<std::streamsize>(footer_bytes));
-  if (!in_) throw ParseError("cannot read binary trace footer: " + path);
-  if (get_u32(footer.data() + footer_bytes - 4) != kEndMagic) {
+  if (!read_at(index_end, footer.data(), footer_bytes)) {
+    throw ParseError("cannot read binary trace footer: " + path);
+  }
+  if (binio::get_u32(footer.data() + footer_bytes - 4) != kEndMagic) {
     // The footer is the resync anchor: without it there is no index and no
     // recovery, so this is a typed corruption even in recover mode.
-    throw CorruptFrameError("truncated binary trace (missing end marker): " + path,
-                            file_size_ - footer_bytes);
+    throw CorruptFrameError("truncated binary trace (missing end marker): " + path, index_end);
   }
-  index_offset_ = get_u64(footer.data());
+  index_offset_ = binio::get_u64(footer.data());
   if (version_ == kVersionV1) {
-    total_actions_ = get_u64(footer.data() + 8);
+    total_actions_ = binio::get_u64(footer.data() + 8);
   } else {
-    ckpt_offset_ = get_u64(footer.data() + 8);
-    total_actions_ = get_u64(footer.data() + 16);
+    ckpt_offset_ = binio::get_u64(footer.data() + 8);
+    total_actions_ = binio::get_u64(footer.data() + 16);
   }
-  const std::uint64_t index_offset = index_offset_;
-  if (index_offset < kHeaderBytes || index_offset >= file_size_ - footer_bytes) {
-    throw CorruptFrameError("corrupt index offset in binary trace: " + path,
-                            file_size_ - footer_bytes);
+  if (index_offset_ < kHeaderBytes || index_offset_ >= index_end) {
+    throw CorruptFrameError("corrupt index offset in binary trace: " + path, index_end);
   }
-  if (ckpt_offset_ != 0 && (ckpt_offset_ < kHeaderBytes || ckpt_offset_ >= index_offset)) {
-    throw CorruptFrameError("corrupt checkpoint offset in binary trace: " + path,
-                            file_size_ - footer_bytes);
+  if (ckpt_offset_ != 0 && (ckpt_offset_ < kHeaderBytes || ckpt_offset_ >= index_offset_)) {
+    throw CorruptFrameError("corrupt checkpoint offset in binary trace: " + path, index_end);
   }
 
-  // The index frame spans [index_offset, file_size - footer).
-  const std::size_t index_span = static_cast<std::size_t>(file_size_ - footer_bytes - index_offset);
-  std::vector<std::uint8_t> raw(index_span);
-  in_.seekg(static_cast<std::streamoff>(index_offset));
-  in_.read(reinterpret_cast<char*>(raw.data()), static_cast<std::streamsize>(raw.size()));
-  if (!in_) throw ParseError("cannot read binary trace index: " + path);
-
-  std::size_t pos = 0;
-  if (raw[pos++] != kIndexFrame) {
-    throw CorruptFrameError("corrupt index frame kind: " + path, index_offset);
+  // The index frame spans [index_offset_, index_end) exactly.  It is the
+  // resync anchor, so its damage is a typed corruption even in recover mode.
+  // An entry takes at least four bytes, which bounds the count to reserve.
+  const auto bad_index = [&](const std::string& what) {
+    return CorruptFrameError(what + ": " + path, index_offset_);
+  };
+  const FrameHead head = read_head(index_offset_, index_end, kIndexFrame);
+  if (head.id != head.count || head.count > head.payload_bytes / 4) {
+    throw bad_index("corrupt index frame in binary trace");
   }
-  std::uint64_t entries = 0;
-  std::uint64_t entries2 = 0;
-  std::uint64_t payload_bytes = 0;
-  try {
-    entries = binio::get_varint(raw.data(), raw.size(), pos);
-    entries2 = binio::get_varint(raw.data(), raw.size(), pos);
-    payload_bytes = binio::get_varint(raw.data(), raw.size(), pos);
-  } catch (const ParseError&) {
-    throw CorruptFrameError("index preamble truncated: " + path, index_offset);
-  }
-  if (entries != entries2 || pos + payload_bytes + 4 != raw.size()) {
-    throw CorruptFrameError("corrupt index frame in binary trace: " + path, index_offset);
-  }
-  const std::uint32_t want_crc = get_u32(raw.data() + pos + payload_bytes);
-  if (binio::crc32(raw.data() + pos, static_cast<std::size_t>(payload_bytes)) != want_crc) {
-    throw CorruptFrameError("index frame CRC mismatch: " + path, index_offset);
+  std::vector<std::uint8_t> raw;
+  read_body(index_offset_, head, index_end, raw);
+  if (index_end - index_offset_ - head.preamble_bytes - 4 != raw.size()) {
+    throw bad_index("index frame does not end at the footer");
   }
 
   of_rank_.resize(static_cast<std::size_t>(nprocs_));
   cursors_.resize(static_cast<std::size_t>(nprocs_));
   skipped_of_.resize(static_cast<std::size_t>(nprocs_), 0);
-  frames_.reserve(static_cast<std::size_t>(entries));
-  std::size_t p = pos;
-  const std::size_t payload_end = pos + static_cast<std::size_t>(payload_bytes);
+  frames_.reserve(static_cast<std::size_t>(head.count));
+  std::size_t p = 0;
+  const auto next = [&] {
+    try {
+      return binio::get_varint(raw.data(), raw.size(), p);
+    } catch (const ParseError&) {
+      throw bad_index("index truncated mid-entry");
+    }
+  };
   std::uint64_t prev_offset = 0;
   std::uint64_t indexed_actions = 0;
-  try {
-    for (std::uint64_t i = 0; i < entries; ++i) {
-      FrameRef f;
-      const std::uint64_t rank = binio::get_varint(raw.data(), payload_end, p);
-      f.offset = prev_offset + binio::get_varint(raw.data(), payload_end, p);
-      f.actions = binio::get_varint(raw.data(), payload_end, p);
-      f.payload_bytes = binio::get_varint(raw.data(), payload_end, p);
-      prev_offset = f.offset;
-      if (rank >= nprocs) {
-        throw CorruptFrameError("index entry rank p" + std::to_string(rank) + " out of range: " +
-                                    path,
-                                index_offset);
-      }
-      if (f.offset < kHeaderBytes || f.offset + f.payload_bytes + 4 > index_offset) {
-        throw CorruptFrameError("index entry offset out of bounds: " + path, index_offset);
-      }
-      f.rank = static_cast<std::uint32_t>(rank);
-      indexed_actions += f.actions;
-      of_rank_[rank].push_back(frames_.size());
-      frames_.push_back(f);
+  for (std::uint64_t i = 0; i < head.count; ++i) {
+    FrameRef f;
+    const std::uint64_t rank = next();
+    f.offset = prev_offset + next();
+    f.actions = next();
+    f.payload_bytes = next();
+    prev_offset = f.offset;
+    if (rank >= nprocs) {
+      throw bad_index("index entry rank p" + std::to_string(rank) + " out of range");
     }
-  } catch (const CorruptFrameError&) {
-    throw;  // already typed with the index offset
-  } catch (const ParseError&) {
-    // A varint ran past the payload: the index itself is truncated
-    // mid-entry.  The index is the resync anchor, so there is nothing to
-    // recover with — surface a typed corruption with the damage's byte
-    // offset even in recover mode, never a bare parse error (or a loop).
-    throw CorruptFrameError("index truncated mid-entry: " + path, index_offset);
+    if (f.offset < kHeaderBytes || !body_fits(f.offset, index_offset_, f.payload_bytes)) {
+      throw bad_index("index entry offset out of bounds");
+    }
+    f.rank = static_cast<std::uint32_t>(rank);
+    indexed_actions += f.actions;
+    of_rank_[rank].push_back(frames_.size());
+    frames_.push_back(f);
   }
-  if (p != payload_end) {
-    throw CorruptFrameError("trailing bytes in binary trace index: " + path, index_offset);
-  }
+  if (p != raw.size()) throw bad_index("trailing bytes in binary trace index");
   if (indexed_actions != total_actions_) {
-    throw CorruptFrameError("index action count disagrees with footer: " + path, index_offset);
+    throw bad_index("index action count disagrees with footer");
   }
 }
 
@@ -196,51 +171,59 @@ void Reader::account(std::ptrdiff_t delta) {
   peak_buffered_ = std::max(peak_buffered_, buffered_);
 }
 
-void Reader::read_payload(const FrameRef& frame, std::vector<std::uint8_t>& payload) {
-  // Re-parse the frame preamble and cross-check it against the index: a
-  // frame that moved or shrank means either side is corrupt.
-  std::array<std::uint8_t, kMaxFramePreamble> preamble{};
+bool Reader::read_at(std::uint64_t offset, std::uint8_t* data, std::size_t size) {
   in_.clear();
-  in_.seekg(static_cast<std::streamoff>(frame.offset));
-  const std::size_t want =
-      std::min<std::size_t>(preamble.size(), static_cast<std::size_t>(file_size_ - frame.offset));
-  in_.read(reinterpret_cast<char*>(preamble.data()), static_cast<std::streamsize>(want));
-  if (in_.gcount() != static_cast<std::streamsize>(want)) {
-    throw CorruptFrameError("truncated frame: " + path_, frame.offset,
-                            static_cast<int>(frame.rank));
-  }
-  std::size_t pos = 0;
-  if (preamble[pos++] != kActionFrame) {
-    throw CorruptFrameError("bad frame kind: " + path_, frame.offset,
-                            static_cast<int>(frame.rank));
-  }
-  std::uint64_t rank = 0, actions = 0, payload_bytes = 0;
-  try {
-    rank = binio::get_varint(preamble.data(), want, pos);
-    actions = binio::get_varint(preamble.data(), want, pos);
-    payload_bytes = binio::get_varint(preamble.data(), want, pos);
-  } catch (const Error&) {
-    throw CorruptFrameError("unreadable frame preamble: " + path_, frame.offset,
-                            static_cast<int>(frame.rank));
-  }
-  if (rank != frame.rank || actions != frame.actions || payload_bytes != frame.payload_bytes) {
-    throw CorruptFrameError("frame disagrees with index: " + path_, frame.offset,
-                            static_cast<int>(frame.rank));
-  }
+  in_.seekg(static_cast<std::streamoff>(offset));
+  in_.read(reinterpret_cast<char*>(data), static_cast<std::streamsize>(size));
+  return in_.gcount() == static_cast<std::streamsize>(size);
+}
 
-  payload.resize(static_cast<std::size_t>(payload_bytes) + 4);  // payload + CRC
-  in_.seekg(static_cast<std::streamoff>(frame.offset + pos));
-  in_.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(payload.size()));
-  if (in_.gcount() != static_cast<std::streamsize>(payload.size())) {
-    throw CorruptFrameError("truncated frame payload: " + path_, frame.offset,
-                            static_cast<int>(frame.rank));
+FrameHead Reader::read_head(std::uint64_t offset, std::uint64_t end, std::uint8_t kind,
+                            int rank) {
+  std::array<std::uint8_t, kMaxFramePreamble> raw{};
+  const std::size_t want =
+      offset < end ? static_cast<std::size_t>(std::min<std::uint64_t>(raw.size(), end - offset))
+                   : 0;
+  if (!read_at(offset, raw.data(), want)) {
+    throw bad_frame(kind, "truncated", path_, offset, rank);
   }
-  const std::uint32_t want_crc = get_u32(payload.data() + payload_bytes);
-  payload.resize(static_cast<std::size_t>(payload_bytes));
+  FrameHead head;
+  try {
+    head = parse_frame_head(raw.data(), want);
+  } catch (const ParseError&) {
+    throw bad_frame(kind, "preamble unreadable", path_, offset, rank);
+  }
+  if (head.kind != kind) throw bad_frame(kind, "kind byte wrong", path_, offset, rank);
+  return head;
+}
+
+void Reader::read_body(std::uint64_t offset, const FrameHead& head, std::uint64_t end,
+                       std::vector<std::uint8_t>& payload, int rank) {
+  const std::uint64_t body = offset + head.preamble_bytes;
+  if (!body_fits(body, end, head.payload_bytes)) {
+    throw bad_frame(head.kind, "overruns its bounds", path_, offset, rank);
+  }
+  const auto payload_bytes = static_cast<std::size_t>(head.payload_bytes);
+  payload.resize(payload_bytes + 4);  // payload + CRC, one read
+  if (!read_at(body, payload.data(), payload.size())) {
+    throw bad_frame(head.kind, "payload truncated", path_, offset, rank);
+  }
+  const std::uint32_t want_crc = binio::get_u32(payload.data() + payload_bytes);
+  payload.resize(payload_bytes);
   if (binio::crc32(payload.data(), payload.size()) != want_crc) {
-    throw CorruptFrameError("frame CRC mismatch: " + path_, frame.offset,
-                            static_cast<int>(frame.rank));
+    throw bad_frame(head.kind, "CRC mismatch", path_, offset, rank);
   }
+}
+
+void Reader::read_payload(const FrameRef& frame, std::vector<std::uint8_t>& payload) {
+  // A frame that moved or shrank means it or the index is corrupt.
+  const int rank = static_cast<int>(frame.rank);
+  const FrameHead head = read_head(frame.offset, index_offset_, kActionFrame, rank);
+  if (head.id != frame.rank || head.count != frame.actions ||
+      head.payload_bytes != frame.payload_bytes) {
+    throw bad_frame(kActionFrame, "disagrees with index", path_, frame.offset, rank);
+  }
+  read_body(frame.offset, head, index_offset_, payload, rank);
 }
 
 bool Reader::advance_frame(int rank, Cursor& cursor) {
@@ -371,86 +354,37 @@ std::uint64_t Reader::content_hash() {
   std::uint64_t h = binio::mix64(binio::kHashSeed, kMagic);
   h = binio::mix64(h, static_cast<std::uint64_t>(nprocs_));
   h = binio::mix64(h, total_actions_);
-  std::array<std::uint8_t, kMaxFramePreamble> preamble{};
   for (const FrameRef& frame : frames_) {
     h = binio::mix64(h, frame.rank);
     h = binio::mix64(h, frame.actions);
-    // The stored CRC sits right after the payload; find it by re-parsing the
-    // preamble length.  An unparseable preamble (possible under
+    // The stored CRC sits right after the payload the index entry sizes.
+    // A frame whose CRC cannot be found that way (possible under
     // ReaderOptions::recover, whose loads skip such frames) is folded in as
     // its index entry instead — deterministic either way.
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(frame.offset));
-    const std::size_t want = std::min<std::size_t>(
-        preamble.size(), static_cast<std::size_t>(file_size_ - frame.offset));
-    in_.read(reinterpret_cast<char*>(preamble.data()), static_cast<std::streamsize>(want));
-    std::uint32_t crc = 0;
+    std::array<std::uint8_t, 4> crc{};
     bool have_crc = false;
-    if (in_.gcount() == static_cast<std::streamsize>(want) && want > 0 &&
-        preamble[0] == kActionFrame) {
-      try {
-        std::size_t pos = 1;
-        binio::get_varint(preamble.data(), want, pos);  // rank
-        binio::get_varint(preamble.data(), want, pos);  // action count
-        binio::get_varint(preamble.data(), want, pos);  // payload size
-        const std::uint64_t crc_at = frame.offset + pos + frame.payload_bytes;
-        if (crc_at + 4 <= file_size_) {
-          std::array<std::uint8_t, 4> raw{};
-          in_.clear();
-          in_.seekg(static_cast<std::streamoff>(crc_at));
-          in_.read(reinterpret_cast<char*>(raw.data()), 4);
-          if (in_.gcount() == 4) {
-            crc = get_u32(raw.data());
-            have_crc = true;
-          }
-        }
-      } catch (const Error&) {
-        // fall through to the index-entry fold below
-      }
+    try {
+      const std::uint64_t body =
+          frame.offset + read_head(frame.offset, file_size_, kActionFrame).preamble_bytes;
+      have_crc = body_fits(body, file_size_, frame.payload_bytes) &&
+                 read_at(body + frame.payload_bytes, crc.data(), crc.size());
+    } catch (const CorruptFrameError&) {  // NOLINT(bugprone-empty-catch): index-entry fold
     }
-    h = binio::mix64(h, have_crc ? crc : binio::mix64(frame.offset, frame.payload_bytes));
+    h = binio::mix64(h, have_crc ? binio::get_u32(crc.data())
+                                 : binio::mix64(frame.offset, frame.payload_bytes));
   }
   return h;
 }
 
 std::vector<std::uint8_t> Reader::read_checkpoint_payload() {
-  if (ckpt_offset_ == 0) return {};
-  // CheckpointFrame := 'C' u8, block_count varint (x2), payload_size varint,
-  // payload, crc32.  Never fatal: checkpoints only accelerate seeks, so any
-  // damage degrades to "no checkpoints" with a warning instead of throwing.
-  const auto fail = [this](const std::string& why) {
-    TIR_LOG(Warn, "ignoring damaged checkpoint frame in " + path_ + " (" + why +
-                      "); seeks fall back to cold replay");
-    return std::vector<std::uint8_t>{};
-  };
-  std::array<std::uint8_t, kMaxFramePreamble> preamble{};
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(ckpt_offset_));
-  const std::size_t want = std::min<std::size_t>(
-      preamble.size(), static_cast<std::size_t>(file_size_ - ckpt_offset_));
-  in_.read(reinterpret_cast<char*>(preamble.data()), static_cast<std::streamsize>(want));
-  if (in_.gcount() != static_cast<std::streamsize>(want)) return fail("truncated preamble");
-  std::size_t pos = 0;
-  if (preamble[pos++] != kCheckpointFrame) return fail("bad frame kind");
-  std::uint64_t blocks = 0, blocks2 = 0, payload_bytes = 0;
-  try {
-    blocks = binio::get_varint(preamble.data(), want, pos);
-    blocks2 = binio::get_varint(preamble.data(), want, pos);
-    payload_bytes = binio::get_varint(preamble.data(), want, pos);
-  } catch (const Error&) {
-    return fail("unreadable preamble");
+  std::vector<std::uint8_t> payload;
+  if (ckpt_offset_ == 0) return payload;
+  // The checkpoint frame sits right before the index.
+  const FrameHead head = read_head(ckpt_offset_, index_offset_, kCheckpointFrame);
+  if (head.id != head.count) {
+    throw bad_frame(kCheckpointFrame, "block counts disagree", path_, ckpt_offset_, -1);
   }
-  if (blocks != blocks2) return fail("block count mismatch");
-  if (ckpt_offset_ + pos + payload_bytes + 4 > file_size_) return fail("payload out of bounds");
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(payload_bytes) + 4);
-  in_.seekg(static_cast<std::streamoff>(ckpt_offset_ + pos));
-  in_.read(reinterpret_cast<char*>(payload.data()), static_cast<std::streamsize>(payload.size()));
-  if (in_.gcount() != static_cast<std::streamsize>(payload.size())) {
-    return fail("truncated payload");
-  }
-  const std::uint32_t want_crc = get_u32(payload.data() + payload_bytes);
-  payload.resize(static_cast<std::size_t>(payload_bytes));
-  if (binio::crc32(payload.data(), payload.size()) != want_crc) return fail("CRC mismatch");
+  read_body(ckpt_offset_, head, index_offset_, payload);
   return payload;
 }
 
@@ -470,11 +404,10 @@ void Reader::verify() {
 }
 
 bool is_binary_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  std::ifstream in(path, std::ios::binary);  // a missing file reads 0 bytes
   std::array<std::uint8_t, 4> magic{};
   in.read(reinterpret_cast<char*>(magic.data()), magic.size());
-  return in.gcount() == 4 && get_u32(magic.data()) == kMagic;
+  return in.gcount() == 4 && binio::get_u32(magic.data()) == kMagic;
 }
 
 tit::Trace Reader::materialize() {

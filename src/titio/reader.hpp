@@ -66,8 +66,8 @@ class Reader final : public ActionSource {
   /// min(ckpt_offset, index_offset); ckpt_records.hpp).
   std::uint64_t index_offset() const { return index_offset_; }
   /// CRC-validated payload of the checkpoint frame, or empty when the file
-  /// carries none.  A damaged checkpoint frame returns empty too (with a
-  /// Warn log line): checkpoints are an accelerator, never a load blocker.
+  /// carries none.  Throws CorruptFrameError on a damaged one, which
+  /// read_checkpoints (ckpt_records.hpp) turns into "no checkpoints".
   std::vector<std::uint8_t> read_checkpoint_payload();
   std::uint64_t actions_of(int rank) const;
   std::size_t frame_count() const { return frames_.size(); }
@@ -119,6 +119,19 @@ class Reader final : public ActionSource {
     bool trailing = false;
   };
 
+  /// Reads `size` bytes at `offset`; false when the file ends first.
+  bool read_at(std::uint64_t offset, std::uint8_t* data, std::size_t size);
+  /// The preamble of the `kind` frame at `offset`, read from before `end`.
+  /// Throws CorruptFrameError (at `offset`, for `rank`) when it is cut
+  /// short, unparseable or of another kind.
+  FrameHead read_head(std::uint64_t offset, std::uint64_t end, std::uint8_t kind,
+                      int rank = -1);
+  /// The CRC-checked payload of the frame at `offset` with preamble `head`,
+  /// payload and CRC in one read.  Throws CorruptFrameError when they do
+  /// not fit before `end` (the bounds rule), are cut short or fail the CRC.
+  void read_body(std::uint64_t offset, const FrameHead& head, std::uint64_t end,
+                 std::vector<std::uint8_t>& payload, int rank = -1);
+  /// An action frame's payload, its preamble checked against its index entry.
   void read_payload(const FrameRef& frame, std::vector<std::uint8_t>& payload);
   bool advance_frame(int rank, Cursor& cursor);
   void fill_batch(int rank, Cursor& cursor);

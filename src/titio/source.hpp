@@ -113,21 +113,6 @@ class ActionSource {
         "repositionable source (MemorySource, SharedTrace cursors)");
   }
 
-  /// Shared bounds check for repositionable sources.
-  static void check_seek(const std::vector<std::uint64_t>& positions, int nprocs,
-                         const std::vector<std::size_t>& limits) {
-    if (positions.size() != static_cast<std::size_t>(nprocs)) {
-      throw ConfigError("seek positions cover " + std::to_string(positions.size()) +
-                        " ranks, trace has " + std::to_string(nprocs));
-    }
-    for (std::size_t r = 0; r < positions.size(); ++r) {
-      if (positions[r] > limits[r]) {
-        throw ConfigError("seek position " + std::to_string(positions[r]) + " past rank p" +
-                          std::to_string(r) + "'s " + std::to_string(limits[r]) + " actions");
-      }
-    }
-  }
-
  private:
   /// next()'s unserved rest of each rank's last batch.
   struct Stash {
@@ -169,12 +154,18 @@ class MemorySource final : public ActionSource {
   void do_rewind() override { pos_.assign(pos_.size(), 0); }
 
   void do_seek(const std::vector<std::uint64_t>& positions) override {
-    std::vector<std::size_t> limits(seqs_.size());
-    for (std::size_t r = 0; r < limits.size(); ++r) limits[r] = seqs_[r]->size();
-    check_seek(positions, nprocs(), limits);
-    for (std::size_t r = 0; r < pos_.size(); ++r) {
-      pos_[r] = static_cast<std::size_t>(positions[r]);
+    if (positions.size() != seqs_.size()) {
+      throw ConfigError("seek positions cover " + std::to_string(positions.size()) +
+                        " ranks, trace has " + std::to_string(seqs_.size()));
     }
+    for (std::size_t r = 0; r < positions.size(); ++r) {
+      if (positions[r] > seqs_[r]->size()) {
+        throw ConfigError("seek position " + std::to_string(positions[r]) + " past rank p" +
+                          std::to_string(r) + "'s " + std::to_string(seqs_[r]->size()) +
+                          " actions");
+      }
+    }
+    pos_.assign(positions.begin(), positions.end());
   }
 
  private:

@@ -5,23 +5,6 @@
 
 namespace tir::titio {
 
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-}  // namespace
-
 Writer::Writer(const std::string& path, int nprocs, WriterOptions options)
     : out_(path, std::ios::binary | std::ios::trunc),
       path_(path),
@@ -38,13 +21,11 @@ Writer::Writer(const std::string& path, int nprocs, WriterOptions options)
   pending_count_.resize(static_cast<std::size_t>(nprocs), 0);
 
   std::vector<std::uint8_t> header;
-  put_u32(header, kMagic);
-  put_u16(header, options_.version);
-  put_u16(header, 0);  // flags
-  put_u32(header, static_cast<std::uint32_t>(nprocs));
-  out_.write(reinterpret_cast<const char*>(header.data()),
-             static_cast<std::streamsize>(header.size()));
-  offset_ = header.size();
+  binio::put_u32(header, kMagic);
+  binio::put_u16(header, options_.version);
+  binio::put_u16(header, 0);  // flags
+  binio::put_u32(header, static_cast<std::uint32_t>(nprocs));
+  emit(header);
 }
 
 Writer::~Writer() {
@@ -72,56 +53,33 @@ void Writer::flush_rank(std::size_t rank) {
   if (pending_count_[rank] == 0) return;
   frames_.push_back(FrameRef{offset_, pending_count_[rank], pending_[rank].size(),
                              static_cast<std::uint32_t>(rank)});
-  write_frame(kActionFrame, rank, pending_count_[rank], pending_[rank]);
+  std::vector<std::uint8_t> frame;
+  put_frame(frame, kActionFrame, rank, pending_count_[rank], pending_[rank]);
+  emit(frame);
   pending_[rank].clear();
   pending_count_[rank] = 0;
 }
 
-void Writer::write_frame(std::uint8_t kind, std::uint64_t id, std::uint64_t count,
-                         const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> preamble;
-  preamble.push_back(kind);
-  binio::put_varint(preamble, id);
-  binio::put_varint(preamble, count);
-  binio::put_varint(preamble, payload.size());
-  out_.write(reinterpret_cast<const char*>(preamble.data()),
-             static_cast<std::streamsize>(preamble.size()));
-  out_.write(reinterpret_cast<const char*>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
-  std::vector<std::uint8_t> crc;
-  put_u32(crc, binio::crc32(payload.data(), payload.size()));
-  out_.write(reinterpret_cast<const char*>(crc.data()), static_cast<std::streamsize>(crc.size()));
+void Writer::emit(const std::vector<std::uint8_t>& bytes) {
+  out_.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
   if (!out_) throw Error("write failed on binary trace: " + path_);
-  offset_ += preamble.size() + payload.size() + crc.size();
+  offset_ += bytes.size();
 }
 
 void Writer::finish() {
   if (finished_) return;
   for (std::size_t r = 0; r < pending_.size(); ++r) flush_rank(r);
 
-  // Index frame: one entry per action frame, offsets delta-encoded in file
-  // order. The frame's "id" slot carries the entry count.
-  std::vector<std::uint8_t> index;
-  std::uint64_t prev_offset = 0;
-  for (const FrameRef& f : frames_) {
-    binio::put_varint(index, f.rank);
-    binio::put_varint(index, f.offset - prev_offset);
-    binio::put_varint(index, f.actions);
-    binio::put_varint(index, f.payload_bytes);
-    prev_offset = f.offset;
-  }
-  const std::uint64_t index_offset = offset_;
-  write_frame(kIndexFrame, frames_.size(), frames_.size(), index);
-
-  std::vector<std::uint8_t> footer;
-  put_u64(footer, index_offset);
+  std::vector<std::uint8_t> tail;
+  put_frame(tail, kIndexFrame, frames_.size(), frames_.size(), encode_index(frames_));
+  binio::put_u64(tail, offset_);  // the index frame's offset
   // v2 footer carries the checkpoint-frame offset; a freshly written trace
   // has no checkpoints (ckpt::append_checkpoints adds them in place later).
-  if (options_.version != kVersionV1) put_u64(footer, 0);
-  put_u64(footer, total_actions_);
-  put_u32(footer, kEndMagic);
-  out_.write(reinterpret_cast<const char*>(footer.data()),
-             static_cast<std::streamsize>(footer.size()));
+  if (options_.version != kVersionV1) binio::put_u64(tail, 0);
+  binio::put_u64(tail, total_actions_);
+  binio::put_u32(tail, kEndMagic);
+  emit(tail);
   out_.flush();
   if (!out_) throw Error("write failed on binary trace: " + path_);
   finished_ = true;

@@ -50,8 +50,8 @@ class Writer {
 
  private:
   void flush_rank(std::size_t rank);
-  void write_frame(std::uint8_t kind, std::uint64_t id, std::uint64_t count,
-                   const std::vector<std::uint8_t>& payload);
+  /// Writes `bytes` at offset_ and advances it.
+  void emit(const std::vector<std::uint8_t>& bytes);
 
   std::ofstream out_;
   std::string path_;

@@ -1,12 +1,14 @@
 // Binary-encoding primitives: CRC-32 known answers and agreement of the
 // slicing-by-8 path with a bytewise reference at every length and
-// alignment, chunked continuation, and varint round trips and rejections.
+// alignment, chunked continuation, varint round trips and rejections, and
+// the fixed-width little-endian layout.
 #include "base/binio.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -89,15 +91,6 @@ TEST(BinIo, VarintRoundTrips) {
   put_varint(max_bytes, max);
   EXPECT_EQ(max_bytes.size(), 10u);
   EXPECT_EQ(max_bytes.back(), 0x01u);
-
-  for (const std::int64_t v : {std::int64_t{0}, std::int64_t{-1}, std::int64_t{1},
-                               std::numeric_limits<std::int64_t>::min(),
-                               std::numeric_limits<std::int64_t>::max()}) {
-    std::vector<std::uint8_t> buf;
-    put_varint_signed(buf, v);
-    std::size_t pos = 0;
-    EXPECT_EQ(get_varint_signed(buf.data(), buf.size(), pos), v);
-  }
 }
 
 TEST(BinIo, VarintDecodesInPlaceAmongOtherBytes) {
@@ -152,6 +145,29 @@ TEST(BinIo, VarintOverflowPast64BitsThrows) {
   std::size_t pos = 0;
   EXPECT_EQ(get_varint(bytes.data(), bytes.size(), pos),
             std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(BinIo, FixedWidthIsLittleEndianAndTakeChecksBounds) {
+  std::vector<std::uint8_t> buf;
+  put_u16(buf, 0x0102);
+  put_u32(buf, 0x03040506u);
+  put_u64(buf, 0x0708090A0B0C0D0Eull);
+  put_f64(buf, -2.5);
+  const std::vector<std::uint8_t> head = {0x02, 0x01, 0x06, 0x05, 0x04, 0x03, 0x0E,
+                                          0x0D, 0x0C, 0x0B, 0x0A, 0x09, 0x08, 0x07};
+  ASSERT_EQ(buf.size(), head.size() + 8);
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), buf.begin()));
+  EXPECT_EQ(get_u16(buf.data()), 0x0102u);
+  EXPECT_EQ(get_u32(buf.data() + 2), 0x03040506u);
+  EXPECT_EQ(get_u64(buf.data() + 6), 0x0708090A0B0C0D0Eull);
+
+  std::size_t pos = 14;
+  EXPECT_EQ(std::bit_cast<double>(take_u64(buf.data(), buf.size(), pos)), -2.5);
+  EXPECT_EQ(pos, buf.size());
+  EXPECT_THROW(take_u64(buf.data(), buf.size(), pos), ParseError);
+  pos = buf.size() - 7;
+  EXPECT_THROW(take_u64(buf.data(), buf.size(), pos), ParseError);
+  EXPECT_EQ(pos, buf.size() - 7);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/cg.hpp"
+#include "base/binio.hpp"
 #include "base/error.hpp"
 #include "ckpt/cursor.hpp"
 #include "obs/timeline.hpp"
@@ -351,6 +352,84 @@ TEST(CkptRecords, CorruptCheckpointFrameDegradesToEmptyNotFatal) {
   EXPECT_EQ(titio::read_binary_trace(path.string()).total_actions(),
             pingpong(5).total_actions());
   EXPECT_TRUE(titio::read_checkpoints(path.string()).empty());
+  fs::remove(path);
+}
+
+/// Rewrite the trace at `path`, written without checkpoints, so that
+/// `frame` sits between its last action frame and its index where a
+/// checkpoint frame goes, and the v2 footer points at both.
+void splice_checkpoint_frame(const fs::path& path, const std::vector<std::uint8_t>& frame) {
+  std::uint64_t index_offset = 0;
+  std::uint64_t total_actions = 0;
+  {
+    const titio::Reader reader(path.string());
+    ASSERT_EQ(reader.ckpt_offset(), 0u);
+    index_offset = reader.index_offset();
+    total_actions = reader.total_actions();
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  in.close();
+  const auto index_at = bytes.begin() + static_cast<std::ptrdiff_t>(index_offset);
+  std::vector<std::uint8_t> out(bytes.begin(), index_at);
+  out.insert(out.end(), frame.begin(), frame.end());
+  const std::uint64_t new_index_offset = out.size();
+  out.insert(out.end(), index_at, bytes.end() - titio::kFooterBytesV2);
+  binio::put_u64(out, new_index_offset);
+  binio::put_u64(out, index_offset);  // the checkpoint frame's offset
+  binio::put_u64(out, total_actions);
+  binio::put_u32(out, titio::kEndMagic);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(out.data()), static_cast<std::streamsize>(out.size()));
+}
+
+TEST(CkptRecords, WrappedCheckpointSizeDegradesToNone) {
+  const fs::path path = temp_file("wrapped");
+  titio::write_binary_trace(pingpong(5), path.string(), titio::WriterOptions{64});
+  const std::uint64_t ckpt_offset = titio::Reader(path.string()).index_offset();
+  // A 13-byte preamble whose size makes offset + preamble + size + CRC
+  // wrap to 1, then four bytes of "payload".
+  std::vector<std::uint8_t> frame = {titio::kCheckpointFrame, 1, 1};
+  binio::put_varint(frame, 0 - ckpt_offset - 13 - 3);
+  ASSERT_EQ(frame.size(), 13u);
+  binio::put_u32(frame, 0);
+  splice_checkpoint_frame(path, frame);
+
+  EXPECT_TRUE(titio::read_checkpoints(path.string()).empty());
+  EXPECT_EQ(titio::read_binary_trace(path.string()).total_actions(),
+            pingpong(5).total_actions());
+  fs::remove(path);
+}
+
+TEST(CkptRecords, CountsThePayloadCannotHoldAreParseErrors) {
+  // A block header (fingerprint, nprocs, checkpoint count) and one
+  // checkpoint's worth of bytes for two ranks.
+  const auto payload = [](std::uint64_t nprocs, std::uint64_t count) {
+    std::vector<std::uint8_t> p;
+    binio::put_varint(p, 1);  // payload version
+    binio::put_u64(p, 0xF00D);
+    binio::put_varint(p, nprocs);
+    binio::put_varint(p, count);
+    p.resize(p.size() + 8 + 2 * 18, 0);
+    return p;
+  };
+  EXPECT_EQ(titio::decode_checkpoint_payload(payload(2, 1)).size(), 1u);
+  EXPECT_THROW(titio::decode_checkpoint_payload(payload(2, 2)), ParseError);
+  // 2^62 checkpoints used to reach reserve() and throw std::length_error;
+  // 2^31 - 1 ranks would ask for that many rank states per checkpoint.
+  EXPECT_THROW(titio::decode_checkpoint_payload(payload(2, std::uint64_t{1} << 62)), ParseError);
+  EXPECT_THROW(titio::decode_checkpoint_payload(payload(0x7FFFFFFF, 1)), ParseError);
+
+  // Inside a file, an undecodable payload degrades to no checkpoints.
+  const fs::path path = temp_file("counts");
+  titio::write_binary_trace(pingpong(5), path.string(), titio::WriterOptions{64});
+  std::vector<std::uint8_t> frame;
+  titio::put_frame(frame, titio::kCheckpointFrame, 1, 1, payload(2, std::uint64_t{1} << 62));
+  splice_checkpoint_frame(path, frame);
+  EXPECT_TRUE(titio::read_checkpoints(path.string()).empty());
+  EXPECT_EQ(titio::read_binary_trace(path.string()).total_actions(),
+            pingpong(5).total_actions());
   fs::remove(path);
 }
 

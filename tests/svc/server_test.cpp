@@ -19,6 +19,7 @@
 #include "support/golden.hpp"
 #include "support/temp_dir.hpp"
 #include "support/wire.hpp"
+#include "support/wrapped_titb.hpp"
 #include "svc/client.hpp"
 #include "svc/net.hpp"
 #include "tit/trace.hpp"
@@ -226,6 +227,26 @@ TEST_F(SvcServer, HostlessPlatformFailsTheJobNotTheServer) {
   const JobResult result = client.submit(request);
   EXPECT_TRUE(result.failed);
   EXPECT_EQ(result.error_code, error_code_name(ErrorCode::Config)) << result.error;
+  EXPECT_TRUE(client.ping());
+}
+
+// A TITB file whose index declares a size that wraps past 2^64 used to
+// crash the daemon from the job's Reader; it must fail that one job with a
+// typed error, and the server keep serving.
+TEST_F(SvcServer, WrappedFrameSizeFailsTheJobNotTheServer) {
+  ServerOptions options;
+  options.endpoint = endpoint("wrapped.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  JobRequest request = simple_job();
+  request.trace = (dir_ / "wrapped.titb").string();
+  test::write_wrapped_index_titb(request.trace);
+  const JobResult result = client.submit(request);
+  EXPECT_TRUE(result.failed);
+  EXPECT_EQ(result.error_code, error_code_name(ErrorCode::CorruptFrame)) << result.error;
   EXPECT_TRUE(client.ping());
 }
 

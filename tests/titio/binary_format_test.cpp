@@ -11,11 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "base/binio.hpp"
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "support/temp_dir.hpp"
+#include "support/wrapped_titb.hpp"
 #include "tit/trace.hpp"
 #include "titio/reader.hpp"
+#include "titio/shared.hpp"
 #include "titio/writer.hpp"
 
 namespace tir::titio {
@@ -247,6 +250,84 @@ TEST(BinaryFormat, CorruptIndexIsRejected) {
   bytes[bytes.size() - 30] = static_cast<char>(bytes[bytes.size() - 30] ^ 0x01);
   spit(path, bytes);
   EXPECT_THROW(Reader{path.string()}, Error);
+  fs::remove(path);
+}
+
+// A declared size that only fits when added to an offset and wrapped past
+// 2^64 used to read out of bounds (SEGV in crc32) or allocate from the
+// wrapped size (std::length_error).  Every one must be a CorruptFrameError,
+// in both modes: recover mode can only skip action frames the index vouches
+// for.
+TEST(BinaryFormat, WrappedIndexSizeIsCorruptFrame) {
+  const fs::path path = temp_file("wrappedindex");
+  test::write_wrapped_index_titb(path);
+  ASSERT_EQ(fs::file_size(path), 53u);
+  for (const bool recover : {false, true}) {
+    ReaderOptions options;
+    options.recover = recover;
+    EXPECT_THROW(Reader(path.string(), options), CorruptFrameError) << "recover=" << recover;
+    EXPECT_THROW(SharedTrace::load(path.string(), options), CorruptFrameError)
+        << "recover=" << recover;
+  }
+  fs::remove(path);
+}
+
+/// The bytes of a one-rank file with one action frame whose preamble and
+/// index entry both declare `payload_bytes`, and `entries` index entries
+/// declared in the index preamble (1 unless forged).
+std::vector<std::uint8_t> forged_file(std::uint64_t payload_bytes, std::uint64_t entries = 1) {
+  std::vector<std::uint8_t> bytes;
+  binio::put_u32(bytes, kMagic);
+  binio::put_u16(bytes, kVersion);
+  binio::put_u16(bytes, 0);
+  binio::put_u32(bytes, 1);
+  const std::uint64_t offset = bytes.size();
+  bytes.push_back(kActionFrame);
+  binio::put_varint(bytes, 0);  // rank
+  binio::put_varint(bytes, 1);  // actions
+  binio::put_varint(bytes, payload_bytes);
+  encode_action(bytes, {tit::ActionType::Compute, 0, -1, 1000, 0});
+  binio::put_u32(bytes, 0);  // CRC
+  std::vector<std::uint8_t> index;
+  binio::put_varint(index, 0);
+  binio::put_varint(index, offset);
+  binio::put_varint(index, 1);
+  binio::put_varint(index, payload_bytes);
+  const std::uint64_t index_offset = bytes.size();
+  put_frame(bytes, kIndexFrame, entries, entries, index);
+  binio::put_u64(bytes, index_offset);
+  binio::put_u64(bytes, 0);  // no checkpoints
+  binio::put_u64(bytes, 1);  // actions
+  binio::put_u32(bytes, kEndMagic);
+  return bytes;
+}
+
+void spit(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(BinaryFormat, WrappedFrameSizeFailsAtOpen) {
+  // Frame offset 12: offset + size + 4 wraps to 1, inside the file.
+  const std::uint64_t wrapped = 0 - std::uint64_t{12} - 3;
+  const fs::path path = temp_file("wrappedframe");
+  spit(path, forged_file(wrapped));
+  for (const bool recover : {false, true}) {
+    ReaderOptions options;
+    options.recover = recover;
+    EXPECT_THROW(Reader(path.string(), options), CorruptFrameError) << "recover=" << recover;
+  }
+  EXPECT_THROW(read_binary_trace(path.string()), CorruptFrameError);
+  fs::remove(path);
+}
+
+TEST(BinaryFormat, IndexEntryCountBeyondItsPayloadIsCorruptFrame) {
+  // An entry takes at least four bytes: 2^62 entries cannot sit in a
+  // 4-byte index payload, and must not be reserved for.
+  const fs::path path = temp_file("entrycount");
+  spit(path, forged_file(4, std::uint64_t{1} << 62));
+  EXPECT_THROW(Reader(path.string()), CorruptFrameError);
   fs::remove(path);
 }
 
