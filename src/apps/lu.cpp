@@ -10,7 +10,7 @@ NasClass nas_class(char name) {
     case 'B': return {'B', 102, 102, 102, 250};
     case 'C': return {'C', 162, 162, 162, 250};
     case 'D': return {'D', 408, 408, 408, 300};
-    default: throw Error(std::string("unknown NPB class '") + name + "'");
+    default: throw ConfigError(std::string("unknown NPB class '") + name + "'");
   }
 }
 
@@ -64,13 +64,20 @@ struct Emitter {
 
 double lu_rank_instructions(const LuConfig& cfg, int rank, const LuCosts& costs) {
   double total = 0.0;
-  for (const LuEvent& e : lu_events(cfg, rank, costs)) total += e.instructions;
+  for (const LuEvent& e : LuProgram(cfg, rank, costs)) total += e.instructions;
   return total;
 }
 
-std::vector<LuEvent> lu_events(const LuConfig& cfg, int rank, const LuCosts& costs) {
+std::size_t LuProgram::size() const {
+  const std::size_t norms = iterations_ == 1 ? 1 : 2;
+  return body_begin_ + static_cast<std::size_t>(iterations_) * (norm_ - body_begin_) + norms + 1;
+}
+
+LuProgram::LuProgram(const LuConfig& cfg, int rank, const LuCosts& costs)
+    : iterations_(cfg.iterations()) {
   const LuGrid g(cfg);
   TIR_ASSERT(rank >= 0 && rank < cfg.nprocs);
+  TIR_ASSERT(iterations_ >= 1);
   const int row = g.row(rank);
   const int col = g.col(rank);
   const int nxl = g.nx_loc(col);
@@ -91,13 +98,12 @@ std::vector<LuEvent> lu_events(const LuConfig& cfg, int rank, const LuCosts& cos
   const double face_ns = bytes_ns * nz;
   const double face_ew = bytes_ew * nz;
 
-  std::vector<LuEvent> events;
-  // init + setup + per-iteration: rhs halo(<=8) + rhs + 2 sweeps + add + norm
-  events.reserve(8 + static_cast<std::size_t>(cfg.iterations()) *
-                         (12 + 2 * static_cast<std::size_t>(nz) * 5));
-  Emitter e{events};
+  // prologue(5) + body: rhs halo(<=8) + rhs + 2 sweeps + add, then norm + finalize
+  events_.reserve(5 + 10 + 2 * static_cast<std::size_t>(nz) * 5 + 2);
+  Emitter e{events_};
 
-  events.push_back({LuEvent::Type::Init, LuPhase::Init, 0, 0, -1, 0, 0});
+  // --- prologue ---
+  events_.push_back({LuEvent::Type::Init, LuPhase::Init, 0, 0, -1, 0, 0});
   // Problem parameters / timing sync, as NPB's bcast of the input deck.
   e.bcast(40.0, 0);
   e.bcast(24.0, 0);
@@ -140,49 +146,48 @@ std::vector<LuEvent> lu_events(const LuConfig& cfg, int rank, const LuCosts& cos
     }
   };
 
-  const int iters = cfg.iterations();
-  for (int it = 0; it < iters; ++it) {
-    // --- rhs: halo exchange + right-hand side ---
-    halo(LuPhase::Rhs);
-    const double rhs_instr = costs.rhs * vol_pts + costs.per_plane * nz;
-    e.compute(LuPhase::Rhs, rhs_instr,
-              costs.calls_per_instr * rhs_instr + costs.calls_per_plane * nz);
+  // --- one SSOR iteration ---
+  body_begin_ = events_.size();
 
-    // --- lower-triangular sweep (jacld + blts), wavefront from (0,0) ---
-    for (int k = 0; k < nz; ++k) {
-      if (north >= 0) e.recv(LuPhase::Blts, north, bytes_ns);
-      if (west >= 0) e.recv(LuPhase::Blts, west, bytes_ew);
-      const double plane_instr =
-          (costs.jacld + costs.blts) * plane_pts + 2.0 * costs.per_plane;
-      e.compute(LuPhase::Blts, plane_instr,
-                costs.calls_per_instr * plane_instr + 2.0 * costs.calls_per_plane);
-      if (south >= 0) e.send(LuPhase::Blts, south, bytes_ns);
-      if (east >= 0) e.send(LuPhase::Blts, east, bytes_ew);
-    }
+  // rhs: halo exchange + right-hand side
+  halo(LuPhase::Rhs);
+  const double rhs_instr = costs.rhs * vol_pts + costs.per_plane * nz;
+  e.compute(LuPhase::Rhs, rhs_instr,
+            costs.calls_per_instr * rhs_instr + costs.calls_per_plane * nz);
 
-    // --- upper-triangular sweep (jacu + buts), wavefront from (px-1,py-1) ---
-    for (int k = nz - 1; k >= 0; --k) {
-      if (south >= 0) e.recv(LuPhase::Buts, south, bytes_ns);
-      if (east >= 0) e.recv(LuPhase::Buts, east, bytes_ew);
-      const double plane_instr =
-          (costs.jacu + costs.buts) * plane_pts + 2.0 * costs.per_plane;
-      e.compute(LuPhase::Buts, plane_instr,
-                costs.calls_per_instr * plane_instr + 2.0 * costs.calls_per_plane);
-      if (north >= 0) e.send(LuPhase::Buts, north, bytes_ns);
-      if (west >= 0) e.send(LuPhase::Buts, west, bytes_ew);
-    }
-
-    // --- add: solution update ---
-    e.compute(LuPhase::Add, costs.add * vol_pts, costs.calls_per_instr * costs.add * vol_pts);
-
-    // --- residual norm at the first and last iteration (NPB inorm points) ---
-    if (it == 0 || it == iters - 1) {
-      e.allreduce(5 * kDouble, costs.norm_compute);
-    }
+  // lower-triangular sweep (jacld + blts), wavefront from (0,0)
+  for (int k = 0; k < nz; ++k) {
+    if (north >= 0) e.recv(LuPhase::Blts, north, bytes_ns);
+    if (west >= 0) e.recv(LuPhase::Blts, west, bytes_ew);
+    const double plane_instr =
+        (costs.jacld + costs.blts) * plane_pts + 2.0 * costs.per_plane;
+    e.compute(LuPhase::Blts, plane_instr,
+              costs.calls_per_instr * plane_instr + 2.0 * costs.calls_per_plane);
+    if (south >= 0) e.send(LuPhase::Blts, south, bytes_ns);
+    if (east >= 0) e.send(LuPhase::Blts, east, bytes_ew);
   }
 
-  events.push_back({LuEvent::Type::Finalize, LuPhase::Init, 0, 0, -1, 0, 0});
-  return events;
+  // upper-triangular sweep (jacu + buts), wavefront from (px-1,py-1)
+  for (int k = nz - 1; k >= 0; --k) {
+    if (south >= 0) e.recv(LuPhase::Buts, south, bytes_ns);
+    if (east >= 0) e.recv(LuPhase::Buts, east, bytes_ew);
+    const double plane_instr =
+        (costs.jacu + costs.buts) * plane_pts + 2.0 * costs.per_plane;
+    e.compute(LuPhase::Buts, plane_instr,
+              costs.calls_per_instr * plane_instr + 2.0 * costs.calls_per_plane);
+    if (north >= 0) e.send(LuPhase::Buts, north, bytes_ns);
+    if (west >= 0) e.send(LuPhase::Buts, west, bytes_ew);
+  }
+
+  // add: solution update
+  e.compute(LuPhase::Add, costs.add * vol_pts, costs.calls_per_instr * costs.add * vol_pts);
+
+  // --- residual norm, walked at the first and last iteration (NPB inorm points) ---
+  norm_ = events_.size();
+  e.allreduce(5 * kDouble, costs.norm_compute);
+
+  // --- epilogue ---
+  events_.push_back({LuEvent::Type::Finalize, LuPhase::Init, 0, 0, -1, 0, 0});
 }
 
 }  // namespace tir::apps

@@ -18,12 +18,17 @@
 // This module does not do floating-point math; it produces, per rank, the
 // exact *event stream* of such an execution: compute volumes (instructions
 // at -O0, plus function-call counts for the instrumentation model) and
-// communications (partners and byte volumes).  The volume constants are
-// calibrated so class B totals match the per-process counter values the
-// paper reports (1.70e11 instructions/process for B-8; see DESIGN.md §4).
+// communications (partners and byte volumes).  Every SSOR iteration emits
+// the same events, so a rank's stream is held as an LuProgram: one
+// iteration body walked iterations() times, never the whole run.  The
+// volume constants are calibrated so class B totals match the per-process
+// counter values the paper reports (1.70e11 instructions/process for B-8;
+// see DESIGN.md §4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -38,7 +43,7 @@ struct NasClass {
   int iterations = 250;
 };
 
-NasClass nas_class(char name);  ///< 'S','W','A','B','C','D'; throws on other
+NasClass nas_class(char name);  ///< 'S','W','A','B','C','D'; ConfigError on other
 
 struct LuConfig {
   NasClass cls;
@@ -97,7 +102,7 @@ struct LuCosts {
   double norm_compute = 4.0e5;    ///< residual reduction work
 };
 
-/// Total -O0 application instructions of one rank (sum over its events).
+/// Total -O0 application instructions of one rank (sum over its program).
 double lu_rank_instructions(const LuConfig& cfg, int rank, const LuCosts& costs = {});
 
 /// Bytes held per point of a k-plane slab (sets the SSOR working set that
@@ -110,7 +115,73 @@ inline constexpr double kBytesPerPlanePoint = 900.0;
 /// SSOR working set of one rank: its local k-plane slab.
 double lu_working_set_bytes(const LuConfig& cfg, int rank);
 
-/// Generate the full event stream of `rank`. Deterministic.
-std::vector<LuEvent> lu_events(const LuConfig& cfg, int rank, const LuCosts& costs = {});
+/// The event stream of one rank, stored as a program and walked in place:
+/// a prologue (init, the input-deck bcasts, the initial compute), one SSOR
+/// iteration body (halo, rhs, both wavefront sweeps, add) walked
+/// iterations() times with the residual-norm allreduce after the first and
+/// the last of them, and an epilogue (finalize).  What it stores does not
+/// grow with the iteration count.  Deterministic.
+///
+///   for (const LuEvent& e : LuProgram(cfg, rank)) ...
+class LuProgram {
+ public:
+  LuProgram(const LuConfig& cfg, int rank, const LuCosts& costs = {});
+
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = LuEvent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const LuEvent*;
+    using reference = const LuEvent&;
+
+    Iterator() = default;
+    reference operator*() const { return program_->events_[pos_]; }
+    pointer operator->() const { return &program_->events_[pos_]; }
+    Iterator& operator++() {
+      ++pos_;
+      // The norm follows only the first and the last iteration.
+      if (pos_ == program_->norm_ && iteration_ != 0 && iteration_ != program_->iterations_ - 1) {
+        ++pos_;
+      }
+      // Past the norm slot: walk the body again, or go on to the epilogue.
+      if (pos_ == program_->norm_ + 1 && ++iteration_ < program_->iterations_) {
+        pos_ = program_->body_begin_;
+      }
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const Iterator& o) const {
+      return pos_ == o.pos_ && iteration_ == o.iteration_;
+    }
+
+   private:
+    friend class LuProgram;
+    Iterator(const LuProgram* program, std::size_t pos, int iteration)
+        : program_(program), pos_(pos), iteration_(iteration) {}
+
+    const LuProgram* program_ = nullptr;
+    std::size_t pos_ = 0;  ///< index into events_
+    int iteration_ = 0;    ///< SSOR iteration walked; iterations_ once past the last
+  };
+
+  Iterator begin() const { return {this, 0, 0}; }
+  Iterator end() const { return {this, events_.size(), iterations_}; }
+
+  /// Events one walk yields: the rank's whole run.
+  std::size_t size() const;
+  /// Events held: prologue, one iteration body, the norm, the epilogue.
+  std::size_t stored_events() const { return events_.size(); }
+
+ private:
+  std::vector<LuEvent> events_;  ///< prologue | body | norm | finalize
+  std::size_t body_begin_ = 0;
+  std::size_t norm_ = 0;         ///< the norm allreduce, right after the body
+  int iterations_ = 1;
+};
 
 }  // namespace tir::apps

@@ -4,12 +4,12 @@ namespace tir::apps {
 
 namespace {
 
-/// Per-rank driver: walks the event stream through the instrumentation
-/// model and the SMPI runtime.
-sim::Coro drive_rank(sim::Ctx& ctx, int me, const LuConfig& lu, const MachineModel& machine,
-                     const AcquisitionConfig& acq, smpi::World& world, hwc::Instrument& instr,
-                     double& compute_seconds, tit::Trace* trace) {
-  const std::vector<LuEvent> events = lu_events(lu, me);
+/// Per-rank driver: walks the rank's LU program through the
+/// instrumentation model and the SMPI runtime.
+sim::Coro drive_rank(sim::Ctx& ctx, int me, const LuConfig& lu, const LuProgram& program,
+                     const MachineModel& machine, const AcquisitionConfig& acq,
+                     smpi::World& world, hwc::Instrument& instr, double& compute_seconds,
+                     tit::Trace* trace) {
   const double ws = lu_working_set_bytes(lu, me);
   const double app_rate = machine.app_rate(ws);
   const double probe_rate = machine.probe_rate();
@@ -23,7 +23,7 @@ sim::Coro drive_rank(sim::Ctx& ctx, int me, const LuConfig& lu, const MachineMod
     if (trace != nullptr) trace->push({type, me, partner, volume, volume2});
   };
 
-  for (const LuEvent& ev : events) {
+  for (const LuEvent& ev : program) {
     ++event_index;
     switch (ev.type) {
       case LuEvent::Type::Init:
@@ -117,10 +117,17 @@ RunResult run_lu(const LuConfig& lu, const platform::Platform& platform,
 
   RunResult result;
   result.compute_seconds.assign(static_cast<std::size_t>(lu.nprocs), 0.0);
+  std::vector<LuProgram> programs;
+  programs.reserve(static_cast<std::size_t>(lu.nprocs));
+  for (int r = 0; r < lu.nprocs; ++r) programs.emplace_back(lu, r);
   tit::Trace* trace = nullptr;
   if (acq.emit_trace) {
     result.trace = tit::Trace(lu.nprocs);
     trace = &result.trace;
+    // One trace action per event: size each rank's trace once.
+    for (int r = 0; r < lu.nprocs; ++r) {
+      trace->actions(r).reserve(programs[static_cast<std::size_t>(r)].size());
+    }
   }
 
   std::vector<hwc::Instrument> instruments;
@@ -132,8 +139,9 @@ RunResult run_lu(const LuConfig& lu, const platform::Platform& platform,
 
   MachineModel noisy(machine.truth(), acq.noise, acq.seed);
   world.spawn_ranks([&](sim::Ctx& ctx, int me) -> sim::Coro {
-    return drive_rank(ctx, me, lu, noisy, acq, world, instruments[static_cast<std::size_t>(me)],
-                      result.compute_seconds[static_cast<std::size_t>(me)], trace);
+    const auto r = static_cast<std::size_t>(me);
+    return drive_rank(ctx, me, lu, programs[r], noisy, acq, world, instruments[r],
+                      result.compute_seconds[r], trace);
   });
   engine.run();
 

@@ -80,9 +80,6 @@ class FaultPlan {
   std::uint64_t seed() const { return seed_; }
   const std::vector<Rule>& rules() const { return rules_; }
 
-  void set_seed(std::uint64_t seed) { seed_ = seed; }
-  void add_rule(Rule rule) { rules_.push_back(std::move(rule)); }
-
  private:
   std::uint64_t seed_ = 1;
   std::vector<Rule> rules_;

@@ -1,6 +1,5 @@
 #include "base/log.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -22,19 +21,15 @@ Level env_level() {
   return Level::Warn;
 }
 
-// The logger is the one piece of process-global mutable state the replay
-// layers touch, so it must be safe from concurrent sweep workers: level and
-// sink are atomics (level() is on the hot path and stays one relaxed load),
-// and write() serializes record emission so lines never interleave.
-std::atomic<Level> g_level{env_level()};
-std::atomic<std::ostream*> g_sink{nullptr};  // nullptr -> std::cerr
+// Concurrent sweep workers log through here: the level is set once at
+// start-up and only read after, and write() serializes record emission so
+// lines never interleave.
+const Level g_level = env_level();
 std::mutex g_write_mutex;
 
 }  // namespace
 
-Level level() { return g_level.load(std::memory_order_relaxed); }
-void set_level(Level l) { g_level.store(l, std::memory_order_relaxed); }
-void set_sink(std::ostream* sink) { g_sink.store(sink, std::memory_order_release); }
+Level level() { return g_level; }
 
 const char* level_name(Level l) {
   switch (l) {
@@ -49,10 +44,8 @@ const char* level_name(Level l) {
 }
 
 void write(Level l, const std::string& msg) {
-  std::ostream* const sink = g_sink.load(std::memory_order_acquire);
-  std::ostream& os = sink != nullptr ? *sink : std::cerr;
   const std::lock_guard<std::mutex> lock(g_write_mutex);
-  os << "[tir:" << level_name(l) << "] " << msg << '\n';
+  std::cerr << "[tir:" << level_name(l) << "] " << msg << '\n';
 }
 
 }  // namespace tir::log

@@ -5,17 +5,14 @@
 //
 //   TIR_LOG(Info, "calibrated rate " << rate << " instr/s");
 //
-// The level is taken from the TIR_LOG_LEVEL environment variable
-// (trace|debug|info|warn|error, default warn) and can be overridden
-// programmatically with set_level().
+// The level is read once from the TIR_LOG_LEVEL environment variable
+// (trace|debug|info|warn|error|off, default warn); records go to std::cerr.
 //
 // Thread safety: all entry points are safe to call from concurrent replay
-// sessions (core::Sweep workers).  level()/set_level()/set_sink() are
-// atomic; write() serializes emission so records never interleave.  A sink
-// installed with set_sink() must itself outlive all logging threads.
+// sessions (core::Sweep workers).  The level is fixed after start-up;
+// write() serializes emission so records never interleave.
 #pragma once
 
-#include <iosfwd>
 #include <sstream>
 #include <string>
 
@@ -25,10 +22,6 @@ enum class Level : int { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Of
 
 /// Currently active level (inclusive).
 Level level();
-void set_level(Level l);
-
-/// Destination stream; defaults to std::cerr. Not owned.
-void set_sink(std::ostream* sink);
 
 /// Emit one formatted record. Prefer the TIR_LOG macro.
 void write(Level l, const std::string& msg);

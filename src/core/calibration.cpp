@@ -1,5 +1,6 @@
 #include "core/calibration.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <numeric>
 
@@ -115,10 +116,36 @@ std::string calibration_cache_key(const CalibrationRequest& request) {
   return buf;
 }
 
-double calibrate_rate(const platform::Platform& platform, const CalibrationRequest& request) {
+namespace {
+
+/// Reject a request no procedure can serve before anything is simulated.
+void check_request(const CalibrationRequest& request) {
+  const auto fail = [](const std::string& what) {
+    throw ConfigError("calibration request: " + what);
+  };
   if (request.truth.rate_in_cache <= 0.0 || request.truth.l2_bytes <= 0.0) {
-    throw ConfigError("calibration request needs a machine truth (rate_in_cache and l2_bytes)");
+    fail("needs a machine truth (rate_in_cache and l2_bytes)");
   }
+  if (request.iterations < 1) fail("iterations must be >= 1");
+  // The noise factor is 1 + noise * u with u in [-1, 1]: it must stay > 0.
+  if (!(request.noise >= 0.0 && request.noise < 1.0)) fail("noise must be in [0, 1)");
+  // Only the auto procedure reads the steps and the probe size.
+  if (request.procedure == "auto") {
+    if (request.auto_steps < 2) fail("auto_steps must be >= 2");
+    if (!(request.probe_instructions > 0.0 && std::isfinite(request.probe_instructions))) {
+      fail("probe_instructions must be finite and > 0");
+    }
+  }
+  const int np = request.instance_nprocs;
+  if (np < 1 || (np & (np - 1)) != 0) {
+    fail("instance_nprocs must be a power of two (NPB LU), got " + std::to_string(np));
+  }
+}
+
+}  // namespace
+
+double calibrate_rate(const platform::Platform& platform, const CalibrationRequest& request) {
+  check_request(request);
   const apps::MachineModel machine(request.truth, request.noise, request.seed);
   CalibrationSettings settings;
   settings.iterations = request.iterations;

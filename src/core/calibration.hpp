@@ -102,8 +102,11 @@ std::string calibration_cache_key(const CalibrationRequest& request);
 
 /// Run the requested procedure against `platform` and resolve the instance's
 /// calibrated rate; classic and cache-aware simulate only the run named by
-/// calibration_class.  Throws ConfigError on an unknown procedure or an
-/// unusable machine truth (zero in-cache rate or L2 size).
+/// calibration_class.  Throws ConfigError, before simulating anything, on an
+/// unknown procedure or NPB class, an unusable machine truth (zero in-cache
+/// rate or L2 size), iterations < 1, noise outside [0, 1), an instance_nprocs
+/// that is not a power of two, or, for the auto procedure, auto_steps < 2 or
+/// probe_instructions not finite and > 0.
 double calibrate_rate(const platform::Platform& platform, const CalibrationRequest& request);
 
 }  // namespace tir::core

@@ -1,12 +1,15 @@
-// LU model structure: process grid, event-stream well-formedness, volume
-// calibration against the paper's reported counter values, message regimes.
+// LU model structure: process grid, event-stream well-formedness, the
+// program's storage bound and walk, volume calibration against the paper's
+// reported counter values, message regimes.
 #include "apps/lu.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <set>
+#include <vector>
 
 namespace tir::apps {
 namespace {
@@ -48,7 +51,7 @@ TEST(LuClassTest, KnownClasses) {
   EXPECT_EQ(nas_class('B').nx, 102);
   EXPECT_EQ(nas_class('C').nz, 162);
   EXPECT_EQ(nas_class('B').iterations, 250);
-  EXPECT_THROW(nas_class('Z'), Error);
+  EXPECT_THROW(nas_class('Z'), ConfigError);
 }
 
 TEST(LuVolumeTest, ClassBTotalMatchesPaperCounterValues) {
@@ -79,7 +82,7 @@ TEST(LuEventsTest, SendsAndRecvsBalanceAcrossRanks) {
   const LuConfig cfg = make('A', 8, 3);
   std::map<std::pair<int, int>, long> balance;
   for (int r = 0; r < cfg.nprocs; ++r) {
-    for (const LuEvent& e : lu_events(cfg, r)) {
+    for (const LuEvent& e : LuProgram(cfg, r)) {
       if (e.type == LuEvent::Type::Send) ++balance[{r, e.partner}];
       if (e.type == LuEvent::Type::Recv) --balance[{e.partner, r}];
     }
@@ -92,7 +95,7 @@ TEST(LuEventsTest, SendsAndRecvsBalanceAcrossRanks) {
 TEST(LuEventsTest, CornerRankHasTwoNeighbours) {
   const LuConfig cfg = make('A', 16, 1);
   std::set<int> partners;
-  for (const LuEvent& e : lu_events(cfg, 0)) {
+  for (const LuEvent& e : LuProgram(cfg, 0)) {
     if (e.type == LuEvent::Type::Send) partners.insert(e.partner);
   }
   EXPECT_EQ(partners.size(), 2u);  // east and south only
@@ -101,7 +104,7 @@ TEST(LuEventsTest, CornerRankHasTwoNeighbours) {
 TEST(LuEventsTest, InteriorRankHasFourNeighbours) {
   const LuConfig cfg = make('A', 16, 1);  // 4x4 grid; rank 5 = (1,1) interior
   std::set<int> partners;
-  for (const LuEvent& e : lu_events(cfg, 5)) {
+  for (const LuEvent& e : LuProgram(cfg, 5)) {
     if (e.type == LuEvent::Type::Send) partners.insert(e.partner);
   }
   EXPECT_EQ(partners.size(), 4u);
@@ -112,7 +115,7 @@ TEST(LuEventsTest, SweepMessagesAreEagerSized) {
   const LuConfig cfg = make('C', 8, 1);
   int eager = 0;
   int rendezvous = 0;
-  for (const LuEvent& e : lu_events(cfg, 5)) {
+  for (const LuEvent& e : LuProgram(cfg, 5)) {
     if (e.type != LuEvent::Type::Send) continue;
     if (e.bytes < 65536.0) {
       ++eager;
@@ -130,14 +133,14 @@ TEST(LuEventsTest, MessageCountScalesWithPlanesAndIterations) {
   const LuConfig four = make('A', 4, 4);
   auto count_sends = [](const LuConfig& c) {
     int n = 0;
-    for (const LuEvent& e : lu_events(c, 0)) n += e.type == LuEvent::Type::Send ? 1 : 0;
+    for (const LuEvent& e : LuProgram(c, 0)) n += e.type == LuEvent::Type::Send ? 1 : 0;
     return n;
   };
   EXPECT_NEAR(static_cast<double>(count_sends(four)) / count_sends(one), 4.0, 0.25);
 }
 
 TEST(LuEventsTest, SingleRankHasNoPointToPoint) {
-  for (const LuEvent& e : lu_events(make('S', 1, 2), 0)) {
+  for (const LuEvent& e : LuProgram(make('S', 1, 2), 0)) {
     EXPECT_NE(e.type, LuEvent::Type::Send);
     EXPECT_NE(e.type, LuEvent::Type::Recv);
   }
@@ -145,13 +148,67 @@ TEST(LuEventsTest, SingleRankHasNoPointToPoint) {
 
 TEST(LuEventsTest, DeterministicGeneration) {
   const LuConfig cfg = make('B', 8, 2);
-  const auto a = lu_events(cfg, 3);
-  const auto b = lu_events(cfg, 3);
+  const LuProgram pa(cfg, 3);
+  const LuProgram pb(cfg, 3);
+  const std::vector<LuEvent> a(pa.begin(), pa.end());
+  const std::vector<LuEvent> b(pb.begin(), pb.end());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].type, b[i].type);
     EXPECT_DOUBLE_EQ(a[i].instructions, b[i].instructions);
   }
+}
+
+TEST(LuProgramTest, StoredEventsDoNotGrowWithIterations) {
+  const LuProgram five(make('C', 64, 5), 9);
+  const LuProgram full(make('C', 64, 250), 9);
+  EXPECT_EQ(five.stored_events(), full.stored_events());
+  EXPECT_LT(full.stored_events(), 2000u);  // one iteration of 162 planes
+  EXPECT_GT(full.size(), 40 * five.size());
+}
+
+// Rank 0 of A-4 is the north-west corner of a 2x2 grid: its halo sends to
+// and receives from south and east, its lower sweep only sends (south,
+// east), its upper sweep only receives (south, east), per k-plane.
+TEST(LuProgramTest, WalkYieldsTheRunsPerTypeCounts) {
+  const long nz = nas_class('A').nz;
+  for (const int iters : {1, 2, 5}) {
+    const LuProgram program(make('A', 4, iters), 0);
+    std::map<LuEvent::Type, long> count;
+    for (const LuEvent& e : program) ++count[e.type];
+    EXPECT_EQ(count[LuEvent::Type::Init], 1) << iters;
+    EXPECT_EQ(count[LuEvent::Type::Bcast], 3) << iters;
+    EXPECT_EQ(count[LuEvent::Type::Compute], 1 + iters * (2 * nz + 2)) << iters;
+    EXPECT_EQ(count[LuEvent::Type::Send], iters * (2 + 2 * nz)) << iters;
+    EXPECT_EQ(count[LuEvent::Type::Recv], iters * (2 + 2 * nz)) << iters;
+    EXPECT_EQ(count[LuEvent::Type::AllReduce], iters == 1 ? 1 : 2) << iters;
+    EXPECT_EQ(count[LuEvent::Type::Finalize], 1) << iters;
+    EXPECT_EQ(static_cast<std::size_t>(std::distance(program.begin(), program.end())),
+              program.size())
+        << iters;
+  }
+}
+
+// The norm allreduce follows the add of the first and of the last
+// iteration; finalize closes the walk.
+TEST(LuProgramTest, NormFollowsTheFirstAndLastIteration) {
+  const LuProgram program(make('S', 1, 4), 0);
+  std::vector<LuEvent::Type> after_add;
+  LuEvent::Type prev = LuEvent::Type::Init;
+  LuPhase prev_phase = LuPhase::Init;
+  int adds = 0;
+  for (const LuEvent& e : program) {
+    if (prev_phase == LuPhase::Add) after_add.push_back(e.type);
+    if (e.phase == LuPhase::Add) ++adds;
+    prev = e.type;
+    prev_phase = e.phase;
+  }
+  EXPECT_EQ(adds, 4);
+  EXPECT_EQ(prev, LuEvent::Type::Finalize);
+  // A single rank has no halo: the next iteration opens with its rhs compute.
+  const std::vector<LuEvent::Type> expected = {LuEvent::Type::AllReduce, LuEvent::Type::Compute,
+                                               LuEvent::Type::Compute, LuEvent::Type::AllReduce};
+  EXPECT_EQ(after_add, expected);
 }
 
 TEST(LuWorkingSetTest, PaperCacheRegimes) {

@@ -122,6 +122,22 @@ TEST(RunLu, EmittedTraceIsBalancedAndComplete) {
   EXPECT_GT(s.compute_instructions, 0.0);
 }
 
+// run_lu sizes each rank's trace to its program's event count up front, so
+// emission never regrows (and never over-allocates) an action vector.
+TEST(RunLu, EmittedTraceIsSizedExactly) {
+  const platform::Platform p = platform::bordereau();
+  const MachineModel m(platform::bordereau_truth());
+  AcquisitionConfig acq;
+  acq.granularity = hwc::Granularity::Minimal;
+  acq.emit_trace = true;
+  const LuConfig lu = small_lu(8, 3);
+  const RunResult run = run_lu(lu, p, m, acq);
+  for (int r = 0; r < lu.nprocs; ++r) {
+    EXPECT_EQ(run.trace.actions(r).size(), LuProgram(lu, r).size()) << r;
+    EXPECT_EQ(run.trace.actions(r).capacity(), run.trace.actions(r).size()) << r;
+  }
+}
+
 TEST(RunLu, TraceComputeVolumesCarryThePerturbation) {
   // The inflated counter readings must land in the trace, since that is the
   // coupling the paper worries about (issue #2 feeding the replay).

@@ -2,6 +2,8 @@
 // paper's headline claims as executable assertions.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "base/error.hpp"
 #include "core/calibration.hpp"
 #include "core/predictor.hpp"
@@ -96,6 +98,59 @@ TEST(Calibration, HostlessPlatformIsAConfigError) {
     request.truth = platform::bordereau_truth();
     EXPECT_THROW(calibrate_rate(hostless, request), ConfigError) << procedure;
   }
+}
+
+// Requests outside the procedures' domain are typed ConfigErrors raised
+// before any simulation: they used to end in internal errors, a silent
+// 250-iteration run (iterations <= 0) or a NaN rate (probe_instructions 0).
+TEST(Calibration, OutOfDomainRequestsAreConfigErrors) {
+  const exp::ClusterSetup bd = exp::bordereau_setup();
+  const auto base = [&] {
+    CalibrationRequest request;
+    request.truth = bd.truth;
+    return request;
+  };
+  const auto expect_config_error = [&](const CalibrationRequest& request, const char* what) {
+    EXPECT_THROW(calibrate_rate(bd.platform, request), ConfigError) << what;
+  };
+  for (const int np : {6, 0, -4}) {
+    CalibrationRequest r = base();
+    r.instance_nprocs = np;
+    expect_config_error(r, "instance_nprocs");
+  }
+  for (const int iterations : {0, -1}) {
+    CalibrationRequest r = base();
+    r.iterations = iterations;
+    expect_config_error(r, "iterations");
+  }
+  for (const int steps : {1, 0}) {
+    CalibrationRequest r = base();
+    r.procedure = "auto";
+    r.auto_steps = steps;
+    expect_config_error(r, "auto_steps");
+  }
+  for (const double probe : {0.0, -1.0, std::numeric_limits<double>::infinity()}) {
+    CalibrationRequest r = base();
+    r.procedure = "auto";
+    r.probe_instructions = probe;
+    expect_config_error(r, "probe_instructions");
+  }
+  // classic and cache-aware never read the auto procedure's fields.
+  CalibrationRequest classic = base();
+  classic.procedure = "classic";
+  classic.iterations = 2;
+  classic.auto_steps = 1;
+  classic.probe_instructions = 0.0;
+  EXPECT_GT(calibrate_rate(bd.platform, classic), 0.0);
+  for (const double noise : {2.0, 1.0, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    CalibrationRequest r = base();
+    r.noise = noise;
+    expect_config_error(r, "noise");
+  }
+  CalibrationRequest unknown_class = base();
+  unknown_class.instance_class = 'Z';
+  expect_config_error(unknown_class, "instance_class");
+  EXPECT_THROW(apps::nas_class('Z'), ConfigError);
 }
 
 class PipelineAccuracy : public ::testing::Test {

@@ -109,11 +109,11 @@ TEST_P(LuTraceValidity, EventStreamsBalance) {
   cfg.cls = apps::nas_class(cls);
   cfg.nprocs = np;
   cfg.iterations_override = 2;
-  // Build a trace straight from the event streams and validate it.
+  // Build a trace straight from the LU programs and validate it.
   Trace trace(np);
   for (int r = 0; r < np; ++r) {
     trace.push({ActionType::Init, r, -1, 0, 0});
-    for (const apps::LuEvent& e : apps::lu_events(cfg, r)) {
+    for (const apps::LuEvent& e : apps::LuProgram(cfg, r)) {
       switch (e.type) {
         case apps::LuEvent::Type::Send:
           trace.push({ActionType::Send, r, e.partner, e.bytes, 0});

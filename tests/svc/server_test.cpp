@@ -230,6 +230,29 @@ TEST_F(SvcServer, HostlessPlatformFailsTheJobNotTheServer) {
   EXPECT_TRUE(client.ping());
 }
 
+// A calibration request for a non-power-of-two LU instance used to end in
+// an internal error from the LU grid; it must fail that one job with the
+// config code before anything is simulated, and the server keep serving.
+TEST_F(SvcServer, OutOfDomainCalibrationFailsTheJobNotTheServer) {
+  ServerOptions options;
+  options.endpoint = endpoint("badcal.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  JobRequest request = simple_job();
+  request.scenarios[0].rates.clear();
+  request.calibrate = true;
+  request.calibration.truth = platform::bordereau_truth();
+  request.calibration.instance_nprocs = 6;
+  const JobResult result = client.submit(request);
+  EXPECT_TRUE(result.failed);
+  EXPECT_EQ(result.error_code, error_code_name(ErrorCode::Config)) << result.error;
+  EXPECT_TRUE(client.ping());
+  EXPECT_FALSE(client.submit(simple_job()).failed);
+}
+
 // A TITB file whose index declares a size that wraps past 2^64 used to
 // crash the daemon from the job's Reader; it must fail that one job with a
 // typed error, and the server keep serving.
