@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
                     " checkpoint(s) " + (adopted != 0 ? "adopted" : "recorded") +
                     ", snapshot at " + std::to_string(cursor.position()) + " s";
       try {
-        result = cursor.run_until(to, &timeline);
+        result = cursor.run(to, &timeline);
       } catch (const SimError& e) {
         failure = e.what();
       }

@@ -8,28 +8,12 @@
 
 namespace tir::ckpt {
 
-const TraceCheckpoint* CheckpointSet::nearest_before(double t) const {
+const TraceCheckpoint* nearest_before(const CheckpointBlock& block, double t) {
   const TraceCheckpoint* best = nullptr;
-  for (const TraceCheckpoint& c : checkpoints) {
+  for (const TraceCheckpoint& c : block.checkpoints) {
     if (c.time <= t) best = &c;  // ascending by time: last match wins
   }
   return best;
-}
-
-titio::CheckpointBlock CheckpointSet::to_block() const {
-  titio::CheckpointBlock block;
-  block.fingerprint = fingerprint;
-  block.nprocs = nprocs;
-  block.checkpoints = checkpoints;
-  return block;
-}
-
-CheckpointSet CheckpointSet::from_block(const titio::CheckpointBlock& block) {
-  CheckpointSet set;
-  set.fingerprint = block.fingerprint;
-  set.nprocs = block.nprocs;
-  set.checkpoints = block.checkpoints;
-  return set;
 }
 
 std::uint64_t scenario_fingerprint(core::Backend backend, const platform::Platform& platform,

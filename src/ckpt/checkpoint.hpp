@@ -43,23 +43,13 @@
 
 namespace tir::ckpt {
 
+using titio::CheckpointBlock;
 using titio::CkptRankState;
 using titio::TraceCheckpoint;
 
-/// The checkpoints of one (trace, scenario) pair, ascending by time.
-struct CheckpointSet {
-  std::uint64_t fingerprint = 0;  ///< scenario_fingerprint of the recording
-  int nprocs = 0;
-  std::vector<TraceCheckpoint> checkpoints;
-
-  /// Latest checkpoint with time <= t, or null when none qualifies (cold
-  /// replay from action 0 is then the only way to reach t).
-  const TraceCheckpoint* nearest_before(double t) const;
-
-  /// Convert to the TITB v2 on-disk record (titio::append_checkpoints).
-  titio::CheckpointBlock to_block() const;
-  static CheckpointSet from_block(const titio::CheckpointBlock& block);
-};
+/// Latest checkpoint of `block` with time <= t, or null when none qualifies
+/// (cold replay from action 0 is then the only way to reach t).
+const TraceCheckpoint* nearest_before(const CheckpointBlock& block, double t);
 
 /// Identity of everything that shapes simulated times: backend, sharing
 /// mode, calibrated rates, the SMPI protocol/network model, and the
@@ -79,11 +69,5 @@ std::uint64_t prefix_hash_seed();
 /// requires sim::Sharing::Uncontended and nprocs <= platform.host_count().
 void check_seekable(int nprocs, const platform::Platform& platform,
                     const core::ReplayConfig& config);
-
-struct RecordOptions {
-  /// Minimum completed actions between checkpoints; the first balanced
-  /// completion past the target takes the snapshot.
-  std::uint64_t action_interval = 4096;
-};
 
 }  // namespace tir::ckpt

@@ -179,25 +179,25 @@ ReplayCursor::ReplayCursor(titio::SharedTrace trace, const platform::Platform& p
   config_.sink = nullptr;
 }
 
-core::ReplayResult ReplayCursor::record(const RecordOptions& options) {
+core::ReplayResult ReplayCursor::record(std::uint64_t action_interval) {
   check_seekable(nprocs(), platform_, config_);
-  CutFinder finder(trace_.trace(), backend_, options.action_interval);
+  CutFinder finder(trace_.trace(), backend_, action_interval);
   current_ = nullptr;  // recordings replay cold, from action 0
   const core::ReplayResult result = run(std::numeric_limits<double>::infinity(), &finder);
-  set_.fingerprint = fingerprint_;
-  set_.nprocs = nprocs();
-  set_.checkpoints = finder.take_checkpoints();
+  block_.fingerprint = fingerprint_;
+  block_.nprocs = nprocs();
+  block_.checkpoints = finder.take_checkpoints();
   return result;
 }
 
-std::size_t ReplayCursor::adopt(const CheckpointSet& set) {
-  if (set.fingerprint != fingerprint_) {
+std::size_t ReplayCursor::adopt(const CheckpointBlock& block) {
+  if (block.fingerprint != fingerprint_) {
     throw ConfigError("checkpoint set was recorded under a different scenario (fingerprint " +
-                      std::to_string(set.fingerprint) + ", this cursor is " +
+                      std::to_string(block.fingerprint) + ", this cursor is " +
                       std::to_string(fingerprint_) + ")");
   }
-  if (set.nprocs != nprocs()) {
-    throw ConfigError("checkpoint set covers " + std::to_string(set.nprocs) +
+  if (block.nprocs != nprocs()) {
+    throw ConfigError("checkpoint set covers " + std::to_string(block.nprocs) +
                       " ranks, trace has " + std::to_string(nprocs()));
   }
   const tit::Trace& trace = trace_.trace();
@@ -208,10 +208,8 @@ std::size_t ReplayCursor::adopt(const CheckpointSet& set) {
   std::vector<std::uint64_t> pos(n, 0);
   std::vector<std::uint64_t> hash(n, prefix_hash_seed());
   std::size_t dropped = 0;
-  CheckpointSet adopted;
-  adopted.fingerprint = set.fingerprint;
-  adopted.nprocs = set.nprocs;
-  for (const TraceCheckpoint& c : set.checkpoints) {
+  CheckpointBlock adopted{block.fingerprint, block.nprocs, {}};
+  for (const TraceCheckpoint& c : block.checkpoints) {
     bool ok = c.ranks.size() == n &&
               (adopted.checkpoints.empty() || c.time > adopted.checkpoints.back().time);
     for (std::size_t r = 0; r < n && c.ranks.size() == n; ++r) {
@@ -240,46 +238,30 @@ std::size_t ReplayCursor::adopt(const CheckpointSet& set) {
                       std::to_string(adopted.checkpoints.size()) + " adopted");
   }
   current_ = nullptr;
-  set_ = std::move(adopted);
-  return set_.checkpoints.size();
+  block_ = std::move(adopted);
+  return block_.checkpoints.size();
 }
 
 std::size_t ReplayCursor::adopt_file(const std::string& path) {
-  for (const titio::CheckpointBlock& block : titio::read_checkpoints(path)) {
-    if (block.fingerprint == fingerprint_) return adopt(CheckpointSet::from_block(block));
+  for (const CheckpointBlock& block : titio::read_checkpoints(path)) {
+    if (block.fingerprint == fingerprint_) return adopt(block);
   }
   return 0;
 }
 
 void ReplayCursor::save(const std::string& path) const {
-  titio::append_checkpoints(path, {set_.to_block()});
+  titio::append_checkpoints(path, {block_});
 }
 
-void ReplayCursor::seek(double t) { current_ = set_.nearest_before(t); }
+void ReplayCursor::seek(double t) { current_ = nearest_before(block_, t); }
 
 core::ReplayResult ReplayCursor::run(double stop_time, obs::Sink* sink) {
   core::ReplayConfig cfg = config_;
   cfg.sink = sink;
   cfg.stop_time = stop_time;
-  core::ResumeState resume;
-  if (current_ != nullptr) {
-    resume.time = current_->time;
-    resume.positions.reserve(current_->ranks.size());
-    for (const CkptRankState& r : current_->ranks) {
-      resume.positions.push_back(r.position);
-      resume.times.push_back(r.time);
-      resume.collective_sites.push_back(r.collective_sites);
-    }
-    cfg.resume = &resume;
-  }
+  cfg.resume = current_;
   titio::SharedTrace::Cursor source = trace_.cursor();
   return core::replay(backend_, source, platform_, cfg);
-}
-
-core::ReplayResult ReplayCursor::run_until(double t, obs::Sink* sink) { return run(t, sink); }
-
-core::ReplayResult ReplayCursor::run_to_end(obs::Sink* sink) {
-  return run(std::numeric_limits<double>::infinity(), sink);
 }
 
 QueryResult ReplayCursor::query(double from, double to) {

@@ -10,16 +10,20 @@
 //   // or, next process:
 //   cursor.adopt_file("app.titb");   // reuse previously recorded checkpoints
 //   cursor.seek(120.0);              // cheap: picks the snapshot <= 120 s
-//   auto q = cursor.query(120, 125); // re-replays only [snapshot, 125]
+//   cursor.run(125.0, &sink);        // replays only [snapshot, 125]
+//   auto q = cursor.query(120, 125); // seek + run + slice the timelines
 //
-// Every run builds a FRESH session (fresh engine, fresh source cursor)
-// seeded from the seeked snapshot via core::ResumeState — the engine is
-// single-shot, which is what makes a stopped run's timeline exact (see
-// sim::Engine::run_until).  Correctness bar: seek-then-replay is bitwise
-// identical to cold replay — times, windowed timelines — enforced by the
-// differential suite (tests/ckpt) on both back-ends.
+// The cursor holds its checkpoints as the titio::CheckpointBlock they are
+// stored as, and every run hands the seated titio::TraceCheckpoint itself
+// to a FRESH session (fresh engine, fresh source cursor) as
+// ReplayConfig::resume — the engine is single-shot, which is what makes a
+// stopped run's timeline exact (see sim::Engine::run_until).  Correctness
+// bar: seek-then-replay is bitwise identical to cold replay — times,
+// windowed timelines — enforced by the differential suite (tests/ckpt) on
+// both back-ends.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,18 +48,20 @@ class ReplayCursor {
   /// The platform is borrowed and must outlive the cursor; trace and config
   /// are captured by value (SharedTrace is a cheap shared handle).  The
   /// cursor drives config.resume, config.stop_time and config.sink itself
-  /// and ignores the caller's values; pass a sink to run_until/run_to_end.
+  /// and ignores the caller's values; pass a sink to run.
   ReplayCursor(titio::SharedTrace trace, const platform::Platform& platform,
                core::ReplayConfig config, core::Backend backend = core::Backend::Smpi);
 
   int nprocs() const { return trace_.nprocs(); }
   std::uint64_t fingerprint() const { return fingerprint_; }
-  const CheckpointSet& checkpoints() const { return set_; }
+  const CheckpointBlock& checkpoints() const { return block_; }
 
-  /// One cold replay that records checkpoints (replaces any held set): a
-  /// cut-finder sink reads each completed action from the trace itself.
-  /// Throws ConfigError when the scenario is not seekable (check_seekable).
-  core::ReplayResult record(const RecordOptions& options = {});
+  /// One cold replay that records checkpoints (replaces any held ones): a
+  /// cut-finder sink reads each completed action from the trace itself, and
+  /// once at least `action_interval` actions completed since the last
+  /// checkpoint, the first balanced completion takes the next one.  Throws
+  /// ConfigError when the scenario is not seekable (check_seekable).
+  core::ReplayResult record(std::uint64_t action_interval = 4096);
 
   /// Adopt previously recorded checkpoints: the fingerprint must match this
   /// cursor's scenario (ConfigError otherwise); each checkpoint's per-rank
@@ -63,7 +69,7 @@ class ReplayCursor {
   /// recorded before a tail append still adopt cleanly while any that
   /// disagree with the actions are dropped (with a Warn log).  Returns how
   /// many checkpoints were adopted.
-  std::size_t adopt(const CheckpointSet& set);
+  std::size_t adopt(const CheckpointBlock& block);
 
   /// Adopt the matching block of a TITB v2 file (0 when none matches).
   std::size_t adopt_file(const std::string& path);
@@ -72,7 +78,7 @@ class ReplayCursor {
   void save(const std::string& path) const;
 
   /// Seat the cursor on the latest snapshot with time <= t (cheap; no
-  /// replay happens until run_until/query).  With no qualifying snapshot
+  /// replay happens until run/query).  With no qualifying snapshot
   /// the cursor is cold (replays from action 0).
   void seek(double t);
   /// Back to cold.
@@ -80,26 +86,24 @@ class ReplayCursor {
   /// Time of the seated snapshot (0 when cold).
   double position() const { return current_ != nullptr ? current_->time : 0.0; }
 
-  /// Replay from the seated snapshot until the next event would pass `t`
-  /// (fresh single-shot session; `sink` observes the suffix only).
-  core::ReplayResult run_until(double t, obs::Sink* sink = nullptr);
-  /// Replay from the seated snapshot to quiescence.
-  core::ReplayResult run_to_end(obs::Sink* sink = nullptr);
+  /// Replay from the seated snapshot until the next event would pass
+  /// `stop_time` (by default to quiescence) in a fresh single-shot session;
+  /// `sink` observes the suffix only.
+  core::ReplayResult run(double stop_time = std::numeric_limits<double>::infinity(),
+                         obs::Sink* sink = nullptr);
 
-  /// seek(from) + run_until(to) + slice: the windowed timeline/metrics
+  /// seek(from) + run(to) + slice: the windowed timeline/metrics
   /// extraction.  Throws tir::Error on an inverted window.
   QueryResult query(double from, double to);
 
  private:
-  core::ReplayResult run(double stop_time, obs::Sink* sink);
-
   titio::SharedTrace trace_;
   const platform::Platform& platform_;
   core::ReplayConfig config_;
   core::Backend backend_;
   std::uint64_t fingerprint_ = 0;
-  CheckpointSet set_;
-  const TraceCheckpoint* current_ = nullptr;  ///< points into set_
+  CheckpointBlock block_;
+  const TraceCheckpoint* current_ = nullptr;  ///< points into block_
 };
 
 }  // namespace tir::ckpt

@@ -39,19 +39,6 @@
 
 namespace tir::core {
 
-/// A consistent cut of a previous replay of the same scenario: where to
-/// reposition each rank's action cursor and when its suffix resumes.
-/// Produced by the checkpoint layer (src/ckpt); the replay engines only
-/// consume it — seek the source, restore each rank's collective-site
-/// counter, and sleep each rank to its boundary time before pulling the
-/// first suffix action.
-struct ResumeState {
-  double time = 0.0;                            ///< cut time (max rank time)
-  std::vector<std::uint64_t> positions;         ///< actions completed, per rank
-  std::vector<double> times;                    ///< boundary time, per rank
-  std::vector<std::uint64_t> collective_sites;  ///< collective sites passed
-};
-
 /// Once-per-key warning gate shared across replay sessions (a sweep
 /// replays one trace under N configs; config warnings would otherwise
 /// repeat N times).  Thread-safe: sweep workers share one instance.
@@ -87,10 +74,14 @@ struct ReplayConfig {
   /// obs::write_paje / obs::critical_path (see docs/observability.md).
   obs::Sink* sink = nullptr;
 
-  /// Resume from a checkpoint instead of replaying from action 0 (src/ckpt
-  /// produces these; null replays cold).  Not owned, must outlive the call.
-  /// The source must be seekable (titio::ActionSource::seek).
-  const ResumeState* resume = nullptr;
+  /// Resume from a consistent cut of a previous replay of the same scenario
+  /// instead of replaying from action 0 (src/ckpt records these; null
+  /// replays cold): each rank's cursor skips to its position, its
+  /// collective-site counter restarts at its count, and it sleeps to its
+  /// boundary time before pulling the first suffix action.  Not owned, must
+  /// outlive the call.  The source must be seekable
+  /// (titio::ActionSource::seek).
+  const titio::TraceCheckpoint* resume = nullptr;
 
   /// Stop the simulation once the next event would fire past this time
   /// (events exactly at stop_time still fire).  A stopped replay reports

@@ -40,19 +40,14 @@ ReplaySession::ReplaySession(titio::ActionSource& source, const platform::Platfo
       nprocs_(source.nprocs()) {
   config_.check(nprocs_);
   rank_hosts_ = platform::place_ranks(platform, nprocs_);
-  if (config_.resume != nullptr) {
-    const ResumeState& r = *config_.resume;
-    if (r.positions.size() != static_cast<std::size_t>(nprocs_) ||
-        r.times.size() != r.positions.size() ||
-        r.collective_sites.size() != r.positions.size()) {
-      throw ConfigError("resume state covers " + std::to_string(r.positions.size()) +
+  source_.begin_session();
+  if (const titio::TraceCheckpoint* resume = config_.resume) {
+    if (resume->ranks.size() != static_cast<std::size_t>(nprocs_)) {
+      throw ConfigError("resume checkpoint covers " + std::to_string(resume->ranks.size()) +
                         " ranks, trace has " + std::to_string(nprocs_));
     }
-    // seek() also arms the source so begin_session() below does not rewind
-    // the cursors back to 0.
-    source_.seek(r.positions);
+    source_.seek(resume->ranks);
   }
-  source_.begin_session();
   engine_ = std::make_unique<sim::Engine>(
       platform,
       sim::EngineConfig{config_.sharing, config_.watchdog_seconds, config_.sink, resolve});
@@ -150,11 +145,12 @@ RankShell::RankShell(sim::Ctx& ctx, int me, ReplaySession& session, Backend back
       rate_(session.config().rate_for(me)) {
   diag_.rank = me;
   diag_.backend = backend;
-  if (const ResumeState* resume = session.config().resume) {
+  if (const titio::TraceCheckpoint* resume = session.config().resume) {
     // Checkpoint restore: the prefix already ran.  Adopt its collective-site
     // numbering and hold the rank at its boundary time.
-    next_site_ = resume->collective_sites[static_cast<std::size_t>(me)];
-    resume_sleep_ = resume->times[static_cast<std::size_t>(me)];
+    const titio::CkptRankState& cut = resume->ranks[static_cast<std::size_t>(me)];
+    next_site_ = cut.collective_sites;
+    resume_sleep_ = cut.time;
   }
   ctx.set_diagnoser([this] { return describe(diag_); });
 }

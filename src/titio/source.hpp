@@ -21,6 +21,7 @@
 
 #include "base/error.hpp"
 #include "tit/trace.hpp"
+#include "titio/ckpt_records.hpp"
 
 namespace tir::titio {
 
@@ -88,15 +89,13 @@ class ActionSource {
     session_started_ = true;
   }
 
-  /// Position every rank cursor at `positions[rank]` actions from the start
-  /// (checkpoint restore; src/ckpt).  The next session then streams the
-  /// suffix instead of rewinding — seek() arms exactly one such session.
-  /// Sources that cannot reposition keep the default do_seek, which throws
-  /// ConfigError.
-  void seek(const std::vector<std::uint64_t>& positions) {
+  /// Position every rank cursor at `ranks[rank].position` actions from the
+  /// start (checkpoint restore; src/ckpt), so the session that just began
+  /// streams the suffix.  Sources that cannot reposition keep the default
+  /// do_seek, which throws ConfigError.
+  void seek(std::span<const CkptRankState> ranks) {
     stash_.clear();
-    do_seek(positions);
-    session_started_ = false;
+    do_seek(ranks);
   }
 
  protected:
@@ -107,7 +106,7 @@ class ActionSource {
         "MemorySource, SharedTrace cursors)");
   }
 
-  virtual void do_seek(const std::vector<std::uint64_t>& /*positions*/) {
+  virtual void do_seek(std::span<const CkptRankState> /*ranks*/) {
     throw ConfigError(
         "this ActionSource cannot seek; checkpoint restore needs a "
         "repositionable source (MemorySource, SharedTrace cursors)");
@@ -153,19 +152,19 @@ class MemorySource final : public ActionSource {
  protected:
   void do_rewind() override { pos_.assign(pos_.size(), 0); }
 
-  void do_seek(const std::vector<std::uint64_t>& positions) override {
-    if (positions.size() != seqs_.size()) {
-      throw ConfigError("seek positions cover " + std::to_string(positions.size()) +
+  void do_seek(std::span<const CkptRankState> ranks) override {
+    if (ranks.size() != seqs_.size()) {
+      throw ConfigError("seek positions cover " + std::to_string(ranks.size()) +
                         " ranks, trace has " + std::to_string(seqs_.size()));
     }
-    for (std::size_t r = 0; r < positions.size(); ++r) {
-      if (positions[r] > seqs_[r]->size()) {
-        throw ConfigError("seek position " + std::to_string(positions[r]) + " past rank p" +
+    for (std::size_t r = 0; r < ranks.size(); ++r) {
+      if (ranks[r].position > seqs_[r]->size()) {
+        throw ConfigError("seek position " + std::to_string(ranks[r].position) + " past rank p" +
                           std::to_string(r) + "'s " + std::to_string(seqs_[r]->size()) +
                           " actions");
       }
     }
-    pos_.assign(positions.begin(), positions.end());
+    for (std::size_t r = 0; r < ranks.size(); ++r) pos_[r] = ranks[r].position;
   }
 
  private:

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -114,9 +115,7 @@ TEST_P(CkptDifferential, SeekThenReplayMatchesColdAtEveryCheckpoint) {
   const double horizon = cold.simulated_time;
 
   ReplayCursor cursor(trace, p, base_config(), GetParam());
-  RecordOptions opts;
-  opts.action_interval = 32;
-  const core::ReplayResult recorded = cursor.record(opts);
+  const core::ReplayResult recorded = cursor.record(32);
   EXPECT_EQ(recorded.simulated_time, cold.simulated_time);
   ASSERT_GE(cursor.checkpoints().checkpoints.size(), 3u)
       << "trace too small to exercise seeking";
@@ -125,7 +124,8 @@ TEST_P(CkptDifferential, SeekThenReplayMatchesColdAtEveryCheckpoint) {
     cursor.seek(c.time);
     ASSERT_EQ(cursor.position(), c.time);
     obs::TimelineSink warm_sink;
-    const core::ReplayResult warm = cursor.run_to_end(&warm_sink);
+    const core::ReplayResult warm =
+        cursor.run(std::numeric_limits<double>::infinity(), &warm_sink);
     EXPECT_EQ(warm.simulated_time, cold.simulated_time) << "cut at " << c.time;
     ASSERT_EQ(warm_sink.nranks(), cold_sink.nranks());
     for (int r = 0; r < cold_sink.nranks(); ++r) {
@@ -148,9 +148,7 @@ TEST_P(CkptDifferential, QueryMatchesColdSlice) {
   const double T = cold.simulated_time;
 
   ReplayCursor cursor(trace, p, base_config(), GetParam());
-  RecordOptions opts;
-  opts.action_interval = 32;
-  cursor.record(opts);
+  cursor.record(32);
 
   const double windows[][2] = {{0.0, T / 4}, {T / 3, T / 2}, {0.6 * T, 0.9 * T}, {0.95 * T, T}};
   for (const auto& w : windows) {
@@ -172,9 +170,7 @@ TEST_P(CkptDifferential, RepeatedQueriesAreDeterministic) {
   const platform::Platform p = cluster(4);
   const titio::SharedTrace trace(cg());
   ReplayCursor cursor(trace, p, base_config(), GetParam());
-  RecordOptions opts;
-  opts.action_interval = 64;
-  const double T = cursor.record(opts).simulated_time;
+  const double T = cursor.record(64).simulated_time;
 
   const QueryResult a = cursor.query(T / 2, 0.75 * T);
   cursor.query(0.0, T / 8);  // unrelated query in between
@@ -190,18 +186,18 @@ TEST_P(CkptDifferential, RepeatedQueriesAreDeterministic) {
 // --- cut metadata & fingerprints -------------------------------------------
 
 TEST(CkptSet, NearestBeforePicksLatestQualifyingSnapshot) {
-  CheckpointSet set;
+  CheckpointBlock block;
   for (const double t : {1.0, 2.0, 3.0}) {
     TraceCheckpoint c;
     c.time = t;
-    set.checkpoints.push_back(c);
+    block.checkpoints.push_back(c);
   }
-  EXPECT_EQ(set.nearest_before(0.5), nullptr);
-  ASSERT_NE(set.nearest_before(1.0), nullptr);
-  EXPECT_EQ(set.nearest_before(1.0)->time, 1.0);
-  EXPECT_EQ(set.nearest_before(2.9)->time, 2.0);
-  EXPECT_EQ(set.nearest_before(100.0)->time, 3.0);
-  EXPECT_EQ(CheckpointSet{}.nearest_before(1.0), nullptr);
+  EXPECT_EQ(nearest_before(block, 0.5), nullptr);
+  ASSERT_NE(nearest_before(block, 1.0), nullptr);
+  EXPECT_EQ(nearest_before(block, 1.0)->time, 1.0);
+  EXPECT_EQ(nearest_before(block, 2.9)->time, 2.0);
+  EXPECT_EQ(nearest_before(block, 100.0)->time, 3.0);
+  EXPECT_EQ(nearest_before(CheckpointBlock{}, 1.0), nullptr);
 }
 
 TEST(CkptFingerprint, DiscriminatesTimeShapingKnobsOnly) {
@@ -441,9 +437,7 @@ TEST(CkptAdopt, TailAppendedTraceAdoptsOldCheckpoints) {
   const titio::SharedTrace long_trace(pingpong(40));  // first 20 rounds identical
 
   ReplayCursor short_cursor(short_trace, p, base_config(), core::Backend::Smpi);
-  RecordOptions opts;
-  opts.action_interval = 24;
-  short_cursor.record(opts);
+  short_cursor.record(24);
   const std::size_t recorded = short_cursor.checkpoints().checkpoints.size();
   ASSERT_GE(recorded, 2u);
 
@@ -459,7 +453,8 @@ TEST(CkptAdopt, TailAppendedTraceAdoptsOldCheckpoints) {
   const TraceCheckpoint& last = long_cursor.checkpoints().checkpoints.back();
   long_cursor.seek(last.time);
   obs::TimelineSink warm_sink;
-  const core::ReplayResult warm = long_cursor.run_to_end(&warm_sink);
+  const core::ReplayResult warm =
+      long_cursor.run(std::numeric_limits<double>::infinity(), &warm_sink);
   EXPECT_EQ(warm.simulated_time, cold.simulated_time);
   for (int r = 0; r < cold_sink.nranks(); ++r) {
     expect_same_intervals(obs::slice(cold_sink.intervals(r), last.time, cold.simulated_time),
@@ -474,9 +469,7 @@ TEST(CkptAdopt, EditedPrefixDropsStaleCheckpoints) {
   const titio::SharedTrace edited(pingpong(20, /*early_volume=*/9999.0));
 
   ReplayCursor recorder(original, p, base_config(), core::Backend::Smpi);
-  RecordOptions opts;
-  opts.action_interval = 24;
-  recorder.record(opts);
+  recorder.record(24);
   ASSERT_GE(recorder.checkpoints().checkpoints.size(), 1u);
 
   ReplayCursor victim(edited, p, base_config(), core::Backend::Smpi);
@@ -488,7 +481,7 @@ TEST(CkptAdopt, FingerprintMismatchIsRefusedOutright) {
   const platform::Platform p = cluster(4);
   const titio::SharedTrace trace(pingpong(10));
   ReplayCursor recorder(trace, p, base_config(), core::Backend::Smpi);
-  recorder.record(RecordOptions{16});
+  recorder.record(16);
 
   core::ReplayConfig other = base_config();
   other.rates = {3e9};
@@ -503,7 +496,7 @@ TEST(CkptAdopt, SaveAndAdoptFileRoundTrip) {
   const titio::SharedTrace trace(titio::read_binary_trace(path.string()));
 
   ReplayCursor writer_cursor(trace, p, base_config(), core::Backend::Smpi);
-  writer_cursor.record(RecordOptions{24});
+  writer_cursor.record(24);
   const std::size_t recorded = writer_cursor.checkpoints().checkpoints.size();
   ASSERT_GE(recorded, 1u);
   writer_cursor.save(path.string());

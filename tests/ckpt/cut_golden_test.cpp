@@ -62,9 +62,7 @@ void add_cuts(std::string& out, const std::string& name, const titio::SharedTrac
               const platform::Platform& platform, const core::ReplayConfig& config,
               core::Backend backend, std::uint64_t interval) {
   ReplayCursor cursor(trace, platform, config, backend);
-  RecordOptions options;
-  options.action_interval = interval;
-  cursor.record(options);
+  cursor.record(interval);
   const std::vector<TraceCheckpoint>& cuts = cursor.checkpoints().checkpoints;
   char buf[160];
   std::snprintf(buf, sizeof buf, " interval=%" PRIu64 " cuts=%zu\n", interval, cuts.size());

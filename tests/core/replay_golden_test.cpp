@@ -93,14 +93,12 @@ void add_checkpoint_window(std::string& out, const exp::ClusterSetup& setup) {
   ReplayConfig cfg;
   cfg.rates = {setup.truth.rate_in_cache};
   ckpt::ReplayCursor cursor(trace, setup.platform, cfg, Backend::Smpi);
-  ckpt::RecordOptions options;
-  options.action_interval = 32;
-  const double horizon = cursor.record(options).simulated_time;
+  const double horizon = cursor.record(32).simulated_time;
   const ckpt::QueryResult q = cursor.query(horizon / 3, horizon / 2);
   char at[64];
   std::snprintf(at, sizeof at, "%.17g", cursor.position());
   out += line(std::string("ckpt jacobi window from ") + at, q.result);
-  out += line(std::string("ckpt jacobi resume from ") + at, cursor.run_to_end());
+  out += line(std::string("ckpt jacobi resume from ") + at, cursor.run());
 }
 
 TEST(ReplayGolden, MatrixIsBitIdentical) {

@@ -247,19 +247,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PullEquivalence, ::testing::Range<std::uint64_t>
 
 TEST(PullEquivalence, MemorySourceAfterSeekServesTheSuffixEitherWay) {
   const tit::Trace trace = sample_trace();
-  const std::vector<std::uint64_t> positions = {5, 17, 0};
+  const std::vector<titio::CkptRankState> cut = {{5}, {17}, {0}};
   MemorySource by_next(trace);
   MemorySource by_batch(trace);
   tit::Action a;
   // A half-served next() batch must not leak past the seek.
   ASSERT_TRUE(by_next.next(0, a));
   ASSERT_TRUE(by_next.next(1, a));
-  by_next.seek(positions);
-  by_batch.seek(positions);
+  by_next.seek(cut);
+  by_batch.seek(cut);
   for (int r = 0; r < kNprocs; ++r) {
     const std::vector<tit::Action>& all = trace.actions(r);
     const std::vector<tit::Action> suffix(
-        all.begin() + static_cast<std::ptrdiff_t>(positions[static_cast<std::size_t>(r)]),
+        all.begin() + static_cast<std::ptrdiff_t>(cut[static_cast<std::size_t>(r)].position),
         all.end());
     std::vector<tit::Action> got_next;
     while (by_next.next(r, a)) got_next.push_back(a);
