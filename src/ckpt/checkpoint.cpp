@@ -43,16 +43,41 @@ std::uint64_t scenario_fingerprint(core::Backend backend, const platform::Platfo
     h = mix64(h, std::bit_cast<std::uint64_t>(s.bw_factor));
   }
 
+  // Ids are folded as their 32-bit patterns (kNoSwitch/kNoLink as all ones).
+  const auto id = [](std::int32_t v) { return static_cast<std::uint32_t>(v); };
   h = mix64(h, static_cast<std::uint64_t>(platform.host_count()));
   for (const platform::Host& host : platform.hosts()) {
     h = mix64(h, static_cast<std::uint64_t>(host.cores));
     h = mix64(h, std::bit_cast<std::uint64_t>(host.speed));
     h = mix64(h, std::bit_cast<std::uint64_t>(host.l2_bytes));
+    // Topology, every other input of Platform::route: where the host hangs
+    // off the switch tree and through which link pair, ...
+    h = mix64(h, id(host.attached_switch));
+    h = mix64(h, id(host.up));
+    h = mix64(h, id(host.down));
   }
   h = mix64(h, platform.links().size());
   for (const platform::Link& link : platform.links()) {
     h = mix64(h, std::bit_cast<std::uint64_t>(link.bandwidth));
     h = mix64(h, std::bit_cast<std::uint64_t>(link.latency));
+  }
+  // ... each switch's parent and uplink pair, and the explicit routes in
+  // (src, dst) order.
+  h = mix64(h, platform.switch_count());
+  for (std::size_t s = 0; s < platform.switch_count(); ++s) {
+    const platform::Switch& sw = platform.switch_at(static_cast<platform::SwitchId>(s));
+    h = mix64(h, id(sw.parent));
+    h = mix64(h, id(sw.up));
+    h = mix64(h, id(sw.down));
+  }
+  const auto routes = platform.explicit_routes();
+  h = mix64(h, routes.size());
+  for (const auto& [src, dst, route] : routes) {
+    h = mix64(h, id(src));
+    h = mix64(h, id(dst));
+    h = mix64(h, route->links.size());
+    for (const platform::LinkId l : route->links) h = mix64(h, id(l));
+    h = mix64(h, std::bit_cast<std::uint64_t>(route->latency));
   }
   h = mix64(h, std::bit_cast<std::uint64_t>(platform.loopback_bandwidth()));
   h = mix64(h, std::bit_cast<std::uint64_t>(platform.loopback_latency()));

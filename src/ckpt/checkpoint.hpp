@@ -53,9 +53,10 @@ const TraceCheckpoint* nearest_before(const CheckpointBlock& block, double t);
 
 /// Identity of everything that shapes simulated times: backend, sharing
 /// mode, calibrated rates, the SMPI protocol/network model, and the
-/// platform (hosts, links, loopback).  Deliberately EXCLUDES knobs that
-/// cannot change the prediction (resolve strategy — bit-identical by
-/// contract, watchdog, sink, resume/stop).  Checkpoints recorded under one
+/// platform (hosts, links, loopback, and the topology routes are resolved
+/// over: host and switch attachment, explicit routes).  Deliberately
+/// EXCLUDES knobs that cannot change the prediction (resolve strategy —
+/// bit-identical by contract, watchdog, sink, resume/stop).  Checkpoints recorded under one
 /// fingerprint are only ever restored under the same one.
 std::uint64_t scenario_fingerprint(core::Backend backend, const platform::Platform& platform,
                                    const core::ReplayConfig& config);

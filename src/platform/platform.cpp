@@ -121,6 +121,19 @@ Route Platform::route(HostId src, HostId dst) const {
   return tree_route(src, dst);
 }
 
+std::vector<std::tuple<HostId, HostId, const Route*>> Platform::explicit_routes() const {
+  std::vector<std::tuple<HostId, HostId, const Route*>> routes;
+  routes.reserve(explicit_routes_.size());
+  for (const auto& [key, route] : explicit_routes_) {
+    routes.emplace_back(static_cast<HostId>(key >> 32), static_cast<HostId>(key & 0xffffffffu),
+                        &route);
+  }
+  std::sort(routes.begin(), routes.end(), [](const auto& a, const auto& b) {
+    return std::tie(std::get<0>(a), std::get<1>(a)) < std::tie(std::get<0>(b), std::get<1>(b));
+  });
+  return routes;
+}
+
 Route Platform::tree_route(HostId src, HostId dst) const {
   const Host& a = host(src);
   const Host& b = host(dst);

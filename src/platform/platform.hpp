@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -113,6 +114,10 @@ class Platform {
 
   /// Resolve src -> dst. Throws SimError if no route exists.
   Route route(HostId src, HostId dst) const;
+
+  /// The explicit route overrides as (src, dst, route), ascending by
+  /// (src, dst): a deterministic walk of the map route() consults first.
+  std::vector<std::tuple<HostId, HostId, const Route*>> explicit_routes() const;
 
  private:
   Route tree_route(HostId src, HostId dst) const;

@@ -20,6 +20,7 @@
 #include "ckpt/cursor.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
+#include "platform/parse.hpp"
 #include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/ckpt_records.hpp"
@@ -487,6 +488,51 @@ TEST(CkptAdopt, FingerprintMismatchIsRefusedOutright) {
   other.rates = {3e9};
   ReplayCursor mismatched(trace, p, other, core::Backend::Smpi);
   EXPECT_THROW(mismatched.adopt(recorder.checkpoints()), ConfigError);
+}
+
+// Two platforms with the same hosts and links, but with h1 and h2 swapped
+// between the two switches, route h0<->h1 and h2<->h3 differently, so a cut
+// recorded on one predicts wrong times on the other.  So do a different
+// switch parent and a different explicit route.
+TEST(CkptFingerprint, CoversTopology) {
+  const auto platform_text = [](const char* h1_switch, const char* h2_switch,
+                                const char* s2_parent, const char* route) {
+    return std::string("switch root\n"
+                       "switch s1 parent=root bw=10Gbps lat=2us\n"
+                       "switch s2 parent=") +
+           s2_parent + " bw=1Gbps lat=20us\n" +
+           "host h0 switch=s1 cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=40us\n"
+           "host h1 switch=" + h1_switch + " cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=40us\n" +
+           "host h2 switch=" + h2_switch + " cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=40us\n" +
+           "host h3 switch=s2 cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=40us\n"
+           "link l0 bw=10Gbps lat=1us\n"
+           "route " + route + " links=l0\n";
+  };
+  const platform::Platform a =
+      platform::parse_platform_string(platform_text("s1", "s2", "root", "h0 h1"));
+  const platform::Platform swapped =
+      platform::parse_platform_string(platform_text("s2", "s1", "root", "h0 h1"));
+  const platform::Platform reparented =
+      platform::parse_platform_string(platform_text("s1", "s2", "s1", "h0 h1"));
+  const platform::Platform rerouted =
+      platform::parse_platform_string(platform_text("s1", "s2", "root", "h0 h2"));
+  const core::ReplayConfig cfg = base_config();
+  const std::uint64_t fp = scenario_fingerprint(core::Backend::Smpi, a, cfg);
+  EXPECT_NE(scenario_fingerprint(core::Backend::Smpi, swapped, cfg), fp);
+  EXPECT_NE(scenario_fingerprint(core::Backend::Smpi, reparented, cfg), fp);
+  EXPECT_NE(scenario_fingerprint(core::Backend::Smpi, rerouted, cfg), fp);
+  EXPECT_EQ(scenario_fingerprint(core::Backend::Smpi,
+                                 platform::parse_platform_string(
+                                     platform_text("s1", "s2", "root", "h0 h1")),
+                                 cfg),
+            fp);
+
+  const titio::SharedTrace trace(cg());
+  ReplayCursor recorder(trace, a, cfg, core::Backend::Smpi);
+  recorder.record(8);
+  ASSERT_GE(recorder.checkpoints().checkpoints.size(), 1u);
+  ReplayCursor other(trace, swapped, cfg, core::Backend::Smpi);
+  EXPECT_THROW(other.adopt(recorder.checkpoints()), ConfigError);
 }
 
 TEST(CkptAdopt, SaveAndAdoptFileRoundTrip) {
