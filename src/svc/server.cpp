@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -164,8 +165,26 @@ void Server::accept_loop() {
       const std::lock_guard<std::mutex> lock(clients_mutex_);
       clients_.push_back(client);
     }
-    const std::lock_guard<std::mutex> lock(threads_mutex_);
-    conn_threads_.emplace_back([this, client] { handle_connection(std::move(client)); });
+    // Join the connection threads that ended since the last accept, so a
+    // long-lived daemon holds one thread (and stack) per open connection,
+    // not one per connection it ever served.
+    std::vector<std::thread> ended;
+    {
+      const std::lock_guard<std::mutex> lock(threads_mutex_);
+      for (const std::thread::id id : ended_conns_) {
+        const auto it = std::find_if(conn_threads_.begin(), conn_threads_.end(),
+                                     [id](const std::thread& t) { return t.get_id() == id; });
+        ended.push_back(std::move(*it));
+        conn_threads_.erase(it);
+      }
+      ended_conns_.clear();
+      conn_threads_.emplace_back([this, client] {
+        handle_connection(std::move(client));
+        const std::lock_guard<std::mutex> lock(threads_mutex_);
+        ended_conns_.push_back(std::this_thread::get_id());
+      });
+    }
+    for (std::thread& t : ended) t.join();
   }
 }
 

@@ -165,6 +165,8 @@ class Server {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
   std::vector<std::thread> conn_threads_;
+  /// Connection threads whose handler returned, joined at the next accept.
+  std::vector<std::thread::id> ended_conns_;
   std::mutex threads_mutex_;
   std::vector<std::shared_ptr<Client>> clients_;
   std::mutex clients_mutex_;

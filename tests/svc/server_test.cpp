@@ -128,6 +128,35 @@ TEST_F(SvcServer, TcpPortZeroResolvesAndServes) {
   EXPECT_TRUE(client.ping());
 }
 
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Each connection runs on its own thread; one that ended must be joined
+// while the daemon runs, not at shutdown, or every connection ever served
+// keeps its stack mapped until the address space runs out.
+TEST_F(SvcServer, EndedConnectionThreadsAreReaped) {
+  ServerOptions options;
+  options.endpoint = endpoint("reap.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  {
+    Client warm(server.endpoint());  // first connection: lazy allocations
+    ASSERT_TRUE(warm.ping());
+  }
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 64; ++i) {
+    Client client(server.endpoint());
+    ASSERT_TRUE(client.ping());
+  }
+  // An unreaped thread keeps its stack and guard page: two mappings each.
+  EXPECT_LT(mapping_count(), before + 32) << "64 connect/ping/close cycles";
+}
+
 // A port that is not a plain decimal in 0-65535 is a config error; it must
 // never fall back to a kernel-assigned port the way ":0" asks for.
 TEST(SvcEndpoint, MalformedTcpPortIsAConfigError) {
