@@ -1,29 +1,58 @@
 // End-to-end performance prediction of a NAS LU instance: the paper's
 // flagship use case.
 //
-//   $ ./lu_prediction [class] [nprocs] [bordereau|graphene]
+//   $ ./lu_prediction [CLASS] [NPROCS] [bordereau|graphene]
 //   $ ./lu_prediction B 32 bordereau
 //
 // Walks through the whole pipeline explicitly - acquisition, calibration,
 // replay - and compares the prediction against the simulated "real"
 // execution, with both the original and the improved framework.
+//
+// Operands parse through examples/cli_args.hpp: an unknown class or
+// cluster, or a rank count that is not a power of two, prints the usage
+// and exits 2.
 #include <cstdio>
-#include <cstring>
+#include <string>
 
+#include "cli_args.hpp"
 #include "core/predictor.hpp"
 #include "exp/experiments.hpp"
+
+namespace {
+
+void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [CLASS] [NPROCS] [bordereau|graphene]\n"
+               "  CLASS   NAS class S, W, A, B, C or D (default B)\n"
+               "  NPROCS  a power of two (default 32)\n",
+               argv0);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tir;
 
-  const char cls = argc > 1 ? argv[1][0] : 'B';
-  const int nprocs = argc > 2 ? std::atoi(argv[2]) : 32;
-  const bool graphene = argc > 3 && std::strcmp(argv[3], "graphene") == 0;
+  apps::LuConfig lu;
+  lu.cls = apps::nas_class('B');
+  lu.nprocs = 32;
+  bool graphene = false;
+
+  cli::Args args(usage);
+  args.positional("CLASS", false, "one NAS class letter", [&lu](const std::string& v) {
+    if (v.size() != 1) return false;
+    lu.cls = apps::nas_class(v[0]);  // ConfigError on an unknown class
+    return true;
+  });
+  args.positional("NPROCS", false, "a power of two",
+                  cli::number(lu.nprocs, [](int n) { return n > 0 && (n & (n - 1)) == 0; }));
+  args.positional("CLUSTER", false, "bordereau or graphene", [&graphene](const std::string& v) {
+    graphene = v == "graphene";
+    return graphene || v == "bordereau";
+  });
+  if (!args.parse(argc, argv)) return cli::kUsageExit;
 
   const exp::ClusterSetup cluster = graphene ? exp::graphene_setup() : exp::bordereau_setup();
-  apps::LuConfig lu;
-  lu.cls = apps::nas_class(cls);
-  lu.nprocs = nprocs;
   lu.iterations_override = exp::bench_iterations(10);
 
   std::printf("Predicting LU %s on %s (%d SSOR iterations per run)\n\n", lu.label().c_str(),

@@ -1,8 +1,9 @@
 // The CLI argument contract: tir-profile, trace_inspect, replay_cli,
-// tit-convert, tird and tir-submit must reject unknown flags, malformed or
-// out-of-range operands and stray positionals with the usage text and exit
-// 2 — a typo must never silently replay the wrong scenario (or convert the
-// wrong number of ranks, or start a daemon that rejects every job).
+// tit-convert, tird, tir-submit and lu_prediction must reject unknown
+// flags, malformed or out-of-range operands and stray positionals with the
+// usage text and exit 2 — a typo must never silently replay the wrong
+// scenario (or convert the wrong number of ranks, or start a daemon that
+// rejects every job).
 // Exercised against the real binaries (paths injected by CMake) through
 // std::system.
 #include <gtest/gtest.h>
@@ -132,6 +133,16 @@ TEST_F(CliArgs, ProfileRunsColdAndWindowed) {
   // then a second windowed run adopts them from the file.
   EXPECT_EQ(run(profile + " -from 0 -to 0.001 -save-ckpt" + tail), 0);
   EXPECT_EQ(run(profile + " -from 0 -to 0.001" + tail), 0);
+}
+
+TEST_F(CliArgs, LuPredictionRejectsBadInstances) {
+  const std::string lu = TIR_LU_PREDICTION;
+  EXPECT_EQ(run(lu + " B 6"), 2);   // NPB LU needs a power-of-two rank count
+  EXPECT_EQ(run(lu + " B 0"), 2);
+  EXPECT_EQ(run(lu + " Z 4"), 2);   // unknown class
+  EXPECT_EQ(run(lu + " BB 4"), 2);
+  EXPECT_EQ(run(lu + " B 4 summit"), 2);  // unknown cluster
+  EXPECT_EQ(run(lu + " B 4 bordereau extra"), 2);
 }
 
 TEST_F(CliArgs, ReplayCliRejectsUnknownFlagsAndOperands) {
