@@ -122,14 +122,14 @@ int main(int argc, char** argv) {
       std::printf("perturbation     : %s (%d replicates)\n", perturb->canonical().c_str(),
                   mc_seeds);
       for (const core::McScenarioReport& sr : report.scenarios) {
-        const obs::DistributionSummary& d = sr.simulated_time;
+        const stats::Summary& d = sr.simulated_time;
         std::printf("%-24s : median %.6f s  mean %.6f s  [p5 %.6f, p95 %.6f]  "
                     "ci95 [%.6f, %.6f]  n=%zu\n",
                     sr.label.c_str(), d.p50, d.mean, d.p5, d.p95, d.ci95_lo, d.ci95_hi, d.n);
         for (const core::McReplicate& rep : sr.replicates) {
           if (!rep.outcome.ok) report_failure(rep.outcome);
         }
-        for (const obs::TornadoEntry& bar : sr.tornado.entries) {
+        for (const core::TornadoEntry& bar : sr.tornado.entries) {
           std::printf("  tornado %-12s : swing %.6f s  [%.6f, %.6f]\n", bar.parameter.c_str(),
                       bar.swing, bar.metric.min, bar.metric.max);
         }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "base/error.hpp"
 
@@ -16,37 +15,38 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 Summary summarize(std::vector<double> values) {
   if (values.empty()) throw Error("summarize: empty input");
   std::sort(values.begin(), values.end());
   Summary s;
-  s.count = values.size();
+  s.n = values.size();
+  double sum = 0.0;
+  for (const double v : values) sum += v;
+  s.mean = sum / static_cast<double>(s.n);
+  if (s.n >= 2) {
+    double ss = 0.0;
+    for (const double v : values) ss += (v - s.mean) * (v - s.mean);
+    s.stddev = std::sqrt(ss / static_cast<double>(s.n - 1));
+  }
   s.min = values.front();
   s.max = values.back();
-  s.q1 = quantile_sorted(values, 0.25);
-  s.median = quantile_sorted(values, 0.5);
-  s.q3 = quantile_sorted(values, 0.75);
-  s.mean = std::accumulate(values.begin(), values.end(), 0.0) / static_cast<double>(s.count);
-  if (s.count >= 2) {
-    double acc = 0.0;
-    for (const double v : values) acc += (v - s.mean) * (v - s.mean);
-    s.stddev = std::sqrt(acc / static_cast<double>(s.count - 1));
-  }
+  s.p5 = quantile_sorted(values, 0.05);
+  s.p25 = quantile_sorted(values, 0.25);
+  s.p50 = quantile_sorted(values, 0.50);
+  s.p75 = quantile_sorted(values, 0.75);
+  s.p95 = quantile_sorted(values, 0.95);
+  const double half = 1.96 * s.stddev / std::sqrt(static_cast<double>(s.n));
+  s.ci95_lo = s.mean - half;
+  s.ci95_hi = s.mean + half;
   return s;
 }
 
 double relative_error_pct(double simulated, double reference) {
   TIR_ASSERT(reference != 0.0);
   return 100.0 * (simulated - reference) / reference;
-}
-
-double mean(const std::vector<double>& values) {
-  if (values.empty()) throw Error("mean: empty input");
-  return std::accumulate(values.begin(), values.end(), 0.0) /
-         static_cast<double>(values.size());
 }
 
 }  // namespace tir::stats

@@ -1,8 +1,8 @@
-// Descriptive statistics used by the experiment drivers.
+// Descriptive statistics: the one summary of a sample set.
 //
 // The paper's Figures 1/2/4/5 plot *distributions across processes* of
-// relative differences; Summary mirrors the five-number summary those
-// box-and-whisker style plots convey, plus mean and stddev.
+// relative differences (exp/), and core::mc_sweep reports distributions of
+// makespans across Monte Carlo replicates; both summarize through here.
 #pragma once
 
 #include <cstddef>
@@ -10,28 +10,34 @@
 
 namespace tir::stats {
 
+/// Order-free summary of a sample set: moments, extremes, interpolated
+/// quantiles (type-7, the numpy/R default) and a normal-approximation 95%
+/// confidence interval on the mean.  summarize() sorts a copy, so the result
+/// is bit-identical no matter what order the samples arrived in — which is
+/// what lets core::mc_sweep promise identical aggregates at any --jobs.
 struct Summary {
-  std::size_t count = 0;
-  double min = 0.0;
-  double q1 = 0.0;      ///< first quartile (linear interpolation)
-  double median = 0.0;
-  double q3 = 0.0;      ///< third quartile
-  double max = 0.0;
+  std::size_t n = 0;
   double mean = 0.0;
-  double stddev = 0.0;  ///< sample standard deviation (n-1); 0 when count < 2
+  double stddev = 0.0;  ///< sample stddev (n-1); 0 when n < 2
+  double min = 0.0;
+  double max = 0.0;
+  double p5 = 0.0;
+  double p25 = 0.0;
+  double p50 = 0.0;
+  double p75 = 0.0;
+  double p95 = 0.0;
+  double ci95_lo = 0.0;  ///< mean ± 1.96·stddev/√n
+  double ci95_hi = 0.0;
 };
 
-/// Five-number summary + mean/stddev. Input need not be sorted.
-/// Throws tir::Error on empty input.
+/// Summarize `values` (taken by value: sorted internally).  Throws
+/// tir::Error on empty input.
 Summary summarize(std::vector<double> values);
 
-/// Quantile with linear interpolation, q in [0,1]. Input must be sorted.
+/// Type-7 quantile (linear interpolation), q in [0,1]. Input must be sorted.
 double quantile_sorted(const std::vector<double>& sorted, double q);
 
 /// (simulated - reference) / reference, in percent.
 double relative_error_pct(double simulated, double reference);
-
-/// Arithmetic mean; throws on empty input.
-double mean(const std::vector<double>& values);
 
 }  // namespace tir::stats

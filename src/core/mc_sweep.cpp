@@ -63,6 +63,29 @@ std::vector<std::string> active_parameters(const platform::PerturbationSpec& spe
   return out;
 }
 
+/// Assemble a tornado report from per-parameter sample sets (a parameter
+/// whose replicates all failed gets an all-zero bar) and sort the bars.
+TornadoReport tornado(
+    double baseline,
+    const std::vector<std::pair<std::string, std::vector<double>>>& per_parameter_samples) {
+  TornadoReport report;
+  report.baseline = baseline;
+  report.entries.reserve(per_parameter_samples.size());
+  for (const auto& [parameter, samples] : per_parameter_samples) {
+    TornadoEntry entry;
+    entry.parameter = parameter;
+    if (!samples.empty()) entry.metric = stats::summarize(samples);
+    entry.swing = entry.metric.max - entry.metric.min;
+    report.entries.push_back(std::move(entry));
+  }
+  std::sort(report.entries.begin(), report.entries.end(),
+            [](const TornadoEntry& a, const TornadoEntry& b) {
+              if (a.swing != b.swing) return a.swing > b.swing;
+              return a.parameter < b.parameter;
+            });
+  return report;
+}
+
 }  // namespace
 
 std::vector<std::uint64_t> mc_seed_grid(const platform::PerturbationSpec& spec,
@@ -155,14 +178,14 @@ McReport mc_fold(const std::vector<McScenario>& scenarios, const McGrid& grid,
     for (const McReplicate& r : sr.replicates) {
       if (r.outcome.ok) times.push_back(r.outcome.result.simulated_time);
     }
-    sr.simulated_time = obs::summarize(std::move(times));
+    if (!times.empty()) sr.simulated_time = stats::summarize(std::move(times));
     if (grid.tornado) {
       std::vector<std::pair<std::string, std::vector<double>>> bars;
       bars.reserve(grid.parameters[s].size());
       for (std::size_t p = 0; p < grid.parameters[s].size(); ++p) {
         bars.emplace_back(grid.parameters[s][p], std::move(tornado_samples[s][p]));
       }
-      sr.tornado = obs::tornado(baselines[s], bars);
+      sr.tornado = tornado(baselines[s], bars);
     }
   }
   return report;
@@ -178,10 +201,19 @@ McReport mc_sweep(const titio::SharedTrace& trace,
   return mc_fold(scenarios, grid, sweep(trace, grid.cells, sweep_options));
 }
 
+void add_summary_fields(Json& object, const stats::Summary& s) {
+  object.set("n", s.n);
+  const std::pair<const char*, double> fields[] = {
+      {"mean", s.mean}, {"stddev", s.stddev}, {"min", s.min}, {"max", s.max},
+      {"p5", s.p5},     {"p25", s.p25},       {"p50", s.p50}, {"p75", s.p75},
+      {"p95", s.p95},   {"ci95_lo", s.ci95_lo}, {"ci95_hi", s.ci95_hi}};
+  for (const auto& [name, value] : fields) object.set(name, value);
+}
+
 std::string mc_report_json(const McReport& report) {
-  const auto summary = [](const obs::DistributionSummary& d) {
+  const auto summary = [](const stats::Summary& d) {
     Json j = Json::object();
-    obs::add_summary_fields(j, d);
+    add_summary_fields(j, d);
     return j;
   };
   Json scenarios = Json::array();
@@ -202,7 +234,7 @@ std::string mc_report_json(const McReport& report) {
     scenario.set("simulated_time", summary(sr.simulated_time));
     if (!sr.tornado.entries.empty() || sr.tornado.baseline != 0.0) {
       Json parameters = Json::array();
-      for (const obs::TornadoEntry& e : sr.tornado.entries) {
+      for (const TornadoEntry& e : sr.tornado.entries) {
         parameters.push_back(Json::object({{"parameter", e.parameter},
                                            {"swing", e.swing},
                                            {"simulated_time", summary(e.metric)}}));

@@ -27,15 +27,16 @@
 // parameter the same seed grid is re-run with *only* that parameter's
 // distribution active (platform::isolate_parameter), and the spread of the
 // resulting makespans — against the unperturbed baseline — becomes the
-// parameter's bar (obs::TornadoReport, widest first).
+// parameter's bar (TornadoReport, widest first).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "base/json.hpp"
+#include "base/stats.hpp"
 #include "core/sweep.hpp"
-#include "obs/sweep.hpp"
 #include "platform/model.hpp"
 
 namespace tir::core {
@@ -70,16 +71,32 @@ struct McReplicate {
   ScenarioOutcome outcome;
 };
 
+/// One bar of a tornado diagram: how much the output metric swings when a
+/// single parameter is perturbed with all the others pinned to nominal.
+struct TornadoEntry {
+  std::string parameter;  ///< platform::perturbation_parameters() name
+  stats::Summary metric;  ///< output distribution, this parameter alone
+  double swing = 0.0;     ///< metric.max - metric.min
+};
+
+/// Per-parameter sensitivity report, entries sorted by swing, widest first
+/// (ties broken by parameter name so the order is deterministic).
+struct TornadoReport {
+  double baseline = 0.0;  ///< output metric of the unperturbed platform
+  std::vector<TornadoEntry> entries;
+};
+
 struct McScenarioReport {
   std::string label;
   Backend backend = Backend::Smpi;
   /// Replicates in seed-grid order (input order, independent of --jobs).
   std::vector<McReplicate> replicates;
-  /// Distribution of simulated_time over the ok replicates.
-  obs::DistributionSummary simulated_time;
+  /// Distribution of simulated_time over the ok replicates (all zero when
+  /// none is ok).
+  stats::Summary simulated_time;
   std::size_t failures = 0;
   /// Filled only under McOptions::tornado (baseline + per-parameter bars).
-  obs::TornadoReport tornado;
+  TornadoReport tornado;
 };
 
 struct McReport {
@@ -134,6 +151,10 @@ McReport mc_fold(const std::vector<McScenario>& scenarios, const McGrid& grid,
 McReport mc_sweep(const titio::SharedTrace& trace,
                   const std::vector<McScenario>& scenarios,
                   const McOptions& options = {});
+
+/// Add `n` and the 11 moment and quantile fields of `s` to `object`, in
+/// declaration order (%.17g, so a summary round-trips exactly).
+void add_summary_fields(Json& object, const stats::Summary& s);
 
 /// Render the report as a self-contained JSON document (the `-mc-seeds`
 /// report of replay_cli / tir-submit; format in docs/variability.md).

@@ -114,12 +114,12 @@ void print_overhead_table(const std::vector<OverheadRow>& rows) {
 }
 
 void print_distribution_series(const std::vector<DistributionRow>& rows) {
-  std::printf("%-8s | %8s %8s %8s %8s %8s | %8s\n", "inst.", "min", "q1", "median", "q3", "max",
+  std::printf("%-8s | %8s %8s %8s %8s %8s | %8s\n", "inst.", "min", "p25", "p50", "p75", "max",
               "mean");
   std::printf("---------+----------------------------------------------+---------\n");
   for (const DistributionRow& r : rows) {
     std::printf("%-8s | %7.2f%% %7.2f%% %7.2f%% %7.2f%% %7.2f%% | %7.2f%%\n", r.instance.c_str(),
-                r.summary.min, r.summary.q1, r.summary.median, r.summary.q3, r.summary.max,
+                r.summary.min, r.summary.p25, r.summary.p50, r.summary.p75, r.summary.max,
                 r.summary.mean);
   }
 }

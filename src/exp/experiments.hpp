@@ -83,7 +83,7 @@ struct DistributionRow {
   stats::Summary summary;  ///< of per-process relative differences (%)
 };
 
-/// Figures 1/2/4/5 layout: five-number summaries per instance.
+/// Figures 1/2/4/5 layout: min, quartiles, max and mean per instance.
 void print_distribution_series(const std::vector<DistributionRow>& rows);
 
 struct ErrorRow {

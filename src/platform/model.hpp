@@ -90,7 +90,7 @@ struct PerturbationSpec {
 };
 
 /// Names of the perturbable parameters, in canonical order.  The tornado
-/// report (obs::TornadoReport) is indexed by these.
+/// report (core::TornadoReport) is indexed by these.
 const std::vector<std::string>& perturbation_parameters();
 
 /// Return a copy of `spec` with every distribution but `parameter` (one of

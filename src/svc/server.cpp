@@ -14,7 +14,6 @@
 #include "core/calibration.hpp"
 #include "core/job.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sweep.hpp"
 #include "obs/timeline.hpp"
 #include "platform/clusters.hpp"
 #include "platform/parse.hpp"
@@ -514,7 +513,7 @@ void Server::run_job(Job& job) {
       Json groups = Json::array();
       for (const core::McScenarioReport& sr : report.scenarios) {
         Json g = Json::object({{"label", sr.label}});
-        obs::add_summary_fields(g, sr.simulated_time);
+        core::add_summary_fields(g, sr.simulated_time);
         groups.push_back(std::move(g));
       }
       mc.set("scenarios", std::move(groups));

@@ -9,10 +9,10 @@ namespace {
 
 TEST(Stats, SummaryOfSingleValue) {
   const Summary s = summarize({7.0});
-  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.n, 1u);
   EXPECT_DOUBLE_EQ(s.min, 7.0);
   EXPECT_DOUBLE_EQ(s.max, 7.0);
-  EXPECT_DOUBLE_EQ(s.median, 7.0);
+  EXPECT_DOUBLE_EQ(s.p50, 7.0);
   EXPECT_DOUBLE_EQ(s.mean, 7.0);
   EXPECT_DOUBLE_EQ(s.stddev, 0.0);
 }
@@ -20,16 +20,16 @@ TEST(Stats, SummaryOfSingleValue) {
 TEST(Stats, SummaryFiveNumber) {
   const Summary s = summarize({1, 2, 3, 4, 5});
   EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.q1, 2.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.q3, 4.0);
+  EXPECT_DOUBLE_EQ(s.p25, 2.0);
+  EXPECT_DOUBLE_EQ(s.p50, 3.0);
+  EXPECT_DOUBLE_EQ(s.p75, 4.0);
   EXPECT_DOUBLE_EQ(s.max, 5.0);
   EXPECT_DOUBLE_EQ(s.mean, 3.0);
 }
 
 TEST(Stats, SummaryUnsortedInput) {
   const Summary s = summarize({5, 1, 4, 2, 3});
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
+  EXPECT_DOUBLE_EQ(s.p50, 3.0);
 }
 
 TEST(Stats, QuantileInterpolates) {
@@ -54,11 +54,6 @@ TEST(Stats, RelativeErrorPct) {
 
 TEST(Stats, RelativeErrorAgainstZeroThrows) {
   EXPECT_THROW(relative_error_pct(1.0, 0.0), InternalError);
-}
-
-TEST(Stats, Mean) {
-  EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_THROW(mean({}), Error);
 }
 
 }  // namespace

@@ -67,8 +67,8 @@ void expect_reports_identical(const McReport& a, const McReport& b, const std::s
                 rb.replicates[r].outcome.result.simulated_time)
           << what << " " << ra.label << " replicate " << r;
     }
-    const obs::DistributionSummary& da = ra.simulated_time;
-    const obs::DistributionSummary& db = rb.simulated_time;
+    const stats::Summary& da = ra.simulated_time;
+    const stats::Summary& db = rb.simulated_time;
     EXPECT_EQ(da.n, db.n) << what;
     EXPECT_EQ(da.mean, db.mean) << what;
     EXPECT_EQ(da.stddev, db.stddev) << what;
@@ -284,7 +284,7 @@ TEST(McSweep, TornadoRanksTheDominantParameterFirst) {
   options.tornado = true;
   const McReport report = mc_sweep(trace, scenarios, options);
   ASSERT_EQ(report.scenarios.size(), 1u);
-  const obs::TornadoReport& tornado = report.scenarios[0].tornado;
+  const TornadoReport& tornado = report.scenarios[0].tornado;
   // Baseline: the unperturbed platform, replayed once.
   EXPECT_GT(tornado.baseline, 0.0);
   ASSERT_EQ(tornado.entries.size(), 2u);  // the two ACTIVE parameters only
@@ -292,7 +292,7 @@ TEST(McSweep, TornadoRanksTheDominantParameterFirst) {
   EXPECT_EQ(tornado.entries[1].parameter, "host.speed");
   EXPECT_GT(tornado.entries[0].swing, 10.0 * tornado.entries[1].swing);
   EXPECT_GT(tornado.entries[1].swing, 0.0);  // the jitter is small, not a no-op
-  for (const obs::TornadoEntry& bar : tornado.entries) {
+  for (const TornadoEntry& bar : tornado.entries) {
     EXPECT_EQ(bar.metric.n, 8u);
     EXPECT_GE(bar.swing, 0.0);
   }

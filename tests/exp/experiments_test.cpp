@@ -41,9 +41,9 @@ TEST(Experiments, CompareCountersFineExceedsMinimal) {
   const CounterComparison minimal =
       compare_counters(lu, bd, hwc::Granularity::Minimal, hwc::kO3, 1, 2);
   ASSERT_EQ(fine.rel_diff_pct.size(), 4u);
-  EXPECT_GT(fine.summary.median, 8.0);     // paper Fig 1: ~10-13%
-  EXPECT_LT(fine.summary.median, 20.0);
-  EXPECT_LT(minimal.summary.median, 3.0);  // paper Fig 4: mostly < 6%
+  EXPECT_GT(fine.summary.p50, 8.0);     // paper Fig 1: ~10-13%
+  EXPECT_LT(fine.summary.p50, 20.0);
+  EXPECT_LT(minimal.summary.p50, 3.0);  // paper Fig 4: mostly < 6%
   EXPECT_GE(minimal.summary.min, 0.0);
 }
 
@@ -68,7 +68,7 @@ TEST(Experiments, GrapheneProbesPerturbLessThanBordereau) {
                                    hwc::kO3, 1, 2);
   const auto gr = compare_counters(lu, graphene_setup(), hwc::Granularity::Minimal,
                                    hwc::kO3, 1, 2);
-  EXPECT_LT(gr.summary.median, bd.summary.median);
+  EXPECT_LT(gr.summary.p50, bd.summary.p50);
 }
 
 TEST(Experiments, PrintersDoNotCrash) {
