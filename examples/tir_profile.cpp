@@ -160,10 +160,13 @@ int main(int argc, char** argv) {
       if (adopted == 0) {
         cursor.record();
         if (save_ckpt) {
-          if (is_titb) {
-            cursor.save(trace_path);
-          } else {
+          if (!is_titb) {
             std::fprintf(stderr, "[tir-profile] -save-ckpt ignored: %s is not a .titb file\n",
+                         trace_path.c_str());
+          } else if (!cursor.save(trace_path)) {
+            std::fprintf(stderr,
+                         "[tir-profile] -save-ckpt: no checkpoint recorded (trace shorter than "
+                         "one cut interval); %s left unchanged\n",
                          trace_path.c_str());
           }
         }

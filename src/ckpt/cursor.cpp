@@ -249,8 +249,10 @@ std::size_t ReplayCursor::adopt_file(const std::string& path) {
   return 0;
 }
 
-void ReplayCursor::save(const std::string& path) const {
+bool ReplayCursor::save(const std::string& path) const {
+  if (block_.checkpoints.empty()) return false;
   titio::append_checkpoints(path, {block_});
+  return true;
 }
 
 void ReplayCursor::seek(double t) { current_ = nearest_before(block_, t); }

@@ -75,7 +75,9 @@ class ReplayCursor {
   std::size_t adopt_file(const std::string& path);
 
   /// Persist the held checkpoints into a TITB file (titio::append_checkpoints).
-  void save(const std::string& path) const;
+  /// A block without checkpoints (a trace shorter than one cut interval)
+  /// leaves the file untouched; returns whether anything was written.
+  bool save(const std::string& path) const;
 
   /// Seat the cursor on the latest snapshot with time <= t (cheap; no
   /// replay happens until run/query).  With no qualifying snapshot

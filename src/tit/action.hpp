@@ -42,16 +42,24 @@ enum class ActionType : std::uint8_t {
 /// size parameter precisely because the old format lacked it).
 inline constexpr double kNoVolume = -1.0;
 
+/// Most processes a trace may hold: Action::proc has 24 bits, so ranks run
+/// from 0 to kMaxRanks - 1.  Every entry that sizes a trace or stores a rank
+/// (Trace(int), the text parser, the TITB header and checkpoint blocks,
+/// titio::Writer) refuses more with a typed error, so no rank ever wraps.
+inline constexpr std::int32_t kMaxRanks = 1 << 23;
+
+/// 24 bytes: the type and the issuing rank share one 32-bit word.
 struct Action {
-  ActionType type = ActionType::Compute;
-  std::int32_t proc = -1;     ///< issuing rank
-  std::int32_t partner = -1;  ///< peer rank (p2p) or root (rooted collectives)
-  double volume = 0.0;        ///< instructions (compute) or bytes (comms)
-  double volume2 = 0.0;       ///< second volume: reduction compute (reduce/
-                              ///< allreduce) or recv bytes (alltoall/allgather)
+  ActionType type : 8 = ActionType::Compute;
+  std::int32_t proc : 24 = -1;  ///< issuing rank, below kMaxRanks
+  std::int32_t partner = -1;    ///< peer rank (p2p) or root (rooted collectives)
+  double volume = 0.0;          ///< instructions (compute) or bytes (comms)
+  double volume2 = 0.0;         ///< second volume: reduction compute (reduce/
+                                ///< allreduce) or recv bytes (alltoall/allgather)
 
   bool operator==(const Action&) const = default;
 };
+static_assert(sizeof(Action) == 24);
 
 /// The eight collective operations.  This is the one definition behind
 /// collective-site numbering, which the static validator, both replay

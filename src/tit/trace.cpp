@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <sstream>
 
@@ -27,9 +26,9 @@ std::int32_t parse_rank(std::string_view token, std::string_view line) {
   }
   // to_u64 rejects a leading '-', so negative ranks fail here with context.
   const auto value = str::to_u64(token, "rank in '" + std::string(line) + "'");
-  if (value > static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max())) {
-    throw ParseError("rank " + std::string(token) + " out of range in '" + std::string(line) +
-                     "'");
+  if (value >= static_cast<std::uint64_t>(kMaxRanks)) {
+    throw ParseError("rank " + std::string(token) + " out of range (limit " +
+                     std::to_string(kMaxRanks) + " ranks) in '" + std::string(line) + "'");
   }
   return static_cast<std::int32_t>(value);
 }
@@ -61,6 +60,12 @@ std::string format_volume(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
+}
+
+/// Trim every rank's vector to its size: push_back growth leaves up to twice
+/// the bytes, and a cache charges a trace size() x sizeof(Action).
+void fit(Trace& trace) {
+  for (int p = 0; p < trace.nprocs(); ++p) trace.actions(p).shrink_to_fit();
 }
 
 }  // namespace
@@ -213,6 +218,14 @@ Action parse_line(std::string_view line) {
   return a;
 }
 
+Trace::Trace(int nprocs) {
+  if (nprocs < 0 || nprocs > kMaxRanks) {
+    throw ConfigError("trace needs 0 to " + std::to_string(kMaxRanks) + " processes, got " +
+                      std::to_string(nprocs));
+  }
+  per_proc_.resize(static_cast<std::size_t>(nprocs));
+}
+
 const std::vector<Action>& Trace::actions(int proc) const {
   TIR_ASSERT(proc >= 0 && proc < nprocs());
   return per_proc_[static_cast<std::size_t>(proc)];
@@ -292,6 +305,7 @@ void for_each_action(std::istream& in, const std::string& where,
 Trace parse_trace(std::istream& in, int nprocs) {
   Trace trace(nprocs);
   for_each_action(in, "line ", [&](const Action& a) { trace.push(a); });
+  fit(trace);
   return trace;
 }
 
@@ -360,6 +374,7 @@ Trace load_trace(const std::string& manifest_path, int nprocs) {
   }
   Trace trace(manifest.nprocs);
   for_each_action(manifest, [&](const Action& a) { trace.push(a); });
+  fit(trace);
   return trace;
 }
 

@@ -16,7 +16,8 @@ namespace tir::tit {
 class Trace {
  public:
   Trace() = default;
-  explicit Trace(int nprocs) : per_proc_(static_cast<std::size_t>(nprocs)) {}
+  /// Throws ConfigError unless 0 <= nprocs <= kMaxRanks.
+  explicit Trace(int nprocs);
 
   int nprocs() const { return static_cast<int>(per_proc_.size()); }
   const std::vector<Action>& actions(int proc) const;
@@ -61,6 +62,8 @@ void for_each_action(std::istream& in, const std::string& where,
 
 /// Parse a whole trace from text: one action per line, '#' comments and
 /// blank lines ignored. nprocs fixes the rank count (ranks must be < nprocs).
+/// Each rank's vector holds exactly its actions (capacity() == size()), as
+/// with load_trace.
 Trace parse_trace(std::istream& in, int nprocs);
 Trace parse_trace_string(const std::string& text, int nprocs);
 

@@ -64,7 +64,7 @@ std::vector<CheckpointBlock> decode_checkpoint_payload(const std::vector<std::ui
     CheckpointBlock block;
     block.fingerprint = binio::take_u64(payload.data(), payload.size(), pos);
     const std::uint64_t nprocs = binio::get_varint(payload.data(), payload.size(), pos);
-    if (nprocs == 0 || nprocs > 0x7FFFFFFFu) {
+    if (nprocs == 0 || nprocs > static_cast<std::uint64_t>(tit::kMaxRanks)) {
       throw ParseError("bad checkpoint block nprocs " + std::to_string(nprocs));
     }
     block.nprocs = static_cast<int>(nprocs);

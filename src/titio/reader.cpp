@@ -56,8 +56,9 @@ Reader::Reader(const std::string& path, ReaderOptions options)
                      path);
   }
   const std::uint32_t nprocs = binio::get_u32(header.data() + 8);
-  if (nprocs == 0 || nprocs > 0x7FFFFFFFu) {
-    throw ParseError("bad process count " + std::to_string(nprocs) + ": " + path);
+  if (nprocs == 0 || nprocs > static_cast<std::uint32_t>(tit::kMaxRanks)) {
+    throw ParseError("bad process count " + std::to_string(nprocs) + " (limit " +
+                     std::to_string(tit::kMaxRanks) + "): " + path);
   }
   nprocs_ = static_cast<int>(nprocs);
 

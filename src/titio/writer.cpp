@@ -6,16 +6,17 @@
 namespace tir::titio {
 
 Writer::Writer(const std::string& path, int nprocs, WriterOptions options)
-    : out_(path, std::ios::binary | std::ios::trunc),
-      path_(path),
-      options_(options),
-      nprocs_(nprocs) {
-  if (nprocs <= 0) throw Error("binary trace needs nprocs > 0, got " + std::to_string(nprocs));
+    : path_(path), options_(options), nprocs_(nprocs) {
+  if (nprocs <= 0 || nprocs > tit::kMaxRanks) {
+    throw ConfigError("binary trace needs 1 to " + std::to_string(tit::kMaxRanks) +
+                      " processes, got " + std::to_string(nprocs));
+  }
   if (options_.frame_actions == 0) options_.frame_actions = 1;
   if (options_.version != kVersion && options_.version != kVersionV1) {
     throw Error("unsupported TITB writer version " + std::to_string(options_.version) + ": " +
                 path);
   }
+  out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_) throw Error("cannot write binary trace: " + path);
   pending_.resize(static_cast<std::size_t>(nprocs));
   pending_count_.resize(static_cast<std::size_t>(nprocs), 0);

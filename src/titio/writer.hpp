@@ -29,7 +29,8 @@ struct WriterOptions {
 
 class Writer {
  public:
-  /// Creates/truncates `path` and writes the header immediately.
+  /// Creates/truncates `path` and writes the header immediately.  Throws
+  /// ConfigError, before touching `path`, unless 1 <= nprocs <= kMaxRanks.
   Writer(const std::string& path, int nprocs, WriterOptions options = {});
 
   /// Best-effort finish(); errors are swallowed (call finish() yourself to

@@ -418,6 +418,15 @@ TEST(CkptRecords, CountsThePayloadCannotHoldAreParseErrors) {
   EXPECT_THROW(titio::decode_checkpoint_payload(payload(2, std::uint64_t{1} << 62)), ParseError);
   EXPECT_THROW(titio::decode_checkpoint_payload(payload(0x7FFFFFFF, 1)), ParseError);
 
+  // Ranks are stored in 24 bits: a block of 2^23 + 1 ranks is refused even
+  // with no checkpoint to size.
+  std::vector<std::uint8_t> wide;
+  binio::put_varint(wide, 1);
+  binio::put_u64(wide, 0xF00D);
+  binio::put_varint(wide, static_cast<std::uint64_t>(tit::kMaxRanks) + 1);
+  binio::put_varint(wide, 0);
+  EXPECT_THROW(titio::decode_checkpoint_payload(wide), ParseError);
+
   // Inside a file, an undecodable payload degrades to no checkpoints.
   const fs::path path = temp_file("counts");
   titio::write_binary_trace(pingpong(5), path.string(), titio::WriterOptions{64});

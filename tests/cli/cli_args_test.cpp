@@ -135,6 +135,18 @@ TEST_F(CliArgs, ProfileRunsColdAndWindowed) {
   EXPECT_EQ(run(profile + " -from 0 -to 0.001" + tail), 0);
 }
 
+// The fixture is shorter than one cut interval, so no checkpoint is
+// recorded: -save-ckpt must leave the file byte for byte as it was rather
+// than append an empty checkpoint block.
+TEST_F(CliArgs, ProfileSaveCkptLeavesAShortTraceUnchanged) {
+  const std::string before = read_file(titb_fixture());
+  const std::string profile = TIR_PROFILE;
+  EXPECT_EQ(run(profile + " -from 0 -to 0.001 -save-ckpt -o " + (dir_ / "out").string() + " " +
+                titb_fixture()),
+            0);
+  EXPECT_EQ(read_file(titb_fixture()), before);
+}
+
 TEST_F(CliArgs, LuPredictionRejectsBadInstances) {
   const std::string lu = TIR_LU_PREDICTION;
   EXPECT_EQ(run(lu + " B 6"), 2);   // NPB LU needs a power-of-two rank count

@@ -17,6 +17,7 @@
 #include "support/temp_dir.hpp"
 #include "support/wrapped_titb.hpp"
 #include "tit/trace.hpp"
+#include "titio/format.hpp"
 #include "titio/reader.hpp"
 #include "titio/shared.hpp"
 #include "titio/writer.hpp"
@@ -185,6 +186,26 @@ TEST(BinaryFormat, WriterRejectsOutOfRangeRank) {
   fs::remove(path);
 }
 
+// The top rank the packed Action holds, the widest partner and each type
+// survive the action codec.
+TEST(BinaryFormat, ActionsAtTheRankLimitRoundTrip) {
+  for (int t = 0; t <= static_cast<int>(tit::ActionType::Scatter); ++t) {
+    const tit::Action a{static_cast<tit::ActionType>(t), tit::kMaxRanks - 1, 2147483647, 12,
+                        34.5};
+    std::vector<std::uint8_t> bytes;
+    encode_action(bytes, a);
+    std::size_t pos = 0;
+    EXPECT_EQ(decode_action(bytes.data(), bytes.size(), pos, tit::kMaxRanks - 1), a);
+    EXPECT_EQ(pos, bytes.size());
+  }
+}
+
+TEST(BinaryFormat, WriterRefusesMoreThanMaxRanks) {
+  const fs::path path = temp_file("maxranks");
+  EXPECT_THROW(Writer(path.string(), tit::kMaxRanks + 1), ConfigError);
+  EXPECT_FALSE(fs::exists(path));  // refused before the file is created
+}
+
 // ---------- corruption & truncation ----------------------------------------
 
 fs::path write_sample(const std::string& name, int actions_per_rank = 200) {
@@ -319,6 +340,25 @@ TEST(BinaryFormat, WrappedFrameSizeFailsAtOpen) {
     EXPECT_THROW(Reader(path.string(), options), CorruptFrameError) << "recover=" << recover;
   }
   EXPECT_THROW(read_binary_trace(path.string()), CorruptFrameError);
+  fs::remove(path);
+}
+
+TEST(BinaryFormat, HeaderPastMaxRanksFailsAtOpen) {
+  // An empty one-rank file whose header then claims 2^23 + 1 ranks: refused
+  // at the header, before any per-rank state is sized from it.
+  const fs::path path = temp_file("headerranks");
+  write_binary_trace(tit::Trace(1), path.string());
+  std::vector<char> bytes = slurp(path);
+  const std::uint32_t nprocs = tit::kMaxRanks + 1;
+  for (std::size_t i = 0; i < 4; ++i) bytes[8 + i] = static_cast<char>(nprocs >> (8 * i));
+  spit(path, bytes);
+  try {
+    Reader reader(path.string());
+    ADD_FAILURE() << "opened a " << reader.nprocs() << "-rank header";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad process count 8388609"), std::string::npos)
+        << e.what();
+  }
   fs::remove(path);
 }
 
