@@ -211,13 +211,13 @@ int main(int argc, char** argv) {
                       group.num_or("ci95_hi", 0.0), group.num_or("n", 0.0));
         }
       }
-      // An idempotent answer is the daemon's stored stream, timings
-      // included: nothing was decoded or replayed for this submit.
+      // An idempotent answer comes from the daemon's results memo: its
+      // scenarios were not replayed for this submit.
       const bool idempotent = result.started.bool_or("idempotent", false);
       std::printf("job %llu: %s cache%s, queue %.3f ms, decode %.3f ms, "
                   "calibrate %.3f ms, replay %.3f ms\n",
                   static_cast<unsigned long long>(result.id),
-                  idempotent || result.trace_cache_hit() ? "hit" : "miss",
+                  result.trace_cache_hit() ? "hit" : "miss",
                   idempotent ? " (idempotent)" : "",
                   1e3 * result.epilogue.num_or("queue_wait_seconds", 0.0),
                   1e3 * result.epilogue.num_or("decode_seconds", 0.0),

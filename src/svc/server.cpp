@@ -271,29 +271,6 @@ void Server::handle_line(const std::shared_ptr<Client>& client, const std::strin
   client->send(make_accepted(id, queue_.size(), queue_.capacity()));
 }
 
-bool Server::replay_completed(const Job& job, std::uint64_t key) {
-  std::shared_ptr<const CompletedJob> completed;
-  if (!results_.get(key, completed)) return false;
-  // Bit-identical replay of the stored stream, re-stamped with the new job
-  // id (each number was rendered once and its text is copied verbatim).
-  ++idempotent_replays_;
-  Json started = completed->started;
-  started.set("job", job.request.id);
-  started.set("idempotent", true);
-  job.client->send(started);
-  for (const Json& scenario : completed->scenarios) {
-    Json line = scenario;
-    line.set("job", job.request.id);
-    job.client->send(line);
-  }
-  Json done = completed->done;
-  done.set("job", job.request.id);
-  done.set("idempotent", true);
-  job.client->send(done);
-  ++jobs_completed_;
-  return true;
-}
-
 void Server::run_job(Job& job) {
   const JobRequest& request = job.request;
   const double queue_wait = seconds_since(job.admitted);
@@ -326,44 +303,41 @@ void Server::run_job(Job& job) {
         request.platform.empty() ? binio::mix64(binio::kHashSeed, 'D')
                                  : hash_bytes(binio::mix64(binio::kHashSeed, 'P'), platform_bytes);
 
-    // Idempotent re-submit of a completed job over the same contents: serve
-    // the cached stream.
-    std::uint64_t result_key = 0;
-    if (!request.idem_key.empty()) {
-      result_key = binio::mix64(
-          binio::mix64(hash_bytes(binio::mix64(binio::kHashSeed, 'R'), request.idem_key),
-                       trace_key),
-          platform_key);
-      if (replay_completed(job, result_key)) return;
-    }
-
-    // --- trace: content-keyed, decode-once ----------------------------------
+    // --- trace: content-keyed, kept packed -----------------------------------
+    // A miss decodes the file, caches its packed form and replays from the
+    // decoded copy in hand; a hit unpacks only when the memo below cannot
+    // answer the job.
     bool trace_loaded = false;
     bool degraded = false;
+    std::optional<titio::SharedTrace> trace;  // decoded, shared by the job's scenarios
     const auto load_trace = [&] {
       trace_loaded = true;
-      return std::make_shared<const titio::SharedTrace>(
-          titio::SharedTrace::load(request.trace, {}, request.nprocs));
+      trace = titio::SharedTrace::load(request.trace, {}, request.nprocs);
     };
-    std::shared_ptr<const titio::SharedTrace> trace;
+    std::shared_ptr<const titio::PackedTrace> packed;
     try {
-      trace = traces_.get_or_load(trace_key, load_trace, [](const auto& t) {
-        return t->total_actions() * sizeof(tit::Action) + 4096;
-      });
+      packed = traces_.get_or_load(
+          trace_key,
+          [&] {
+            load_trace();
+            return std::make_shared<const titio::PackedTrace>(*trace);
+          },
+          [](const auto& p) { return p->packed_bytes() + 4096; });
     } catch (const std::bad_alloc&) {
       // Memory pressure on the cache path: shed to cold-path replay instead
       // of failing the job.  Nothing is retained, the prediction itself is
       // unaffected — "degraded" here means "paid the decode again", the
       // service-layer mirror of ReplayResult::degraded.
       degraded = true;
-      trace = load_trace();
+      if (!trace) load_trace();
     }
     if (degraded) ++jobs_degraded_;
-    const double decode_seconds = seconds_since(t_trace);
+    double decode_seconds = seconds_since(t_trace);
+    const int nprocs = trace ? trace->nprocs() : packed->nprocs();
+    const std::uint64_t trace_hash = trace ? trace->content_hash() : packed->content_hash();
 
     // --- platform: keyed by file bytes --------------------------------------
     std::shared_ptr<const platform::Platform> platform;
-    const int nprocs = trace->nprocs();
     if (request.platform.empty()) {
       // Default: the tools' default cluster at 1e9 instr/s.
       platform_key = binio::mix64(platform_key, static_cast<std::uint64_t>(nprocs));
@@ -431,9 +405,26 @@ void Server::run_job(Job& job) {
       calibrate_seconds = seconds_since(t_calibrate);
     }
 
+    // --- memo: the answer to the same question over the same contents ------
+    // Consulted after the lookups above, so started reports their truth.
+    // The idem key only flags the answer: the memo keys on content.
+    const std::uint64_t result_key = binio::mix64(
+        binio::mix64(hash_bytes(binio::mix64(binio::kHashSeed, 'R'), content_key(request)),
+                     trace_key),
+        platform_key);
+    std::shared_ptr<const CompletedJob> memo;
+    const bool memo_hit = !request.metrics && results_.get(result_key, memo);
+    const bool idempotent = memo_hit && !request.idem_key.empty();
+    if (idempotent) ++idempotent_replays_;
+    if (!memo_hit && !trace) {
+      const auto t_unpack = std::chrono::steady_clock::now();
+      trace = packed->unpack();
+      decode_seconds += seconds_since(t_unpack);
+    }
+
     Json started = Json::object({{"type", "started"},
                                  {"job", request.id},
-                                 {"trace_hash", hash_hex(trace->content_hash())},
+                                 {"trace_hash", hash_hex(trace_hash)},
                                  {"trace_cache", trace_loaded ? "miss" : "hit"},
                                  {"queue_wait_seconds", queue_wait},
                                  {"decode_seconds", decode_seconds}});
@@ -442,6 +433,40 @@ void Server::run_job(Job& job) {
       started.set("calibration_cache", calibration_computed ? "miss" : "hit");
       started.set("calibrate_seconds", calibrate_seconds);
       started.set("calibrated_rate", calibrated_rate);
+    }
+    if (idempotent) started.set("idempotent", true);
+
+    const auto make_done = [&](std::size_t scenarios, std::size_t ok, bool expired,
+                               double replay_seconds, const Json& mc) {
+      Json done = Json::object({{"type", "done"},
+                                {"job", request.id},
+                                {"scenarios", scenarios},
+                                {"scenarios_ok", ok}});
+      if (expired) done.set("expired", true);
+      if (degraded) done.set("degraded", true);
+      done.set("trace_cache", trace_loaded ? "miss" : "hit");
+      done.set("queue_wait_seconds", queue_wait);
+      done.set("decode_seconds", decode_seconds);
+      done.set("calibrate_seconds", calibrate_seconds);
+      done.set("replay_seconds", replay_seconds);
+      if (!mc.is_null()) done.set("mc", mc);
+      return done;
+    };
+
+    if (memo_hit) {
+      // The whole answer in one write: a repeat costs the client one wakeup,
+      // not one per line (the lines of a replayed job stream as they come).
+      std::string lines = started.dump();
+      for (const Json& scenario : memo->scenarios) {
+        Json line = scenario;
+        line.set("job", request.id);
+        lines += '\n' + line.dump();
+      }
+      Json done = make_done(memo->scenarios.size(), memo->scenarios_ok, false, 0.0, memo->mc);
+      if (idempotent) done.set("idempotent", true);
+      job.client->send_lines(lines + '\n' + done.dump());
+      ++jobs_completed_;
+      return;
     }
     job.client->send(started);
 
@@ -463,7 +488,7 @@ void Server::run_job(Job& job) {
     const core::CancelToken cancel =
         job.has_deadline ? core::CancelToken(job.deadline) : core::CancelToken();
 
-    std::vector<Json> scenario_lines;  // retained for the idempotency cache
+    std::vector<Json> scenario_lines;  // retained for the memo
     scenario_lines.reserve(scenarios.size());
     core::SweepOptions sweep_options;
     sweep_options.jobs = 1;  // the service parallelizes across jobs, not inside
@@ -487,24 +512,14 @@ void Server::run_job(Job& job) {
 
     std::size_t ok = 0;
     for (const core::ScenarioOutcome& o : outcomes) ok += o.ok ? 1 : 0;
-    Json done = Json::object({{"type", "done"},
-                              {"job", request.id},
-                              {"scenarios", outcomes.size()},
-                              {"scenarios_ok", ok}});
-    if (expired) done.set("expired", true);
-    if (degraded) done.set("degraded", true);
-    done.set("trace_cache", trace_loaded ? "miss" : "hit");
-    done.set("queue_wait_seconds", queue_wait);
-    done.set("decode_seconds", decode_seconds);
-    done.set("calibrate_seconds", calibrate_seconds);
-    done.set("replay_seconds", replay_seconds);
 
+    Json mc;
     if (perturb) {
       // Aggregate quantiles per original ScenarioSpec.  Seeds are 64-bit
       // draws, sent as decimal strings so a client that reads every JSON
       // number as a double still gets them bit-exactly.
       const core::McReport report = core::mc_fold(plan.rows, plan.grid, outcomes);
-      Json mc = Json::object({{"spec", perturb->canonical()}});
+      mc = Json::object({{"spec", perturb->canonical()}});
       Json seeds_json = Json::array();
       for (const std::uint64_t seed : plan.grid.seeds.front()) {
         seeds_json.push_back(std::to_string(seed));
@@ -517,8 +532,8 @@ void Server::run_job(Job& job) {
         groups.push_back(std::move(g));
       }
       mc.set("scenarios", std::move(groups));
-      done.set("mc", std::move(mc));
     }
+    Json done = make_done(outcomes.size(), ok, expired, replay_seconds, mc);
 
     if (request.metrics) {
       // One report per ok scenario, and their totals summed in scenario order.
@@ -552,21 +567,26 @@ void Server::run_job(Job& job) {
                                         {"total_replay_wall", replay_wall},
                                         {"max_queue_wait", max_queue_wait}}));
     }
-    job.client->send(done);
-    ++jobs_completed_;
-
-    // Retain the stream for idempotent re-submits — but only clean runs:
-    // expired jobs must re-run with a fresh budget, degraded ones should
-    // retry the cached path, and metrics streams are too big to be worth it.
-    if (!request.idem_key.empty() && !expired && !degraded && !request.metrics) {
+    // Memoize before done goes out, so a client that saw done and asks
+    // again is answered from the memo.  Only answers that are a pure
+    // function of the request are kept: not a metrics stream (too big to
+    // be worth it), not a degraded job (it should retry the cached path),
+    // and not a scenario the wall clock ended — a watchdog, or the
+    // cancellation that marks an expired job.
+    const bool clock_ended = std::any_of(outcomes.begin(), outcomes.end(), [](const auto& o) {
+      return !o.ok && (o.error_code == ErrorCode::Watchdog || o.error_code == ErrorCode::Cancelled);
+    });
+    if (!request.metrics && !degraded && !clock_ended) {
       auto completed = std::make_shared<CompletedJob>();
-      completed->started = started;
       completed->scenarios = std::move(scenario_lines);
-      completed->done = done;
-      std::uint64_t cost = 512 + started.dump().size() + done.dump().size();
+      completed->scenarios_ok = ok;
+      completed->mc = std::move(mc);
+      std::uint64_t cost = 512 + completed->mc.dump().size();
       for (const Json& line : completed->scenarios) cost += line.dump().size();
       results_.put(result_key, std::shared_ptr<const CompletedJob>(std::move(completed)), cost);
     }
+    job.client->send(done);
+    ++jobs_completed_;
   } catch (const Error& e) {
     ++jobs_failed_;
     job.client->send(make_failed(request.id, e.what(), e.code()));

@@ -15,12 +15,15 @@
 // released.  Nothing admitted is ever dropped (tested in
 // tests/svc/server_test.cpp).
 //
-// Caching: three content-keyed LRU caches (svc/cache.hpp) share the job hot
-// path — decoded traces (keyed by TITB frame CRCs, or by the bytes of a text
-// manifest and its rank files), parsed platforms
+// Caching: four content-keyed LRU caches (svc/cache.hpp) share the job hot
+// path — traces packed in the TITB action codec (keyed by TITB frame CRCs,
+// or by the bytes of a text manifest and its rank files), parsed platforms
 // (keyed by file bytes), calibrated rates (keyed by platform key +
-// core::calibration_cache_key).  cache_bytes = 0 disables retention, which
-// is how bench_gates measures the cold path of the very same binary.
+// core::calibration_cache_key), and the results memo: every clean
+// non-metrics job's answer, keyed by the request's content_key and the
+// trace and platform keys, so a repeated question is answered without
+// decode or replay.  cache_bytes = 0 disables retention, which is how
+// bench_gates measures the cold path of the very same binary.
 #pragma once
 
 #include <sys/socket.h>
@@ -91,6 +94,7 @@ class Server {
   CacheStats trace_cache_stats() const { return traces_.stats(); }
   CacheStats platform_cache_stats() const { return platforms_.stats(); }
   CacheStats calibration_cache_stats() const { return calibrations_.stats(); }
+  CacheStats result_cache_stats() const { return results_.stats(); }
 
  private:
   /// One accepted connection: its socket plus the write lock that keeps
@@ -104,12 +108,16 @@ class Server {
     /// Serialize and write one response line; false once the peer is gone.
     /// Never throws — a worker streaming results to a vanished client must
     /// not die with it.
-    bool send(const Json& response) {
+    bool send(const Json& response) { return send_lines(response.dump()); }
+
+    /// Write '\n'-separated response lines (no trailing newline) in one
+    /// write, so the peer wakes once for all of them.  As send().
+    bool send_lines(const std::string& lines) {
       const std::lock_guard<std::mutex> lock(write_mutex);
       if (!conn.valid()) return false;
       bool ok = false;
       try {
-        ok = conn.write_line(response.dump());
+        ok = conn.write_line(lines);
       } catch (...) {
       }
       // A failed write means the peer is gone or wedged.  Half-close the
@@ -131,13 +139,14 @@ class Server {
     bool has_deadline = false;
   };
 
-  /// One finished job's full response stream, retained for idempotent
-  /// re-submits (keyed by the request's "idem" content key).  Replayed
-  /// copies are re-stamped with the new job id.
+  /// One finished job's answer, retained in the results memo: the scenario
+  /// lines as first sent (re-stamped with each new job id) and the done
+  /// fields that follow from them.  The started and done lines themselves
+  /// are rendered afresh with each job's cache fields and timings.
   struct CompletedJob {
-    Json started;
     std::vector<Json> scenarios;
-    Json done;
+    std::size_t scenarios_ok = 0;
+    Json mc;  ///< the perturbed job's aggregate; null otherwise
   };
 
   void accept_loop();
@@ -145,8 +154,6 @@ class Server {
   void handle_connection(std::shared_ptr<Client> client);
   void handle_line(const std::shared_ptr<Client>& client, const std::string& line);
   void run_job(Job& job);
-  /// Serve a completed job from the idempotency cache; false on miss.
-  bool replay_completed(const Job& job, std::uint64_t key);
   Json stats_json() const;
 
   ServerOptions options_;
@@ -154,12 +161,12 @@ class Server {
   BoundedQueue<Job> queue_;
 
   // Content-keyed caches (values are cheap-copy handles; see cache.hpp).
-  LruCache<std::shared_ptr<const titio::SharedTrace>> traces_;
+  LruCache<std::shared_ptr<const titio::PackedTrace>> traces_;
   LruCache<std::shared_ptr<const platform::Platform>> platforms_;
   LruCache<double> calibrations_;
-  /// Idempotency results: request content key + trace and platform content
-  /// keys -> full response stream of a clean (not expired, not degraded)
-  /// completed job.
+  /// The results memo: request content key + trace and platform content
+  /// keys -> the answer of a clean completed job (not metrics, expired or
+  /// degraded, and no scenario ended by the wall clock).
   LruCache<std::shared_ptr<const CompletedJob>> results_;
 
   std::thread accept_thread_;

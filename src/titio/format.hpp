@@ -28,7 +28,7 @@
 //
 // Volumes are almost always integral counts (instructions, bytes), so they
 // ship as varints; the flag bits switch to a raw 8-byte double for the rare
-// fractional/huge value and elide absent fields entirely.
+// fractional/huge value (or -0.0) and elide absent fields entirely.
 #pragma once
 
 #include <bit>

@@ -20,7 +20,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "titio/reader.hpp"
 #include "titio/source.hpp"
@@ -81,12 +83,49 @@ class SharedTrace {
   Cursor cursor() const { return Cursor(trace_, load_skipped_); }
 
  private:
+  friend class PackedTrace;
   SharedTrace(std::shared_ptr<const tit::Trace> trace, std::uint64_t skipped, std::uint64_t hash)
       : trace_(std::move(trace)), load_skipped_(skipped), content_hash_(hash) {}
 
   std::shared_ptr<const tit::Trace> trace_;
   std::uint64_t load_skipped_ = 0;
   std::uint64_t content_hash_ = 0;
+};
+
+/// Append `actions` to `out` back to back in the TITB action codec
+/// (format.hpp).  The issuing rank is not stored: unpack_actions takes it.
+void pack_actions(std::vector<std::uint8_t>& out, std::span<const tit::Action> actions);
+
+/// Decode exactly `count` actions of rank `rank` from `bytes`.  Throws
+/// tir::ParseError unless the bytes hold exactly that many actions.
+std::vector<tit::Action> unpack_actions(std::span<const std::uint8_t> bytes,
+                                        std::uint64_t count, std::int32_t rank);
+
+/// A SharedTrace kept in the TITB action codec instead of decoded: about
+/// 6.4 bytes per LU action against 24, for a binary or a text trace alike.
+/// The prediction service's trace cache holds these; unpack() rebuilds the
+/// decoded trace bit for bit, content hash and recovery count included, at
+/// decode speed.  Immutable after construction.
+class PackedTrace {
+ public:
+  explicit PackedTrace(const SharedTrace& trace);
+
+  /// A new decoded copy, for one job's scenarios to share.
+  SharedTrace unpack() const;
+
+  int nprocs() const { return static_cast<int>(counts_.size()); }
+  std::uint64_t content_hash() const { return content_hash_; }
+  /// Heap bytes held: the codec bytes plus the two per-rank tables.
+  std::uint64_t packed_bytes() const {
+    return bytes_.size() + 2 * sizeof(std::uint64_t) * counts_.size();
+  }
+
+ private:
+  std::vector<std::uint8_t> bytes_;    ///< every rank's actions, rank after rank
+  std::vector<std::uint64_t> ends_;    ///< end of rank r's bytes in bytes_
+  std::vector<std::uint64_t> counts_;  ///< rank r's action count
+  std::uint64_t content_hash_ = 0;
+  std::uint64_t skipped_ = 0;
 };
 
 }  // namespace tir::titio

@@ -497,7 +497,9 @@ TEST_F(SvcServer, DeadlineExpiredInQueueFailsCancelled) {
 
   Client client(server.endpoint());
   JobRequest deadlined = simple_job();
-  deadlined.deadline_ms = 50.0;  // far less than slow_job's runtime
+  // 1 ms: the blocker's calibration alone simulates a whole LU run, so it
+  // cannot finish inside it (a 50 ms deadline sometimes outlasted it).
+  deadlined.deadline_ms = 1.0;
   const JobResult result = client.submit(deadlined);
   EXPECT_TRUE(result.failed);
   EXPECT_TRUE(result.expired);
@@ -575,6 +577,205 @@ TEST_F(SvcServer, RewrittenTraceIsNotServedFromTheResultCache) {
   Json restamped = again.scenarios[0];
   restamped.set("job", rewritten.id);
   EXPECT_EQ(restamped.dump(), rewritten.scenarios[0].dump());  // wall clock included
+}
+
+// A plain client sends no idem key; its exact repeat is still answered from
+// the results memo, the first run's scenario lines re-sent with the new job
+// id, wall clock included.  An idem re-submit of the same content is the
+// same memo entry, flagged.
+TEST_F(SvcServer, MemoAnswersAnExactRepeatAndAnIdemResubmit) {
+  ServerOptions options;
+  options.endpoint = endpoint("memo.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  const JobResult first = client.submit(simple_job());
+  ASSERT_TRUE(first.done) << first.error;
+  const JobResult repeat = client.submit(simple_job());
+  ASSERT_TRUE(repeat.done) << repeat.error;
+  EXPECT_EQ(repeat.started.str_or("trace_cache", ""), "hit");
+  EXPECT_FALSE(repeat.started.bool_or("idempotent", false));
+  EXPECT_FALSE(repeat.epilogue.bool_or("idempotent", false));
+  EXPECT_EQ(repeat.epilogue.num_or("replay_seconds", -1), 0.0);  // nothing replayed
+  ASSERT_EQ(repeat.scenarios.size(), 1u);
+  Json restamped = repeat.scenarios[0];
+  restamped.set("job", first.id);
+  EXPECT_EQ(restamped.dump(), first.scenarios[0].dump());
+
+  JobRequest idem = simple_job();
+  idem.idem_key = content_key(idem);
+  const JobResult flagged = client.submit(idem);
+  ASSERT_TRUE(flagged.done) << flagged.error;
+  EXPECT_TRUE(flagged.started.bool_or("idempotent", false));
+  EXPECT_TRUE(flagged.epilogue.bool_or("idempotent", false));
+  ASSERT_EQ(flagged.scenarios.size(), 1u);
+  restamped = flagged.scenarios[0];
+  restamped.set("job", first.id);
+  EXPECT_EQ(restamped.dump(), first.scenarios[0].dump());
+
+  // The idem key does not choose the answer: another request carrying
+  // this key is answered for its own content.
+  JobRequest other = simple_job(2e9);
+  other.idem_key = idem.idem_key;
+  const JobResult own = client.submit(other);
+  ASSERT_TRUE(own.done) << own.error;
+  EXPECT_FALSE(own.started.bool_or("idempotent", false));
+  EXPECT_LT(own.scenarios.at(0).num_or("simulated_time", 0),
+            first.scenarios[0].num_or("simulated_time", 0));
+
+  const CacheStats memo = server.result_cache_stats();
+  EXPECT_EQ(memo.hits, 2u);
+  EXPECT_EQ(memo.misses, 2u);
+  EXPECT_EQ(memo.entries, 2u);
+  EXPECT_EQ(client.stats().get("jobs").num_or("idempotent_replays", 0), 1.0);
+  // The trace and platform lookups ran for every job.
+  EXPECT_EQ(server.trace_cache_stats().hits, 3u);
+  EXPECT_EQ(server.platform_cache_stats().hits, 3u);
+}
+
+// The memo keys on the trace and platform contents, not their paths.
+TEST_F(SvcServer, MemoMissesAfterARewrittenTraceOrPlatform) {
+  ServerOptions options;
+  options.endpoint = endpoint("memo_files.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  const std::string platform_path = (dir_ / "memo.txt").string();
+  std::ofstream(platform_path)
+      << "cluster prefix=h nodes=2 cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=50us\n";
+  JobRequest request = simple_job();
+  request.platform = platform_path;
+  const JobResult first = client.submit(request);
+  ASSERT_TRUE(first.done) << first.error;
+
+  std::ofstream(platform_path)
+      << "cluster prefix=h nodes=2 cores=1 speed=1e9 l2=1MiB bw=1Gbps lat=5ms\n";
+  const JobResult new_platform = client.submit(request);
+  ASSERT_TRUE(new_platform.done) << new_platform.error;
+  EXPECT_GT(new_platform.scenarios.at(0).num_or("simulated_time", 0),
+            first.scenarios.at(0).num_or("simulated_time", 0));
+
+  titio::write_binary_trace(tit::parse_trace_string("p0 compute 9e9\n"
+                                                    "p0 send p1 1024\n"
+                                                    "p1 recv p0 1024\n"
+                                                    "p1 compute 2e9\n",
+                                                    2),
+                            trace_path_);
+  const JobResult new_trace = client.submit(request);
+  ASSERT_TRUE(new_trace.done) << new_trace.error;
+  EXPECT_GT(new_trace.scenarios.at(0).num_or("simulated_time", 0),
+            new_platform.scenarios.at(0).num_or("simulated_time", 0) + 7.0);
+  EXPECT_EQ(server.result_cache_stats().hits, 0u);
+  EXPECT_EQ(server.result_cache_stats().misses, 3u);
+
+  const JobResult unchanged = client.submit(request);
+  ASSERT_TRUE(unchanged.done) << unchanged.error;
+  EXPECT_EQ(unchanged.scenarios.at(0).num_or("simulated_time", -1),
+            new_trace.scenarios.at(0).num_or("simulated_time", -2));
+  EXPECT_EQ(server.result_cache_stats().hits, 1u);
+}
+
+// Any change to what the job asks — a scenario field, a calibration field —
+// is a different memo key.
+TEST_F(SvcServer, MemoMissesOnAChangedScenarioOrCalibration) {
+  ServerOptions options;
+  options.endpoint = endpoint("memo_request.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  JobRequest calibrated = simple_job();
+  calibrated.scenarios[0].rates.clear();
+  calibrated.calibrate = true;
+  calibrated.calibration.procedure = "cache-aware";
+  calibrated.calibration.iterations = 2;
+  calibrated.calibration.truth = platform::bordereau_truth();
+  calibrated.calibration.instance_class = 'A';
+  calibrated.calibration.instance_nprocs = 2;
+  JobRequest reseeded = calibrated;
+  reseeded.calibration.seed = 2;
+  JobRequest relabelled = calibrated;
+  relabelled.scenarios[0].label = "other";
+  JobRequest contended = calibrated;
+  contended.scenarios[0].contention = true;
+
+  for (const JobRequest* request : {&calibrated, &reseeded, &relabelled, &contended}) {
+    const JobResult result = client.submit(*request);
+    ASSERT_TRUE(result.done) << result.error;
+  }
+  EXPECT_EQ(server.result_cache_stats().hits, 0u);
+  EXPECT_EQ(server.result_cache_stats().entries, 4u);
+  EXPECT_EQ(server.calibration_cache_stats().misses, 2u);  // two seeds
+  ASSERT_TRUE(client.submit(relabelled).done);
+  EXPECT_EQ(server.result_cache_stats().hits, 1u);
+}
+
+// Answers that are not a pure function of the request are never stored: a
+// metrics stream, an expired job and a scenario the watchdog ended.
+TEST_F(SvcServer, MemoStoresNoMetricsExpiredOrWatchdogJob) {
+  ServerOptions options;
+  options.endpoint = endpoint("memo_skip.sock");
+  options.workers = 1;
+  Server server(options);
+  server.start();
+  Client client(server.endpoint());
+
+  JobRequest metrics = simple_job();
+  metrics.metrics = true;
+  for (int i = 0; i < 2; ++i) {
+    const JobResult result = client.submit(metrics);
+    ASSERT_TRUE(result.done) << result.error;
+    EXPECT_TRUE(result.epilogue.get("metrics").is_array());
+  }
+
+  JobRequest expiring = slow_job();
+  expiring.deadline_ms = 1.0;  // passes in the queue or during calibration
+  EXPECT_TRUE(client.submit(expiring).expired);
+
+  std::string lines;
+  for (int i = 0; i < 200; ++i) lines += "p0 compute 1e6\np1 compute 1e6\n";
+  JobRequest watched = simple_job();
+  watched.trace = (dir_ / "long.titb").string();
+  titio::write_binary_trace(tit::parse_trace_string(lines, 2), watched.trace);
+  watched.scenarios[0].watchdog_seconds = 1e-9;
+  for (int i = 0; i < 2; ++i) {
+    const JobResult result = client.submit(watched);
+    ASSERT_TRUE(result.done) << result.error;
+    ASSERT_EQ(result.scenarios.size(), 1u);
+    EXPECT_EQ(result.scenarios[0].str_or("error_code", ""), error_code_name(ErrorCode::Watchdog));
+  }
+
+  const CacheStats memo = server.result_cache_stats();
+  EXPECT_EQ(memo.entries, 0u);
+  EXPECT_EQ(memo.hits, 0u);
+}
+
+// flush clears the memo, and cache_bytes = 0 keeps none.
+TEST_F(SvcServer, MemoIsClearedByFlushAndOffOnTheColdPath) {
+  for (const std::uint64_t cache_bytes : {ServerOptions{}.cache_bytes, std::uint64_t{0}}) {
+    ServerOptions options;
+    options.endpoint = endpoint(cache_bytes == 0 ? "memo_cold.sock" : "memo_flush.sock");
+    options.workers = 1;
+    options.cache_bytes = cache_bytes;
+    Server server(options);
+    server.start();
+    Client client(server.endpoint());
+
+    ASSERT_TRUE(client.submit(simple_job()).done);
+    EXPECT_EQ(server.result_cache_stats().entries, cache_bytes == 0 ? 0u : 1u);
+    ASSERT_TRUE(client.flush());
+    EXPECT_EQ(server.result_cache_stats().entries, 0u);
+    const JobResult again = client.submit(simple_job());
+    ASSERT_TRUE(again.done) << again.error;
+    EXPECT_EQ(again.started.str_or("trace_cache", ""), "miss");
+    EXPECT_EQ(server.result_cache_stats().hits, 0u);
+    EXPECT_EQ(server.result_cache_stats().misses, 2u);
+  }
 }
 
 // A text manifest is keyed by its bytes and the bytes of every rank file

@@ -1,13 +1,17 @@
 // SharedTrace: one immutable decoded trace, many independent cursors.
 // Covers cursor independence and interleaving, rewind semantics, the
 // decode-once TITB load path, source reuse across sessions (the fixed
-// second-replay-yields-nothing bug), and concurrent replays from one
-// shared trace being bit-identical to serial ones.
+// second-replay-yields-nothing bug), concurrent replays from one
+// shared trace being bit-identical to serial ones, and the packed form
+// the prediction service caches.
 #include "titio/shared.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "apps/cg.hpp"
@@ -183,6 +187,89 @@ TEST(SourceReuse, SinglePassReaderSecondReplayThrowsConfigError) {
   const core::ReplayConfig cfg = config();
   EXPECT_GT(core::replay(core::Backend::Smpi, reader, p, cfg).actions_replayed, 0u);
   EXPECT_THROW(core::replay(core::Backend::Smpi, reader, p, cfg), ConfigError);
+  fs::remove(path);
+}
+
+/// Every field of `a` and `b` equal, the volumes bit for bit.
+void expect_bit_identical(const tit::Action& a, const tit::Action& b) {
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(a.proc, b.proc);
+  EXPECT_EQ(a.partner, b.partner);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.volume), std::bit_cast<std::uint64_t>(b.volume));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.volume2), std::bit_cast<std::uint64_t>(b.volume2));
+}
+
+// The codec at its edges: the highest rank, the highest partner, and
+// volumes that take every encoding (elided, varint, raw double, none),
+// -0.0 and a NaN payload included, for every action type.
+TEST(PackedTrace, RankRoundTripIsBitExactForEveryActionType) {
+  const double volumes[] = {0.0, -0.0, 1.0, 2.5, 9.3e18, 1e300,
+                            std::bit_cast<double>(std::uint64_t{0x7FF8000000000123})};
+  std::vector<tit::Action> actions;
+  for (int type = 0; type <= static_cast<int>(tit::ActionType::Scatter); ++type) {
+    for (const std::int32_t partner : {std::numeric_limits<std::int32_t>::max(), 0, -1}) {
+      for (const double volume : volumes) {
+        tit::Action a;
+        a.type = static_cast<tit::ActionType>(type);
+        a.proc = tit::kMaxRanks - 1;
+        a.partner = partner;
+        a.volume = volume;
+        a.volume2 = -volume;
+        actions.push_back(a);
+      }
+      tit::Action sizeless;
+      sizeless.type = static_cast<tit::ActionType>(type);
+      sizeless.proc = tit::kMaxRanks - 1;
+      sizeless.partner = partner;
+      sizeless.volume = tit::kNoVolume;
+      actions.push_back(sizeless);
+    }
+  }
+  std::vector<std::uint8_t> bytes;
+  pack_actions(bytes, actions);
+  const std::vector<tit::Action> back =
+      unpack_actions(bytes, actions.size(), tit::kMaxRanks - 1);
+  ASSERT_EQ(back.size(), actions.size());
+  for (std::size_t i = 0; i < actions.size(); ++i) expect_bit_identical(back[i], actions[i]);
+
+  // The count must match the bytes exactly.
+  EXPECT_THROW(unpack_actions(bytes, actions.size() - 1, 0), ParseError);
+  EXPECT_THROW(unpack_actions(bytes, actions.size() + 1, 0), ParseError);
+  EXPECT_THROW(unpack_actions(bytes, std::numeric_limits<std::uint64_t>::max(), 0), ParseError);
+}
+
+// A packed TITB or text trace unpacks to the same actions, content hash
+// and recovery count, and replays bit-identically, at about a quarter of
+// the decoded size.
+TEST(PackedTrace, UnpackRebuildsTheTraceAndReplaysBitIdentically) {
+  const tit::Trace trace = apps::cg_trace(apps::CgConfig{/*nprocs=*/4, /*iterations=*/6});
+  const fs::path path = test::unique_temp_path("packed_trace", ".titb");
+  write_binary_trace(trace, path.string());
+  const platform::Platform p = cluster(4);
+  const core::ReplayConfig cfg = config();
+
+  for (const SharedTrace& shared : {SharedTrace::load(path.string()), SharedTrace(trace)}) {
+    const PackedTrace packed(shared);
+    EXPECT_EQ(packed.nprocs(), shared.nprocs());
+    EXPECT_EQ(packed.content_hash(), shared.content_hash());
+    EXPECT_LT(packed.packed_bytes(), shared.total_actions() * sizeof(tit::Action) / 3);
+
+    const SharedTrace unpacked = packed.unpack();
+    EXPECT_EQ(unpacked.content_hash(), shared.content_hash());
+    EXPECT_EQ(unpacked.skipped_actions(), shared.skipped_actions());
+    ASSERT_EQ(unpacked.nprocs(), shared.nprocs());
+    for (int r = 0; r < shared.nprocs(); ++r) {
+      const std::vector<tit::Action>& want = shared.trace().actions(r);
+      const std::vector<tit::Action>& got = unpacked.trace().actions(r);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(got.capacity(), got.size());
+      for (std::size_t i = 0; i < want.size(); ++i) expect_bit_identical(got[i], want[i]);
+    }
+    SharedTrace::Cursor a = shared.cursor();
+    SharedTrace::Cursor b = unpacked.cursor();
+    EXPECT_EQ(core::replay(core::Backend::Smpi, a, p, cfg).simulated_time,
+              core::replay(core::Backend::Smpi, b, p, cfg).simulated_time);
+  }
   fs::remove(path);
 }
 
