@@ -351,6 +351,10 @@ Manifest resolve_manifest(const std::string& manifest_path, int nprocs) {
   manifest.dir = std::filesystem::path(manifest_path).parent_path().string();
   manifest.nprocs =
       manifest.files.size() == 1 ? std::max(nprocs, 0) : static_cast<int>(manifest.files.size());
+  if (manifest.files.size() > 1 && nprocs > 0 && nprocs != manifest.nprocs) {
+    throw Error("manifest lists " + std::to_string(manifest.nprocs) + " trace files but " +
+                std::to_string(nprocs) + " processes were requested");
+  }
   return manifest;
 }
 
@@ -367,10 +371,6 @@ Trace load_trace(const std::string& manifest_path, int nprocs) {
   const Manifest manifest = resolve_manifest(manifest_path, nprocs);
   if (manifest.nprocs == 0) {
     throw Error("single-file manifest needs an explicit process count: " + manifest_path);
-  }
-  if (manifest.files.size() > 1 && nprocs > 0 && nprocs != manifest.nprocs) {
-    throw Error("manifest lists " + std::to_string(manifest.nprocs) + " trace files but " +
-                std::to_string(nprocs) + " processes were requested");
   }
   Trace trace(manifest.nprocs);
   for_each_action(manifest, [&](const Action& a) { trace.push(a); });

@@ -90,7 +90,8 @@ struct Manifest {
 };
 
 /// Read the manifest at `manifest_path` and settle its rank count; `nprocs`
-/// counts only for a single-file manifest.  Throws as read_manifest.
+/// sets it for a single-file manifest and, when > 0, must equal the file
+/// count of any other.  Throws as read_manifest, and on that mismatch.
 Manifest resolve_manifest(const std::string& manifest_path, int nprocs);
 
 /// for_each_action over every file of `manifest`, in manifest order; error

@@ -315,4 +315,19 @@ TEST_F(CliArgs, TitConvertRoundTripsAndValidates) {
   EXPECT_EQ(run(convert + " text2bin " + manifest + " " + (dir / "back.titb").string()), 0);
 }
 
+// An NPROCS operand that disagrees with a multi-file manifest is an error
+// for text2bin as for validate, and writes no file.
+TEST_F(CliArgs, TitConvertRefusesAnNprocsTheManifestContradicts) {
+  const std::string convert = TIR_TIT_CONVERT;
+  const fs::path dir = dir_ / "nprocs";
+  fs::create_directories(dir);
+  ASSERT_EQ(run(convert + " bin2text " + titb_fixture() + " " + dir.string() + " t"), 0);
+  const std::string manifest = (dir / "t.manifest").string();  // two rank files
+  const fs::path out = dir / "out.titb";
+  EXPECT_EQ(run(convert + " text2bin " + manifest + " " + out.string() + " 3"), 1);
+  EXPECT_FALSE(fs::exists(out));
+  EXPECT_EQ(run(convert + " validate " + manifest + " 3"), 1);
+  EXPECT_EQ(run(convert + " text2bin " + manifest + " " + out.string() + " 2"), 0);
+}
+
 }  // namespace
