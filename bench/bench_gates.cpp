@@ -293,7 +293,9 @@ Record sweep_gate(const exp::ClusterSetup& cluster) {
 
 // svc.cache_speedup: serial jobs/s of a cached tird against one that keeps
 // nothing (every job decodes, calibrates and replays); the predictions on
-// the wire must be bitwise the same.
+// the wire must be bitwise the same.  Each job of every leg has its own
+// scenario label, so the results memo answers none of them and the gate
+// measures the trace and calibration caches.
 Record cache_gate(const exp::ClusterSetup& cluster, const fs::path& work) {
   constexpr int kJobs = 32;
   const std::string trace_path = (work / "lu_A8.titb").string();
@@ -320,10 +322,12 @@ Record cache_gate(const exp::ClusterSetup& cluster, const fs::path& work) {
   };
   const auto cached = start("cached.sock", svc::ServerOptions{}.cache_bytes);
   const auto cold = start("cold.sock", 0);
+  std::uint64_t jobs_sent = 0;
   const auto leg = [&](svc::Server& server) {
     svc::Client client(server.endpoint());
     std::vector<Prediction> out;
     for (int j = 0; j < kJobs; ++j) {
+      request.scenarios[0].label = "calibrated-" + std::to_string(jobs_sent++);
       const svc::JobResult r = client.submit(request);
       if (!r.done) throw std::runtime_error("tird job failed: [" + r.error_code + "] " + r.error);
       for (const Json& s : r.scenarios) {
